@@ -200,10 +200,14 @@ def brute_entropy(
 
 
 def _bounded_deliveries(s: LinearScheme, max_deliveries: int) -> list[DemandVector]:
+    """At most max_deliveries demands, evenly spread in lexicographic order from the first."""
+    if max_deliveries < 1:
+        raise ValueError(f"need max_deliveries >= 1, got {max_deliveries}")
     space = s.N**s.K
     if space <= max_deliveries:
         return list(demands_iter(s.N, s.K))
-    idxs = sorted({round(i * (space - 1) / (max_deliveries - 1)) for i in range(max_deliveries)})
+    spacing = max(max_deliveries - 1, 1)
+    idxs = sorted({round(i * (space - 1) / spacing) for i in range(max_deliveries)})
     return [demand_from_index(s.N, s.K, i) for i in idxs]
 
 

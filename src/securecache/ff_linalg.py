@@ -2,15 +2,18 @@
 
 Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, reduced row echelon form, row-space
-membership, and column masking.  All arithmetic is exact integer
-arithmetic in numpy int64; there are no tolerances anywhere.
+membership, column masking, and ranks of row blocks relative to a
+cached row basis.  All arithmetic is exact integer arithmetic in numpy
+int64; there are no tolerances anywhere.  A row of products of residues
+sums at most cols terms below q**2, so matrices are refused unless
+q**2 * cols < 2**63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,7 +68,9 @@ class FieldMatrix:
     """Immutable dense matrix over the integers mod a prime q.
 
     Entries are stored as int64 in [0, q).  Matrices with zero rows are
-    legal (they arise as empty observation sets); zero columns are not.
+    legal (they arise as empty observation sets); zero columns are not,
+    and neither are moduli with q**2 * cols >= 2**63, for which a
+    matrix-vector product could overflow int64.
     """
 
     __slots__ = ("q", "data")
@@ -78,6 +83,11 @@ class FieldMatrix:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[1] == 0:
             raise ValueError("matrix must have at least one column")
+        if q * q * arr.shape[1] >= 1 << 63:
+            raise ValueError(
+                f"modulus {q} is too large for exact int64 products over "
+                f"{arr.shape[1]} columns: need q**2 * cols < 2**63"
+            )
         arr %= q
         arr.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -207,6 +217,67 @@ def rref(m: FieldMatrix) -> FieldMatrix:
         return m
     work, _ = _eliminate(m.data, m.q, reduced=True)
     return FieldMatrix(m.q, work)
+
+
+class RowBasis(NamedTuple):
+    """Reduced row echelon basis of a row space, kept for reducing rows.
+
+    The basis rows are the identity on the pivot columns, so only their
+    entries on the free columns are stored.  Columns in neither list
+    were masked out when the basis was built and are ignored.
+    """
+
+    q: int
+    cols: int
+    pivots: NDArray
+    free: NDArray
+    free_part: NDArray
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+
+def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
+    """RREF basis of the row space of m restricted to the columns keep.
+
+    Restricting to keep has the same ranks as zeroing every other column
+    with zero_columns; keep=None keeps all columns.
+    """
+    keep_idx = np.arange(m.cols) if keep is None else np.asarray(keep, dtype=np.intp)
+    if ((keep_idx < 0) | (keep_idx >= m.cols)).any():
+        raise IndexError(f"columns {keep_idx.tolist()} out of range for {m.cols} columns")
+    work, piv = _eliminate(m.data[:, keep_idx], m.q, reduced=True)
+    is_free = np.ones(keep_idx.size, dtype=bool)
+    is_free[piv] = False
+    free_local = np.flatnonzero(is_free)
+    return RowBasis(
+        q=m.q,
+        cols=m.cols,
+        pivots=keep_idx[piv],
+        free=keep_idx[free_local],
+        free_part=work[: len(piv)][:, free_local],
+    )
+
+
+def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
+    """How much the rows of x add to the rank of the basis's row space.
+
+    With Z the matrix the basis was built from, this is
+    rank([Z; x]) - rank(Z) on the basis's columns.  Subtracting from
+    each row of x its pivot entries times the basis rows leaves a
+    residual that is zero on the pivot columns and spans, together with
+    the basis, the same space as before; since the basis is the
+    identity on the pivots, the residual's rank is the increment.
+    """
+    if x.q != basis.q or x.cols != basis.cols:
+        raise ValueError(
+            f"{x!r} does not match a basis over GF({basis.q}) with {basis.cols} columns"
+        )
+    if basis.free.size == 0:
+        return 0
+    res = (x.data[:, basis.free] - x.data[:, basis.pivots] @ basis.free_part) % basis.q
+    return rank(FieldMatrix(basis.q, res))
 
 
 def in_rowspace(m: FieldMatrix, target: Sequence[int] | NDArray) -> NDArray | None:

@@ -10,6 +10,20 @@ prime field decide both conditions:
 * security: the observation is independent of all other files exactly
   when zeroing all other files' columns does not change the rank.
 
+All three ranks come from one kernel.  For a cache Z with RREF basis E
+(pivot columns P, so E[:, P] = I) and a broadcast X,
+
+    rank([Z; X]) = rank(Z) + rank(X - X[:, P] @ E),
+
+because the residual rows differ from X by combinations of E's rows
+and vanish on P, where E is the identity.  Zeroing a set of columns
+acts on each row separately, so it commutes with stacking: the masked
+stack is [masked Z; masked X], and one basis of user k's masked cache
+serves every demand with the same requested file d_k.  Each cache is thus
+eliminated at most 1 + 2N times per scheme (all columns, and per file
+without it and with only it and the keys), and each check eliminates
+only the residual of the broadcast rows.
+
 decode and simulate exercise the same schemes on concrete symbol
 vectors, which keeps the rank checks honest.
 """
@@ -24,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .ff_linalg import FieldMatrix, in_rowspace, rank, stack, zero_columns
+from .ff_linalg import FieldMatrix, RowBasis, in_rowspace, residual_rank, row_basis, stack
 from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands_iter
 
 
@@ -110,52 +124,59 @@ def observed_matrix(s: LinearScheme, d: DemandVector, k: int) -> FieldMatrix:
     return stack([s.cache[k - 1], s.delivery_matrix(d)])
 
 
-def _other_file_columns(s: LinearScheme, requested: int) -> list[int]:
-    cols: list[int] = []
-    for n in range(1, s.N + 1):
-        if n != requested:
-            cols.extend(s.layout.file_columns(n))
-    return cols
+class _RankKernel:
+    """Ranks of [Z_k; X] for one scheme, reusing a basis of each Z_k.
+
+    A basis is built on first use per (user, view) and kept: view None
+    keeps all columns, ("without", n) drops file n's columns and
+    ("only", n) keeps file n's and the key columns.
+    """
+
+    def __init__(self, s: LinearScheme) -> None:
+        self.s = s
+        layout = s.layout
+        keys = [layout.key_column(name) for name in layout.key_names]
+        self._keep: dict[tuple[str, int], list[int]] = {}
+        for n in range(1, s.N + 1):
+            own = layout.file_columns(n)
+            self._keep[("without", n)] = [c for c in range(layout.total) if c not in own]
+            self._keep[("only", n)] = [*own, *keys]
+        self._bases: dict[tuple[int, tuple[str, int] | None], RowBasis] = {}
+
+    def rank(self, k: int, X: FieldMatrix, view: tuple[str, int] | None = None) -> int:
+        b = self._bases.get((k, view))
+        if b is None:
+            keep = None if view is None else self._keep[view]
+            b = self._bases[(k, view)] = row_basis(self.s.cache[k - 1], keep)
+        return b.dim + residual_rank(b, X)
+
+    def record(self, d: DemandVector, k: int, X: FieldMatrix) -> CheckRecord:
+        """Both rank identities for user k under demand d with broadcast X."""
+        r_full = self.rank(k, X)
+        r_req = self.rank(k, X, ("without", d[k]))
+        r_oth = self.rank(k, X, ("only", d[k]))
+        return CheckRecord(
+            demand=d.entries,
+            user=k,
+            correctness=CorrectnessCheck(r_full == r_req + self.s.B, r_full, r_req, self.s.B),
+            security=SecurityCheck(r_full == r_oth, r_full, r_oth),
+        )
+
+
+def _single_check(s: LinearScheme, d: DemandVector, k: int) -> CheckRecord:
+    if not 1 <= k <= s.K:
+        raise IndexError(f"user {k} out of range [1, {s.K}]")
+    return _RankKernel(s).record(d, k, s.delivery_matrix(d))
 
 
 def check_correctness(s: LinearScheme, d: DemandVector, k: int) -> CorrectnessCheck:
     """Rank identity for user k decoding file d_k under demand d."""
-    G = observed_matrix(s, d, k)
-    r_full = rank(G)
-    r_masked = rank(zero_columns(G, s.layout.file_columns(d[k])))
-    return CorrectnessCheck(
-        passed=r_full == r_masked + s.B,
-        rank_full=r_full,
-        rank_masked_requested=r_masked,
-        file_units=s.B,
-    )
+    return _single_check(s, d, k).correctness
 
 
 def check_security(s: LinearScheme, d: DemandVector, k: int) -> SecurityCheck:
     """Rank identity for user k learning nothing beyond file d_k."""
-    G = observed_matrix(s, d, k)
-    r_full = rank(G)
-    r_masked = rank(zero_columns(G, _other_file_columns(s, d[k])))
-    return SecurityCheck(passed=r_full == r_masked, rank_full=r_full, rank_masked_others=r_masked)
-
-
-def _check_demand(s: LinearScheme, d: DemandVector) -> list[CheckRecord]:
-    delivery = s.delivery_matrix(d)
-    records = []
-    for k in range(1, s.K + 1):
-        G = stack([s.cache[k - 1], delivery])
-        r_full = rank(G)
-        r_req = rank(zero_columns(G, s.layout.file_columns(d[k])))
-        r_oth = rank(zero_columns(G, _other_file_columns(s, d[k])))
-        records.append(
-            CheckRecord(
-                demand=d.entries,
-                user=k,
-                correctness=CorrectnessCheck(r_full == r_req + s.B, r_full, r_req, s.B),
-                security=SecurityCheck(r_full == r_oth, r_full, r_oth),
-            )
-        )
-    return records
+    return _single_check(s, d, k).security
 
 
 def _sampled_indices(N: int, K: int, count: int, seed: int) -> list[int]:
@@ -211,9 +232,11 @@ def verify_all(
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
+    kernel = _RankKernel(s)
     records: list[CheckRecord] = []
     for d in demands:
-        records.extend(_check_demand(s, d))
+        X = s.delivery_matrix(d)
+        records.extend(kernel.record(d, k, X) for k in range(1, s.K + 1))
     return VerificationReport(
         label=s.label, N=s.N, K=s.K, policy=policy_desc, records=tuple(records)
     )

@@ -97,6 +97,15 @@ def test_bounded_deliveries_cover_endpoints():
     assert few[-1].entries == (3, 3, 3)
 
 
+def test_bounded_deliveries_single_and_invalid():
+    s = build_otp(3, 3)
+    one = _bounded_deliveries(s, 1)
+    assert [d.entries for d in one] == [(1, 1, 1)]
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="max_deliveries"):
+            _bounded_deliveries(s, bad)
+
+
 def test_rank_agreement_small_schemes():
     assert check_rank_agreement(build_theorem1(3), subset_size_cap=3)
     assert check_rank_agreement(build_theorem2(2, 3), subset_size_cap=3)

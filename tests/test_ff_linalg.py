@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from sympy import isprime
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, isprime
+from sympy.polys.matrices import DomainMatrix
 
 from securecache.constructions import build_theorem1
 from securecache.ff_linalg import (
@@ -11,6 +14,8 @@ from securecache.ff_linalg import (
     in_rowspace,
     is_prime,
     rank,
+    residual_rank,
+    row_basis,
     rref,
     smallest_prime_at_least,
     stack,
@@ -167,6 +172,21 @@ def test_field_matrix_validation_and_immutability():
         m.q = 5
 
 
+def test_modulus_that_could_overflow_is_refused():
+    # Here q**2 alone exceeds 2**63: [[q - 1, q - 1]] applied to
+    # [q - 1, q - 1] wrapped around int64 and gave 8589934033, not 2.
+    with pytest.raises(ValueError, match="too large"):
+        FieldMatrix(8589934609, [[1]])
+    with pytest.raises(ValueError, match="too large"):
+        FieldMatrix(8589934609, [[8589934608, 8589934608]])
+    # 2**31 - 1 fits two columns but not three.
+    q = 2147483647
+    with pytest.raises(ValueError, match="too large"):
+        FieldMatrix(q, [[1, 1, 1]])
+    m = FieldMatrix(q, [[q - 1, q - 1]])
+    assert int(m.apply(np.array([q - 1, q - 1]))[0]) == (2 * (q - 1) ** 2) % q == 2
+
+
 def test_prime_field():
     f = PrimeField(7)
     assert f.inv(3) == 5
@@ -193,3 +213,49 @@ def test_primality_against_independent_oracle():
         p = smallest_prime_at_least(n)
         assert p >= n and isprime(p)
         assert all(not isprime(x) for x in range(n, p))
+
+
+def _sympy_rank(q, rows, cols):
+    if not rows:
+        return 0
+    gf = GF(q)
+    return DomainMatrix([[gf(int(x)) for x in row] for row in rows], (len(rows), cols), gf).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([3, 5, 7]),
+    z_rows=st.integers(0, 5),
+    x_rows=st.integers(0, 5),
+    cols=st.integers(1, 7),
+    data=st.data(),
+)
+def test_residual_rank_against_sympy(q, z_rows, x_rows, cols, data):
+    entries = st.integers(0, q - 1)
+    z = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=z_rows, max_size=z_rows))
+    x = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=x_rows, max_size=x_rows))
+    keep = data.draw(st.none() | st.lists(st.integers(0, cols - 1), unique=True))
+    kept = list(range(cols)) if keep is None else sorted(keep)
+    sub = lambda rows: [[row[c] for c in kept] for row in rows]
+    Z = FieldMatrix(q, np.array(z, dtype=np.int64).reshape(z_rows, cols))
+    X = FieldMatrix(q, np.array(x, dtype=np.int64).reshape(x_rows, cols))
+    basis = row_basis(Z, keep)
+    want_z = _sympy_rank(q, sub(z), len(kept))
+    want_both = _sympy_rank(q, sub(z + x), len(kept))
+    assert basis.dim == want_z
+    assert residual_rank(basis, X) == want_both - want_z
+
+
+def test_row_basis_and_residual_rank_validate():
+    m = FieldMatrix.identity(3, 3)
+    with pytest.raises(IndexError):
+        row_basis(m, [0, 3])
+    with pytest.raises(IndexError):
+        row_basis(m, [-1])
+    basis = row_basis(m, [0, 1])
+    with pytest.raises(ValueError):
+        residual_rank(basis, FieldMatrix.identity(5, 3))
+    with pytest.raises(ValueError):
+        residual_rank(basis, FieldMatrix.identity(3, 4))
+    # Column 2 is outside the basis's columns, so it adds nothing.
+    assert residual_rank(basis, FieldMatrix(3, [[0, 0, 1]])) == 0

@@ -11,7 +11,8 @@ from securecache.constructions import (
     build_theorem2,
     build_theorem3,
 )
-from securecache.ff_linalg import FieldMatrix, PrimeField, in_rowspace, rank, zero_columns
+from securecache import verifier
+from securecache.ff_linalg import FieldMatrix, PrimeField, in_rowspace, rank, stack, zero_columns
 from securecache.scheme_model import (
     DemandVector,
     LinearScheme,
@@ -222,3 +223,80 @@ def test_security_holds_on_cache_only_observations():
                     for c in s.layout.file_columns(f)
                 ]
                 assert rank(zero_columns(cache, others)) == rank(cache)
+
+
+def _tampered(s, k, row, col):
+    # Copy of s with one entry of user k's cache bumped by 1.
+    data = s.cache[k - 1].data.copy()
+    data[row, col] += 1
+    cache = list(s.cache)
+    cache[k - 1] = FieldMatrix(s.field.q, data)
+    return LinearScheme(
+        field=s.field,
+        layout=s.layout,
+        K=s.K,
+        cache=tuple(cache),
+        delivery=s.delivery,
+        label=s.label + "-tampered",
+        params=dict(s.params),
+    )
+
+
+def _stack_ranks(s, d, k):
+    # The three ranks straight from the definitions: eliminate the full
+    # stack, and the stack with requested / other files' columns zeroed.
+    G = stack([s.cache[k - 1], s.delivery_matrix(d)])
+    own = list(s.layout.file_columns(d[k]))
+    others = [c for n in range(1, s.N + 1) if n != d[k] for c in s.layout.file_columns(n)]
+    return rank(G), rank(zero_columns(G, own)), rank(zero_columns(G, others))
+
+
+def test_rank_triples_match_stack_elimination():
+    t3 = build_theorem3(2, 3, 1)
+    tampered = [_leaky_pad_scheme(), _tampered(t3, 1, 0, 0), _tampered(build_theorem2(3, 3), 2, 0, 1)]
+    schemes = [
+        build_otp(3, 3),
+        build_theorem1(3),
+        build_theorem2(3, 3),
+        t3,
+        build_theorem3(3, 3, 1),
+        *tampered,
+    ]
+    for s in schemes:
+        report = verify_all(s)
+        assert len(report.records) == s.N**s.K * s.K
+        for rec in report.records:
+            d = DemandVector(rec.demand)
+            r_full, r_req, r_oth = _stack_ranks(s, d, rec.user)
+            got = (rec.correctness.rank_full, rec.correctness.rank_masked_requested, rec.security.rank_masked_others)
+            assert got == (r_full, r_req, r_oth), (s.label, rec.demand, rec.user)
+            assert rec.security.rank_full == r_full
+            assert rec.correctness.passed == (r_full == r_req + s.B)
+            assert rec.security.passed == (r_full == r_oth)
+            assert check_correctness(s, d, rec.user) == rec.correctness
+            assert check_security(s, d, rec.user) == rec.security
+        assert report.passed == (s not in tampered), s.label
+
+
+def test_verify_all_eliminates_each_cache_at_most_1_plus_2n_times(monkeypatch):
+    calls = []
+    real = verifier.row_basis
+
+    def counting(m, keep=None):
+        calls.append(m)
+        return real(m, keep)
+
+    monkeypatch.setattr(verifier, "row_basis", counting)
+    s = build_theorem3(3, 4, 2)
+    assert verify_all(s).passed
+    assert len(calls) == s.K * (1 + 2 * s.N)
+
+
+def test_single_checks_validate_user():
+    s = build_theorem1(3)
+    d = DemandVector((1, 2, 1))
+    for k in (0, 4):
+        with pytest.raises(IndexError):
+            check_correctness(s, d, k)
+        with pytest.raises(IndexError):
+            check_security(s, d, k)
