@@ -2,11 +2,17 @@
 
 Entropies of collections of scheme variables are measured by literally
 enumerating every assignment of the global input vector, pushing each
-through the variables' matrices, and tallying the image.  For linear
-maps of uniform inputs the image must be uniform and its size a power
-of q, so every entropy is an exact integer count of units; the oracle
-raises rather than round.  Agreement of these counts with matrix ranks
-is the cross-check that keeps the rank-based verifier honest.
+through the variables' matrices, and tallying the image.  The walk goes
+block by block: the inputs that share their leading digits form a block,
+and by linearity its images are one table, the images of all trailing
+digit patterns, plus the block's shift, the image of the leading digits,
+reduced mod q.  Each image is coded as a base-q integer and the codes
+are counted exactly.  For linear maps of uniform inputs the image must
+be uniform and its size a power of q, so every entropy is an exact
+integer count of units; the oracle raises rather than round.  No oracle
+value is computed with rank or elimination: agreement of these counts
+with matrix ranks is the cross-check that keeps the rank-based verifier
+honest.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -99,70 +105,105 @@ class EntropyResult:
     image_size: int
 
 
-def stacked_matrix(s: LinearScheme, refs: Sequence[VariableRef]) -> FieldMatrix:
-    """Row stack of the resolved variables; empty collections are legal."""
-    mats = [ref.resolve(s) for ref in refs]
+def stacked_matrix(
+    s: LinearScheme,
+    refs: Sequence[VariableRef],
+    resolved: Mapping[VariableRef, FieldMatrix] | None = None,
+) -> FieldMatrix:
+    """Row stack of the resolved variables; empty collections are legal.
+
+    When given, resolved holds the matrix of every variable in refs,
+    so none is resolved again.
+    """
+    mats = [ref.resolve(s) if resolved is None else resolved[ref] for ref in refs]
     if not mats:
         return FieldMatrix.zeros(s.field.q, 0, s.layout.total)
     return stack(mats)
 
 
-class _Enumerator:
-    """Chunked walk over all q**n input vectors.
+def _digit_rows(q: int, k: int) -> NDArray:
+    """All q**k vectors of k base-q digits, most significant first, in counting order."""
+    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.arange(q**k, dtype=np.int64)[:, None] // powers % q
 
-    The base-q digit rows are cached in a narrow dtype when small
-    enough, re-derived chunk by chunk otherwise; either way each chunk
-    is widened to int64 before the matrix product so arithmetic is
-    exact.
+
+class _Enumerator:
+    """Block walk over all q**n input vectors.
+
+    An input is split into its first hi digits and its last lo digits,
+    lo being the most with q**lo <= BLOCK, but at least one if n > 0.
+    For a map G the low digits' images form one table and the high
+    digits' images one shift per block; by linearity the block of inputs
+    sharing their high digits maps to (table + shift) % q.  Each image
+    is then coded as a base-q Horner integer and the codes are tallied
+    exactly: into one counter per possible code when there are at most
+    as many of those as inputs, by sorting all codes otherwise.  Where
+    q**rows would reach 2**62, the rows are coded in groups and the
+    group codes compared as raw bytes.
     """
 
-    CHUNK = 1 << 16
-    CACHE_ENTRIES = 50_000_000
+    BLOCK = 1 << 12
+    CODE_LIMIT = 1 << 62
 
     def __init__(self, q: int, n: int) -> None:
         self.q = q
-        self.n = n
         self.count = q**n
-        self.powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64) if n else None
-        self.pack_dtype = np.uint8 if q <= 255 else np.uint16 if q <= 65535 else np.uint32
-        self.cached: NDArray | None = None
-        if self.count * max(n, 1) <= self.CACHE_ENTRIES:
-            self.cached = self._digits(0, self.count).astype(self.pack_dtype)
+        lo = min(n, 1)
+        while lo < n and q ** (lo + 1) <= self.BLOCK:
+            lo += 1
+        self.hi = n - lo
+        self.low_digits = _digit_rows(q, lo)
+        self.high_digits = _digit_rows(q, self.hi)
+        self.group = 1
+        while q ** (self.group + 1) < self.CODE_LIMIT:
+            self.group += 1
+        self.powers = q ** np.arange(self.group - 1, -1, -1, dtype=np.int64)
 
-    def _digits(self, start: int, stop: int) -> NDArray:
-        idx = np.arange(start, stop, dtype=np.int64)
-        if self.n == 0:
-            return np.zeros((stop - start, 0), dtype=np.int64)
-        return (idx[:, None] // self.powers) % self.q
+    def image_tally(self, G: NDArray) -> NDArray:
+        """How many inputs map to each image under the row map G, one entry per image."""
+        q, m = self.q, G.shape[0]
+        blocks = self._block_codes(G)
+        if m <= self.group and q**m <= self.count:
+            tally = np.zeros(q**m, dtype=np.int64)
+            for codes in blocks:
+                np.add.at(tally, codes[:, 0], 1)
+            return tally[tally > 0]
+        codes = np.concatenate(list(blocks))
+        if m > self.group:
+            codes = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))
+        return np.unique(codes.ravel(), return_counts=True)[1]
 
-    def image_counts(self, G: NDArray) -> dict[bytes, int]:
-        """Tally of the images of all inputs under the row map G."""
-        m = G.shape[0]
-        width = self.pack_dtype().itemsize * m
-        counts: dict[bytes, int] = {}
-        for start in range(0, self.count, self.CHUNK):
-            stop = min(start + self.CHUNK, self.count)
-            if self.cached is not None:
-                digits = self.cached[start:stop].astype(np.int64)
-            else:
-                digits = self._digits(start, stop)
-            out = (digits @ G.T) % self.q
-            packed = np.ascontiguousarray(out.astype(self.pack_dtype))
-            void = packed.view(np.dtype((np.void, width))).ravel()
-            uniq, cnt = np.unique(void, return_counts=True)
-            for u, c in zip(uniq, cnt):
-                key = u.tobytes()
-                counts[key] = counts.get(key, 0) + int(c)
-        return counts
+    def _block_codes(self, G: NDArray) -> Iterator[NDArray]:
+        """Codes of the images of each block of inputs, in input order."""
+        q = self.q
+        table = self.low_digits @ G[:, self.hi :].T % q
+        yield self._encode(table)
+        # The first block's shift is zero; the others are stored minus q
+        # so that table + shift lies in [-q, q - 2] and adding q back
+        # where it is negative reduces it mod q without a division.
+        shifts = self.high_digits[1:] @ G[:, : self.hi].T % q - q
+        for shift in shifts:
+            images = table + shift
+            images += (images >> 63) & q
+            yield self._encode(images)
+
+    def _encode(self, images: NDArray) -> NDArray:
+        """Base-q Horner codes of each image row, one column per group of rows."""
+        m = images.shape[1]
+        codes = np.empty((len(images), -(-m // self.group)), dtype=np.int64)
+        for j, a in enumerate(range(0, m, self.group)):
+            group = images[:, a : a + self.group]
+            codes[:, j] = group @ self.powers[self.group - group.shape[1] :]
+        return codes
 
     def entropy_units(self, G: NDArray) -> int:
         """Exact log_q of the image size, with uniformity enforced."""
         if G.shape[0] == 0:
             return 0
-        counts = self.image_counts(G)
-        if len(set(counts.values())) != 1:
+        counts = self.image_tally(G)
+        if counts.min() != counts.max():
             raise OracleInvariantError(
-                f"non-uniform image for a linear map: tallies {sorted(set(counts.values()))}"
+                f"non-uniform image for a linear map: tallies {sorted(set(counts.tolist()))}"
             )
         image_size = len(counts)
         value, size = 0, 1
@@ -233,10 +274,11 @@ def check_rank_agreement(
         + [VariableRef.of_cache(k) for k in range(1, s.K + 1)]
         + [VariableRef.of_delivery(d) for d in _bounded_deliveries(s, max_deliveries)]
     )
+    resolved = {ref: ref.resolve(s) for ref in universe}
     enum = _Enumerator(q, n)
     for size in range(0, subset_size_cap + 1):
         for combo in itertools.combinations(universe, size):
-            G = stacked_matrix(s, combo)
+            G = stacked_matrix(s, combo, resolved)
             if enum.entropy_units(G.data) != rank(G):
                 return False
     return True

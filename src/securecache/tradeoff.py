@@ -62,7 +62,13 @@ def achievable_points(N: int, K: int) -> tuple[TradeoffPoint, ...]:
 
 
 def prior_work_points(N: int, K: int) -> tuple[TradeoffPoint, ...]:
-    """Previously known corner points for the same (N, K)."""
+    """Previously known corner points for the same (N, K).
+
+    These are the corners of the secretive coded caching scheme of
+    Ravindrakumar, Panda, Karamchandani and Prabhakaran: M = 1 at rate
+    K, M = N*t/(K - t) + 1 at rate K/(t + 1) for 1 <= t <= K - 2, and
+    M = N*(K - 1) at rate 1.
+    """
     if N < 2 or K < 2:
         raise ValueError(f"need N >= 2 and K >= 2, got N={N}, K={K}")
     pts = [TradeoffPoint(Fraction(1), Fraction(K), "prior", "unit cache, prior")]

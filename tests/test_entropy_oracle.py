@@ -1,12 +1,21 @@
 """Entropy oracle tests: brute-force counts, rank agreement, lemma checks."""
 
-import pytest
+import itertools
+from collections import Counter
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from securecache import entropy_oracle, ff_linalg
 from securecache.constructions import build_otp, build_theorem1, build_theorem2, build_theorem3
 from securecache.entropy_oracle import (
     EnumerationCapError,
+    OracleInvariantError,
     VariableRef,
     _bounded_deliveries,
+    _Enumerator,
     brute_entropy,
     check_lemma1_lemma2,
     check_lemma3_lemma4,
@@ -37,6 +46,86 @@ def test_cache_plus_broadcast_frozen_value():
     refs = [VariableRef.of_cache(1), VariableRef.of_delivery((1, 2, 3))]
     res = brute_entropy(s, refs)
     assert (res.value, res.image_size) == (5, 32)
+
+
+def test_oracle_values_never_consult_rank(monkeypatch):
+    s1, s2 = build_theorem1(3), build_theorem2(3, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle value consulted the rank machinery")
+
+    monkeypatch.setattr(ff_linalg, "_eliminate", refuse)
+    monkeypatch.setattr(entropy_oracle, "rank", refuse)
+    res = brute_entropy(s1, [VariableRef.of_cache(k) for k in (1, 2, 3)] + [VariableRef.of_file(1)])
+    assert (res.value, res.image_size) == (4, 81)
+    res = brute_entropy(s2, [VariableRef.of_cache(1), VariableRef.of_delivery((1, 2, 3))])
+    assert (res.value, res.image_size) == (5, 32)
+
+
+def _reference_tally(q, G):
+    """Image counts of G by plain enumeration of every input vector."""
+    inputs = np.array(list(itertools.product(range(q), repeat=G.shape[1])), dtype=np.int64)
+    return Counter(map(tuple, (inputs @ G.T % q).tolist()))
+
+
+@st.composite
+def linear_maps(draw):
+    """(q, G) with q**cols at most 20000; products of two factors give low-rank maps."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, {2: 14, 3: 9, 5: 6, 7: 5}[q]))
+    m = draw(st.integers(0, 8))
+    r = draw(st.integers(1, max(m, 1)))
+    digits = lambda rows, cols: st.lists(
+        st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    A = np.array(draw(digits(m, r)), dtype=np.int64).reshape(m, r)
+    B = np.array(draw(digits(r, n)), dtype=np.int64).reshape(r, n)
+    return q, A @ B % q
+
+
+def _random_map(q, rows, cols):
+    return q, np.random.default_rng(rows * cols).integers(0, q, (rows, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=linear_maps())
+@example(case=(3, np.zeros((0, 4), dtype=np.int64)))
+# q**cols = 2**18 inputs walked in 64 blocks.
+@example(case=_random_map(2, 5, 18))
+# 3**45 >= 2**62: images are coded in two groups of rows and compared as bytes.
+@example(case=_random_map(3, 45, 5))
+@example(case=_random_map(2, 70, 4))
+def test_enumerator_matches_plain_enumeration(case):
+    q, G = case
+    enum = _Enumerator(q, G.shape[1])
+    images = _reference_tally(q, G)
+    value = 0
+    while q**value < len(images):
+        value += 1
+    assert q**value == len(images)
+    assert enum.entropy_units(G) == value
+    if G.shape[0]:
+        assert sorted(enum.image_tally(G).tolist()) == sorted(images.values())
+
+
+def test_image_codes_stay_below_2_to_62():
+    # A group of rows is coded as one int64 only if every code fits below 2**62.
+    for q in (2, 3, 5, 7, 65537, 2147483647):
+        enum = _Enumerator(q, 0)
+        assert q**enum.group < 2**62 <= q ** (enum.group + 1)
+        assert enum.powers.tolist() == [q**i for i in range(enum.group - 1, -1, -1)]
+
+
+def test_non_uniform_tally_is_refused(monkeypatch):
+    monkeypatch.setattr(_Enumerator, "image_tally", lambda self, G: np.array([3, 1, 3]))
+    with pytest.raises(OracleInvariantError, match="non-uniform"):
+        _Enumerator(3, 2).entropy_units(np.eye(2, dtype=np.int64))
+
+
+def test_non_power_image_size_is_refused(monkeypatch):
+    monkeypatch.setattr(_Enumerator, "image_tally", lambda self, G: np.array([1, 1]))
+    with pytest.raises(OracleInvariantError, match="not a power of 3"):
+        _Enumerator(3, 2).entropy_units(np.eye(2, dtype=np.int64))
 
 
 def test_empty_collection_has_zero_entropy():
