@@ -10,24 +10,26 @@ the scheme label and parameters.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .constructions import build_scheme, build_shares
+import numpy as np
+
+from .constructions import FAMILIES, build_scheme
 from .entropy_oracle import (
-    EnumerationCapError,
     check_lemma1_lemma2,
     check_lemma3_lemma4,
     check_rank_agreement,
     check_secret_sharing,
 )
-from .ff_linalg import FieldMatrix, PrimeField
+from .ff_linalg import FieldMatrix
 from .scheme_model import (
     DemandVector,
     LinearScheme,
-    VariableLayout,
     demands_iter,
     memory_of,
     randomness_of,
@@ -43,30 +45,17 @@ def _frac(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _unfrac(pair: list[int]) -> Fraction:
-    return Fraction(pair[0], pair[1])
-
-
 # ---------------------------------------------------------------------------
 # Scheme documents
 # ---------------------------------------------------------------------------
 
 
 def scheme_rate(s: LinearScheme) -> Fraction:
-    """Worst-case rate, enumerated when feasible, by family formula otherwise."""
+    """Worst-case rate, enumerated when feasible, the family's declared rate otherwise."""
     try:
         return worst_case_rate(s)
     except ValueError:
-        label, p = s.label, s.params
-        if label == "otp":
-            return Fraction(p["K"])
-        if label == "theorem1":
-            return Fraction(p["K"] - 1)
-        if label == "theorem2":
-            return Fraction(1)
-        if label == "theorem3":
-            return Fraction(p["K"], p["t"] + 1)
-        raise
+        return FAMILIES[s.label].mrl(**s.params)[1]
 
 
 def scheme_to_document(s: LinearScheme) -> dict:
@@ -101,50 +90,65 @@ def scheme_to_document(s: LinearScheme) -> dict:
 
 
 def document_to_scheme(doc: dict) -> LinearScheme:
-    """Rebuild a scheme from a document, honoring stored matrices.
+    """Rebuild a scheme from a document, checked against its family member.
 
-    Cache matrices always come from the document (so hand edits are
-    what gets verified); the broadcast rule comes from the stored
-    table in explicit mode and from the family builder otherwise.
+    The label and params must name a member of constructions.FAMILIES,
+    and q, N, K, B and the key names must be that member's.  Shares come
+    from the member.  Cache matrices always come from the document (so
+    hand edits are what gets verified), and so does the broadcast table
+    in explicit mode, which must list every demand once; in generated
+    mode the member's broadcast rule is used.  Matrix entries must be
+    integers.  Anything else raises ValueError.
     """
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}"
-        )
-    q = doc["q"]
-    layout = VariableLayout(doc["N"], doc["B"], tuple(doc["key_names"]))
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
+    label, params, N, K = doc["label"], doc["params"], doc["N"], doc["K"]
+    family = FAMILIES.get(label) if isinstance(label, str) else None
+    if family is None:
+        raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
+    if not (
+        type(N) is int
+        and type(K) is int
+        and isinstance(params, dict)
+        and all(type(v) is int for v in params.values())
+        and params in family.members(N, K)
+    ):
+        raise ValueError(f"params {params!r} name no {label} member with N={N!r}, K={K!r}")
+    member = family.build(**params)
+    for key, want in (
+        ("q", member.field.q),
+        ("B", member.B),
+        ("key_names", list(member.layout.key_names)),
+    ):
+        if type(doc[key]) is not type(want) or doc[key] != want:
+            raise ValueError(f"{key} is {doc[key]!r}, but {label} {params} has {want!r}")
+    q, total = member.field.q, member.layout.total
+    if not isinstance(doc["cache"], list):
+        raise ValueError(f"cache must be a list of {K} matrices, got {doc['cache']!r}")
     cache = tuple(FieldMatrix(q, rows) for rows in doc["cache"])
-    label = doc["label"]
-    params = {k: int(v) for k, v in doc["params"].items()}
     mode = doc["delivery"]["mode"]
     if mode == "explicit":
-        table = {
-            tuple(e["demand"]): FieldMatrix(q, e["rows"])
-            for e in doc["delivery"]["entries"]
-        }
+        entries = doc["delivery"]["entries"]
+        demands = [tuple(e["demand"]) for e in entries]
+        if (
+            np.array(demands).dtype.kind != "i"
+            or len(demands) != N**K
+            or set(demands) != set(itertools.product(range(1, N + 1), repeat=K))
+        ):
+            raise ValueError(f"explicit delivery table must list each of the {N}**{K} demands once")
+        table = {d: FieldMatrix(q, e["rows"]) for d, e in zip(demands, entries)}
+        if any(m.cols != total for m in table.values()):
+            raise ValueError(f"explicit delivery table has a broadcast without {total} columns")
 
         def delivery(d: DemandVector) -> FieldMatrix:
-            try:
-                return table[d.entries]
-            except KeyError:
-                raise ValueError(f"no stored broadcast for demand {d.entries}") from None
+            return table[d.entries]
 
     elif mode == "generated":
-        delivery = build_scheme(label, params["N"], params["K"], params.get("t")).delivery
+        delivery = member.delivery
     else:
         raise ValueError(f"unknown delivery mode {mode!r}")
-    shares = build_shares(params["K"], params["t"]) if label == "theorem3" else None
-    return LinearScheme(
-        field=PrimeField(q),
-        layout=layout,
-        K=doc["K"],
-        cache=cache,
-        delivery=delivery,
-        label=label,
-        params=params,
-        randomness=_unfrac(doc["metadata"]["L"]),
-        shares=shares,
-    )
+    return replace(member, cache=cache, delivery=delivery)
 
 
 def write_scheme(s: LinearScheme, path: Path) -> None:
@@ -153,6 +157,16 @@ def write_scheme(s: LinearScheme, path: Path) -> None:
 
 def load_scheme(path: Path) -> LinearScheme:
     return document_to_scheme(json.loads(path.read_text()))
+
+
+def _load_or_report(path: str) -> LinearScheme | None:
+    """The scheme at path, or None once the reason it cannot be loaded is printed."""
+    try:
+        return load_scheme(Path(path))
+    # KeyError: a missing field; TypeError: a field of the wrong JSON kind.
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"error: cannot load scheme: {e}", file=sys.stderr)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +191,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        s = load_scheme(Path(args.scheme))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: cannot load scheme: {e}", file=sys.stderr)
+    s = _load_or_report(args.scheme)
+    if s is None:
         return 2
     try:
         report = verify_all(s, policy=args.demands, count=args.count, seed=args.seed)
@@ -206,10 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        s = load_scheme(Path(args.scheme))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: cannot load scheme: {e}", file=sys.stderr)
+    s = _load_or_report(args.scheme)
+    if s is None:
         return 2
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in ("entropy", "lemmas", "sharing")]
@@ -217,50 +227,50 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"error: unknown checks {unknown}", file=sys.stderr)
         return 2
     ok = True
-    for check in wanted:
-        if check == "entropy":
-            # Pair subsets over a small demand set keep CLI runs interactive;
-            # the test suite drives the same check harder.
-            try:
+    # A check that cannot run on this scheme (an enumeration or demand
+    # cap, a cache shape it needs) raises ValueError: an input error.
+    try:
+        for check in wanted:
+            if check == "entropy":
+                # Pair subsets over a small demand set keep CLI runs interactive;
+                # the test suite drives the same check harder.
                 good = check_rank_agreement(
                     s, subset_size_cap=2, max_enum=args.max_enum, max_deliveries=8
                 )
-            except EnumerationCapError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
-            print(f"entropy agreement: {'PASS' if good else 'FAIL'}")
-            ok = ok and good
-        elif check == "lemmas":
-            ran = 0
-            if memory_of(s) == 1:
-                good = check_lemma1_lemma2(s)
-                print(f"unit-cache identities: {'PASS' if good else 'FAIL'}")
-                ok, ran = ok and good, ran + 1
-            if scheme_rate(s) == 1:
-                good = check_lemma3_lemma4(s)
-                print(f"unit-rate identities: {'PASS' if good else 'FAIL'}")
-                ok, ran = ok and good, ran + 1
-            if ran == 0:
-                print(
-                    "error: lemma checks apply to unit cache size or unit rate schemes only",
-                    file=sys.stderr,
-                )
-                return 2
-        elif check == "sharing":
-            if s.shares is None:
-                print("error: scheme carries no share system", file=sys.stderr)
-                return 2
-            good = check_secret_sharing(s.shares.K, s.shares.t)
-            print(f"share threshold: {'PASS' if good else 'FAIL'}")
-            ok = ok and good
+                print(f"entropy agreement: {'PASS' if good else 'FAIL'}")
+                ok = ok and good
+            elif check == "lemmas":
+                ran = 0
+                if memory_of(s) == 1:
+                    good = check_lemma1_lemma2(s)
+                    print(f"unit-cache identities: {'PASS' if good else 'FAIL'}")
+                    ok, ran = ok and good, ran + 1
+                if scheme_rate(s) == 1:
+                    good = check_lemma3_lemma4(s)
+                    print(f"unit-rate identities: {'PASS' if good else 'FAIL'}")
+                    ok, ran = ok and good, ran + 1
+                if ran == 0:
+                    print(
+                        "error: lemma checks apply to unit cache size or unit rate schemes only",
+                        file=sys.stderr,
+                    )
+                    return 2
+            elif check == "sharing":
+                if s.shares is None:
+                    print("error: scheme carries no share system", file=sys.stderr)
+                    return 2
+                good = check_secret_sharing(s.shares.K, s.shares.t)
+                print(f"share threshold: {'PASS' if good else 'FAIL'}")
+                ok = ok and good
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        s = load_scheme(Path(args.scheme))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: cannot load scheme: {e}", file=sys.stderr)
+    s = _load_or_report(args.scheme)
+    if s is None:
         return 2
     try:
         entries = tuple(int(x) for x in args.demand.split(","))
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a scheme and write its JSON document")
-    p.add_argument("--scheme", required=True, choices=["otp", "theorem1", "theorem2", "theorem3"])
+    p.add_argument("--scheme", required=True, choices=list(FAMILIES))
     p.add_argument("--N", required=True, type=int, help="number of files")
     p.add_argument("--K", required=True, type=int, help="number of users")
     p.add_argument("--t", type=int, default=None, help="tradeoff parameter (theorem3)")

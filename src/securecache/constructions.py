@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,8 +65,7 @@ def uniform_delivery(s: LinearScheme, d: DemandVector) -> FieldMatrix:
 
 def build_otp(N: int, K: int) -> LinearScheme:
     """Pad-per-user baseline: M = 1, R = K, L = K, over GF(2)."""
-    if N < 2 or K < 2:
-        raise ValueError(f"need N >= 2 and K >= 2, got N={N}, K={K}")
+    _check_member("otp", N=N, K=K)
     q = 2
     layout = VariableLayout(N, 1, tuple(f"S_{k}" for k in range(1, K + 1)))
     total = layout.total
@@ -148,8 +148,7 @@ def build_theorem1(K: int) -> LinearScheme:
     served by K - 1 rows, row k sending a_k * W_{d_k} + 2 * S_k with
     the coefficients from assign_coefficients.
     """
-    if K < 2:
-        raise ValueError(f"need K >= 2, got {K}")
+    _check_member("theorem1", N=2, K=K)
     q = 3
     N = 2
     layout = VariableLayout(N, 1, tuple(f"S_{k}" for k in range(1, K)))
@@ -199,8 +198,7 @@ def build_theorem2(N: int, K: int) -> LinearScheme:
     together with the other users' keys of each level; user K caches
     every key.  One broadcast row then finishes all K decodings.
     """
-    if N < 2 or K < 2:
-        raise ValueError(f"need N >= 2 and K >= 2, got N={N}, K={K}")
+    _check_member("theorem2", N=N, K=K)
     q = 2
     names = tuple(
         f"S_{n}_{k}" for n in range(1, N) for k in range(1, K)
@@ -282,16 +280,6 @@ class ShareSystem:
         """File units B carried by the share system."""
         return self.n_shares - self.key_units
 
-    def label_index(self, label: tuple[int, ...]) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown share label {label}") from None
-
-    def share_row(self, label: tuple[int, ...]) -> NDArray:
-        """Generator row of the share for a t-subset label."""
-        return self.generator.data[self.label_index(label)]
-
 
 def build_shares(K: int, t: int) -> ShareSystem:
     """Share system for K users at threshold parameter t.
@@ -325,12 +313,7 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     non-uniform demand costs comb(K, t+1) broadcast rows, one per
     (t+1)-subset of users.
     """
-    if K < 3:
-        raise ValueError(f"need K >= 3, got {K}")
-    if not 1 <= t <= K - 2:
-        raise ValueError(f"need 1 <= t <= K - 2, got t={t}")
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    _check_member("theorem3", N=N, K=K, t=t)
     shares = build_shares(K, t)
     q = shares.q
     B = shares.units
@@ -343,19 +326,10 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     layout = VariableLayout(N, B, names)
     total = layout.total
 
-    def share_global(n: int, label: tuple[int, ...]) -> NDArray:
-        """The share of file n for a t-subset, over the global layout."""
-        g = shares.share_row(label)
-        row = np.zeros(total, dtype=np.int64)
-        row[list(layout.file_columns(n))] = g[:B]
-        for i in range(m):
-            row[layout.key_column(f"S_{n}^{i + 1}")] = g[B + i]
-        return row
-
     share_cache = {
-        (n, L): share_global(n, L)
+        (n, L): row
         for n in range(1, N + 1)
-        for L in shares.labels
+        for L, row in zip(shares.labels, _share_rows(shares, layout, n, shares.labels))
     }
 
     head = tuple(range(1, t + 2))
@@ -414,41 +388,98 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
         delivery=delivery,
         label="theorem3",
         params={"N": N, "K": K, "t": t},
-        randomness=Fraction(m + comb(K, t + 1), B),
+        randomness=FAMILIES["theorem3"].mrl(N, K, t)[2],
         shares=shares,
     )
+
+
+def _share_rows(
+    shares: ShareSystem, layout: VariableLayout, n: int, labels: tuple[tuple[int, ...], ...]
+) -> NDArray:
+    """Generator rows of file n's shares for the given labels, over the global layout."""
+    g = shares.generator.data[[shares.labels.index(L) for L in labels]]
+    rows = np.zeros((len(labels), layout.total), dtype=np.int64)
+    rows[:, list(layout.file_columns(n))] = g[:, : shares.units]
+    keys = [layout.key_column(f"S_{n}^{i + 1}") for i in range(shares.key_units)]
+    rows[:, keys] = g[:, shares.units :]
+    return rows
 
 
 def share_rows_global(s: LinearScheme, n: int, labels: tuple[tuple[int, ...], ...]) -> FieldMatrix:
     """Rows of file n's shares over a tradeoff scheme's global layout."""
     if s.shares is None:
         raise ValueError(f"scheme {s.label!r} carries no share system")
-    shares = s.shares
-    layout = s.layout
-    B = shares.units
-    rows = []
-    for L in labels:
-        g = shares.share_row(L)
-        row = np.zeros(layout.total, dtype=np.int64)
-        row[list(layout.file_columns(n))] = g[:B]
-        for i in range(shares.key_units):
-            row[layout.key_column(f"S_{n}^{i + 1}")] = g[B + i]
-        rows.append(row)
-    return _matrix(s.field.q, rows, layout.total)
+    return FieldMatrix(s.field.q, _share_rows(s.shares, s.layout, n, labels))
+
+
+# ---------------------------------------------------------------------------
+# The family registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One scheme family, the only place its builder and formulas meet.
+
+    build(**params) builds the member with those params; members(N, K)
+    lists the params of every member at (N, K), as built schemes carry
+    them; mrl(**params) is a member's declared (M, R, L) in file units;
+    source, params formatted in, names its point on the tradeoff curve.
+    """
+
+    build: Callable[..., LinearScheme]
+    members: Callable[[int, int], list[dict[str, int]]]
+    mrl: Callable[..., tuple[Fraction, Fraction, Fraction]]
+    source: str
+
+
+def _plain_members(N: int, K: int) -> list[dict[str, int]]:
+    return [{"N": N, "K": K}] if N >= 2 and K >= 2 else []
+
+
+def _theorem3_mrl(N: int, K: int, t: int) -> tuple[Fraction, Fraction, Fraction]:
+    B = comb(K - 1, t)
+    keys = comb(K - 1, t - 1) + comb(K, t + 1)
+    return Fraction(N * t, K - t) + 1 - Fraction(1, B), Fraction(K, t + 1), Fraction(keys, B)
+
+
+FAMILIES: dict[str, Family] = {
+    "otp": Family(
+        build_otp, _plain_members, lambda N, K: (Fraction(1), Fraction(K), Fraction(K)), "unit cache"
+    ),
+    "theorem1": Family(
+        lambda N, K: build_theorem1(K),
+        lambda N, K: _plain_members(N, K) if N == 2 else [],
+        lambda N, K: (Fraction(1), Fraction(K - 1), Fraction(K - 1)),
+        "unit cache",
+    ),
+    "theorem2": Family(
+        build_theorem2,
+        _plain_members,
+        lambda N, K: (Fraction((N - 1) * (K - 1)), Fraction(1), Fraction((N - 1) * (K - 1))),
+        "unit rate",
+    ),
+    "theorem3": Family(
+        build_theorem3,
+        lambda N, K: [{"N": N, "K": K, "t": t} for t in range(1, K - 1)] if N >= 2 else [],
+        _theorem3_mrl,
+        "tradeoff family t={t}",
+    ),
+}
+
+
+def _check_member(label: str, **params: int) -> Family:
+    """The family of label, once params are checked to name one of its members."""
+    family = FAMILIES.get(label)
+    if family is None:
+        raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
+    members = family.members(params["N"], params["K"])
+    if params not in members:
+        raise ValueError(f"{label} has no member {params}; its members at this N, K: {members}")
+    return family
 
 
 def build_scheme(label: str, N: int, K: int, t: int | None = None) -> LinearScheme:
-    """Dispatch to a builder by scheme label, validating parameters."""
-    if label == "otp":
-        return build_otp(N, K)
-    if label == "theorem1":
-        if N != 2:
-            raise ValueError(f"theorem1 is a two-file scheme, got N={N}")
-        return build_theorem1(K)
-    if label == "theorem2":
-        return build_theorem2(N, K)
-    if label == "theorem3":
-        if t is None:
-            raise ValueError("theorem3 needs the tradeoff parameter t")
-        return build_theorem3(N, K, t)
-    raise ValueError(f"unknown scheme label {label!r}")
+    """Build the member of family label with params (N, K), or (N, K, t) if t is given."""
+    params = {"N": N, "K": K} if t is None else {"N": N, "K": K, "t": t}
+    return _check_member(label, **params).build(**params)

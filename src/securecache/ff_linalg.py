@@ -67,10 +67,11 @@ class PrimeField:
 class FieldMatrix:
     """Immutable dense matrix over the integers mod a prime q.
 
-    Entries are stored as int64 in [0, q).  Matrices with zero rows are
-    legal (they arise as empty observation sets); zero columns are not,
-    and neither are moduli with q**2 * cols >= 2**63, for which a
-    matrix-vector product could overflow int64.
+    Entries must be integers within int64 (floats and bools are refused,
+    not truncated) and are stored as int64 in [0, q).  Matrices with
+    zero rows are legal (they arise as empty observation sets); zero
+    columns are not, and neither are moduli with q**2 * cols >= 2**63,
+    for which a matrix-vector product could overflow int64.
     """
 
     __slots__ = ("q", "data")
@@ -78,7 +79,12 @@ class FieldMatrix:
     def __init__(self, q: int, data: Sequence[Sequence[int]] | NDArray) -> None:
         if not is_prime(q):
             raise ValueError(f"field modulus must be prime, got {q}")
-        arr = np.array(data, dtype=np.int64)
+        # The dtype is inferred, not forced, so that floats, bools and integers
+        # past int64 show in it instead of being truncated or wrapped.
+        arr = np.array(data)
+        if arr.dtype.kind != "i":
+            raise ValueError(f"matrix entries must be integers within int64, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[1] == 0:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
+
+from .constructions import FAMILIES
 
 Rational = Fraction
 
@@ -35,30 +37,21 @@ class TradeoffPoint:
 def achievable_points(N: int, K: int) -> tuple[TradeoffPoint, ...]:
     """Corner points achieved by the scheme builders, in cache-size order.
 
-    The unit-cache point is rate K - 1 for two files and rate K
-    otherwise; the tradeoff family contributes one point per t; the
-    unit-rate point sits at cache size (N-1)(K-1).  Coinciding points
-    are deduplicated.
+    Each member of each family in constructions.FAMILIES gives its
+    declared (M, R); at each cache size only the least rate is kept, from
+    the first family in registry order on a tie.
     """
     if N < 2 or K < 2:
         raise ValueError(f"need N >= 2 and K >= 2, got N={N}, K={K}")
-    pts: list[TradeoffPoint] = []
-    if N == 2:
-        pts.append(TradeoffPoint(Fraction(1), Fraction(K - 1), "theorem1", "unit cache"))
-    else:
-        pts.append(TradeoffPoint(Fraction(1), Fraction(K), "otp", "unit cache"))
-    for t in range(1, K - 1):
-        B = comb(K - 1, t)
-        M = Fraction(N * t, K - t) + 1 - Fraction(1, B)
-        R = Fraction(K, t + 1)
-        pts.append(TradeoffPoint(M, R, "theorem3", f"tradeoff family t={t}"))
-    pts.append(
-        TradeoffPoint(Fraction((N - 1) * (K - 1)), Fraction(1), "theorem2", "unit rate")
-    )
-    seen: dict[tuple[Rational, Rational], TradeoffPoint] = {}
-    for p in pts:
-        seen.setdefault((p.M, p.R), p)
-    return tuple(seen.values())
+    pts = [
+        TradeoffPoint(*family.mrl(**p)[:2], label, family.source.format(**p))
+        for label, family in FAMILIES.items()
+        for p in family.members(N, K)
+    ]
+    best: dict[Rational, TradeoffPoint] = {}
+    for p in sorted(pts, key=lambda p: (p.M, p.R)):
+        best.setdefault(p.M, p)
+    return tuple(best.values())
 
 
 def prior_work_points(N: int, K: int) -> tuple[TradeoffPoint, ...]:

@@ -80,6 +80,46 @@ def test_document_rejects_unknown_version(tmp_path, capsys):
     assert "cannot load scheme" in capsys.readouterr().err
 
 
+def _set_entry(doc, value):
+    doc["cache"][0][0][0] = value
+
+
+def _drop_demand(doc):
+    doc["delivery"]["entries"].pop(5)
+
+
+# Each edit turns the explicit theorem3 (3, 3, 1) document into a malformed one.
+MALFORMED = {
+    "q is a string": lambda doc: doc.update(q="3"),
+    "cache is null": lambda doc: doc.update(cache=None),
+    "cache entry 1.5": lambda doc: _set_entry(doc, 1.5),
+    "cache entry past int64": lambda doc: _set_entry(doc, 2**64),
+    "t is 1.7": lambda doc: doc["params"].update(t=1.7),
+    "t is true": lambda doc: doc["params"].update(t=True),
+    "unknown label": lambda doc: doc.update(label="nope"),
+    "q disagrees with the member": lambda doc: doc.update(q=5),
+    "N disagrees with the member": lambda doc: doc.update(N=4),
+    "K disagrees with the member": lambda doc: doc.update(K=4),
+    "B disagrees with the member": lambda doc: doc.update(B=3),
+    "key_names disagree with the member": lambda doc: doc["key_names"].reverse(),
+    "explicit table misses a demand": _drop_demand,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_rejects_malformed_document(tmp_path, capsys, case):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    doc = json.loads(path.read_text())
+    assert doc["delivery"]["mode"] == "explicit"
+    MALFORMED[case](doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--scheme", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load scheme: ")
+    assert captured.out == ""
+
+
 def test_verify_clean_scheme(tmp_path, capsys):
     path = _construct(tmp_path, "theorem3", 3, 3, t=1)
     report = tmp_path / "report.json"
@@ -151,6 +191,16 @@ def test_oracle_lemmas_unit_cache_and_unit_rate(tmp_path, capsys):
     assert rc == 0
     assert "unit-cache identities: PASS" in out
     assert "unit-rate identities: PASS" in out
+
+
+def test_oracle_lemmas_past_the_demand_cap(tmp_path, capsys):
+    # 2**21 demands is past worst_case_rate's cap; the unit-rate identities
+    # enumerate every demand, so the check cannot run.
+    path = _construct(tmp_path, "theorem2", 2, 21)
+    assert json.loads(path.read_text())["delivery"]["mode"] == "generated"
+    rc = main(["oracle", "--scheme", str(path), "--checks", "lemmas"])
+    assert rc == 2
+    assert "demands exceed cap" in capsys.readouterr().err
 
 
 def test_oracle_lemmas_need_a_precondition(tmp_path, capsys):

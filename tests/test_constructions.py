@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from securecache.constructions import (
+    FAMILIES,
     assign_coefficients,
     build_otp,
     build_scheme,
@@ -19,7 +20,13 @@ from securecache.constructions import (
     uniform_delivery,
 )
 from securecache.ff_linalg import FieldMatrix, rank, zero_columns
-from securecache.scheme_model import DemandVector, demands_iter, memory_of, worst_case_rate
+from securecache.scheme_model import (
+    DemandVector,
+    demands_iter,
+    memory_of,
+    randomness_of,
+    worst_case_rate,
+)
 
 
 def _row_set(m: FieldMatrix) -> frozenset:
@@ -331,6 +338,23 @@ def test_build_scheme_dispatch():
         build_scheme("theorem3", 2, 3)
     with pytest.raises(ValueError):
         build_scheme("nope", 2, 3)
+    with pytest.raises(ValueError):
+        build_scheme("otp", 2, 3, 1)
+
+
+@pytest.mark.parametrize("label", sorted(FAMILIES))
+def test_family_declares_what_its_members_measure(label):
+    family = FAMILIES[label]
+    built = 0
+    for N in range(2, 5):
+        for K in range(2, 6):
+            for params in family.members(N, K):
+                s = family.build(**params)
+                assert s.label == label and dict(s.params) == params
+                measured = (memory_of(s), worst_case_rate(s), randomness_of(s))
+                assert family.mrl(**params) == measured, params
+                built += 1
+    assert built > 0
 
 
 def test_builder_validation():
