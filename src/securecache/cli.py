@@ -89,6 +89,18 @@ def scheme_to_document(s: LinearScheme) -> dict:
     return doc
 
 
+def _document_matrix(q: int, rows: object) -> FieldMatrix:
+    """A matrix from a document, whose entries must all be JSON integers.
+
+    FieldMatrix refuses any other dtype, but numpy promotes bool with int,
+    so a true or false among integers would be read as 1 or 0.
+    """
+    m = FieldMatrix(q, rows)
+    if bool in set(map(type, itertools.chain.from_iterable(rows))):
+        raise ValueError("matrix entries must be integers, got a JSON true or false")
+    return m
+
+
 def document_to_scheme(doc: dict) -> LinearScheme:
     """Rebuild a scheme from a document, checked against its family member.
 
@@ -126,7 +138,7 @@ def document_to_scheme(doc: dict) -> LinearScheme:
     q, total = member.field.q, member.layout.total
     if not isinstance(doc["cache"], list):
         raise ValueError(f"cache must be a list of {K} matrices, got {doc['cache']!r}")
-    cache = tuple(FieldMatrix(q, rows) for rows in doc["cache"])
+    cache = tuple(_document_matrix(q, rows) for rows in doc["cache"])
     mode = doc["delivery"]["mode"]
     if mode == "explicit":
         entries = doc["delivery"]["entries"]
@@ -137,7 +149,7 @@ def document_to_scheme(doc: dict) -> LinearScheme:
             or set(demands) != set(itertools.product(range(1, N + 1), repeat=K))
         ):
             raise ValueError(f"explicit delivery table must list each of the {N}**{K} demands once")
-        table = {d: FieldMatrix(q, e["rows"]) for d, e in zip(demands, entries)}
+        table = {d: _document_matrix(q, e["rows"]) for d, e in zip(demands, entries)}
         if any(m.cols != total for m in table.values()):
             raise ValueError(f"explicit delivery table has a broadcast without {total} columns")
 

@@ -28,6 +28,7 @@ from numpy.typing import NDArray
 from .constructions import build_shares, share_rows_global
 from .ff_linalg import FieldMatrix, in_rowspace, rank, stack, zero_columns
 from .scheme_model import (
+    DEMAND_CAP,
     DemandVector,
     LinearScheme,
     demand_from_index,
@@ -296,8 +297,15 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
     file (for groups of 1 to K-1 users).  Second: any single file and
     all caches together are mutually independent.  All entropies here
     are computed as ranks; the oracle's rank agreement check is what
-    ties ranks to counting.
+    ties ranks to counting.  Every demand is checked, so schemes with
+    more than DEMAND_CAP demands are refused.
     """
+    space = s.N**s.K
+    if space > DEMAND_CAP:
+        raise ValueError(
+            f"{s.N}**{s.K} = {space} demands exceed cap {DEMAND_CAP}; "
+            "the unit-cache identities are checked on every demand"
+        )
     if memory_of(s) != 1:
         raise ValueError(f"identities require cache size 1, scheme has M={memory_of(s)}")
     for d in demands_iter(s.N, s.K):
@@ -386,11 +394,8 @@ def check_secret_sharing(
     sys = build_shares(K, t)
     G = sys.generator
     B, m = sys.units, sys.key_units
-    for j in range(B):
-        target = np.zeros(G.cols, dtype=np.int64)
-        target[j] = 1
-        if in_rowspace(G, target) is None:
-            return False
+    if any(c is None for c in in_rowspace(G, np.eye(B, G.cols, dtype=np.int64))):
+        return False
     file_cols = range(B)
     if sys.n_shares <= exhaustive_limit:
         subsets: Iterable[tuple[int, ...]] = itertools.combinations(range(sys.n_shares), m)

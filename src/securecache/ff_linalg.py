@@ -67,8 +67,9 @@ class PrimeField:
 class FieldMatrix:
     """Immutable dense matrix over the integers mod a prime q.
 
-    Entries must be integers within int64 (floats and bools are refused,
-    not truncated) and are stored as int64 in [0, q).  Matrices with
+    Entries must be integers within int64 (a float or bool dtype is
+    refused, not truncated, but numpy reads a bool among integers as 0
+    or 1) and are stored as int64 in [0, q).  Matrices with
     zero rows are legal (they arise as empty observation sets); zero
     columns are not, and neither are moduli with q**2 * cols >= 2**63,
     for which a matrix-vector product could overflow int64.
@@ -286,29 +287,45 @@ def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
     return rank(FieldMatrix(basis.q, res))
 
 
-def in_rowspace(m: FieldMatrix, target: Sequence[int] | NDArray) -> NDArray | None:
-    """Express target as a linear combination of the rows of m.
+def in_rowspace(
+    m: FieldMatrix, target: Sequence[int] | NDArray
+) -> NDArray | None | list[NDArray | None]:
+    """Express targets as linear combinations of the rows of m.
 
     Args:
         m: matrix whose row space is queried.
-        target: vector of length m.cols.
+        target: vector of length m.cols, or a 2-D stack of such
+            vectors, one per row.
 
     Returns:
-        Coefficient vector c with c @ m == target (mod q), or None when
-        target lies outside the row space.  Free coefficients are 0, so
-        the result is deterministic.
+        For a vector, the coefficient vector c with c @ m == target
+        (mod q), or None when target lies outside the row space; for a
+        stack, a list of those, one per row.  Free coefficients are 0,
+        so each result is deterministic.
+
+    All targets are solved with one elimination of [m.T | targets.T].
+    Its columns are taken in order, so it pivots on every column of m.T
+    as a single target's elimination would, with the same row
+    operations; at that point the rows from rank(m) down are zero on
+    m.T, and a target is solvable exactly when its column is zero on
+    them too.  Later pivots sit in those rows and are all zero on a
+    solvable target's column, so clearing above them leaves it as it
+    was: each coefficient vector is the one a lone target would get.
     """
     t = np.asarray(target, dtype=np.int64) % m.q
-    if t.shape != (m.cols,):
-        raise ValueError(f"target length {t.shape} does not match {m.cols} columns")
+    stacked = t.ndim == 2
+    targets = t if stacked else t[None]
+    if targets.ndim != 2 or targets.shape[1] != m.cols:
+        raise ValueError(f"target shape {t.shape} does not match {m.cols} columns")
     if m.rows == 0:
-        return np.zeros(0, dtype=np.int64) if not t.any() else None
-    # Solve c @ m = t as m.T @ c.T = t.T on the augmented system.
-    aug = np.hstack([m.data.T, t[:, None]])
-    work, pivots = _eliminate(aug, m.q, reduced=True)
-    if m.rows in pivots:
-        return None
-    coeff = np.zeros(m.rows, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        coeff[c] = work[i, m.rows]
-    return coeff
+        coeffs = [None if row.any() else np.zeros(0, dtype=np.int64) for row in targets]
+    else:
+        aug = np.hstack([m.data.T, targets.T])
+        work, pivots = _eliminate(aug, m.q, reduced=True)
+        basis = [c for c in pivots if c < m.rows]
+        r = len(basis)
+        solvable = ~work[r:, m.rows:].any(axis=0)
+        full = np.zeros((targets.shape[0], m.rows), dtype=np.int64)
+        full[:, basis] = work[:r, m.rows:].T
+        coeffs = [c if ok else None for c, ok in zip(full, solvable)]
+    return coeffs if stacked else coeffs[0]

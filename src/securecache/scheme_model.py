@@ -198,7 +198,11 @@ def randomness_of(s: LinearScheme) -> Rational:
     return Fraction(len(s.layout.key_names), s.B)
 
 
-def worst_case_rate(s: LinearScheme, cap: int = 10**6) -> Rational:
+# Exhaustive sweeps over demands refuse beyond this many demands.
+DEMAND_CAP = 10**6
+
+
+def worst_case_rate(s: LinearScheme, cap: int = DEMAND_CAP) -> Rational:
     """Worst-case broadcast rate R in file units, over all N**K demands.
 
     Raises when the demand space exceeds cap; callers should fall back

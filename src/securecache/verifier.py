@@ -39,11 +39,19 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ff_linalg import FieldMatrix, RowBasis, in_rowspace, residual_rank, row_basis, stack
-from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands_iter
+from .scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter
 
 
 class NotDecodableError(ValueError):
-    """The requested unit is not a combination of the observed symbols."""
+    """Some requested units are not combinations of the observed symbols.
+
+    units lists every such unit of the requested file, 1-indexed; the
+    message names the first.
+    """
+
+    def __init__(self, message: str, units: Sequence[int]) -> None:
+        super().__init__(message)
+        self.units = tuple(units)
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def verify_all(
     policy: str = "all",
     count: int | None = None,
     seed: int | None = None,
-    cap: int = 10**6,
+    cap: int = DEMAND_CAP,
 ) -> VerificationReport:
     """Run the correctness and security rank checks over demands.
 
@@ -252,9 +260,10 @@ def decode(
     """Recover user k's requested file units from observed symbols.
 
     cache_symbols and delivery_symbols are the images of the hidden
-    input vector under the cache and broadcast matrices.  Raises
-    NotDecodableError when some requested unit is not a linear
-    combination of the observations.
+    input vector under the cache and broadcast matrices.  All requested
+    units are solved for with one elimination of the observed matrix.
+    Raises NotDecodableError, listing every unit that is not a linear
+    combination of the observations, when there is one.
     """
     G = observed_matrix(s, d, k)
     cache_syms = np.asarray(cache_symbols, dtype=np.int64) % s.field.q
@@ -268,17 +277,14 @@ def decode(
             f"{deliv_syms.shape} delivery symbols for {G.rows - s.cache[k - 1].rows} broadcast rows"
         )
     observed = np.concatenate([cache_syms, deliv_syms])
-    out = np.zeros(s.B, dtype=np.int64)
-    for i, col in enumerate(s.layout.file_columns(d[k])):
-        target = np.zeros(s.layout.total, dtype=np.int64)
-        target[col] = 1
-        coeff = in_rowspace(G, target)
-        if coeff is None:
-            raise NotDecodableError(
-                f"unit {i + 1} of file {d[k]} is not decodable by user {k} under demand {d.entries}"
-            )
-        out[i] = int(coeff @ observed) % s.field.q
-    return out
+    coeffs = in_rowspace(G, s.layout.file_selector(s.field.q, d[k]).data)
+    missing = [i + 1 for i, c in enumerate(coeffs) if c is None]
+    if missing:
+        raise NotDecodableError(
+            f"unit {missing[0]} of file {d[k]} is not decodable by user {k} under demand {d.entries}",
+            missing,
+        )
+    return np.stack(coeffs) @ observed % s.field.q
 
 
 @dataclass(frozen=True)

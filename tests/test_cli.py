@@ -84,6 +84,11 @@ def _set_entry(doc, value):
     doc["cache"][0][0][0] = value
 
 
+def _as_bool(row, value):
+    # The same number, written as a JSON true or false.
+    row[row.index(value)] = bool(value)
+
+
 def _drop_demand(doc):
     doc["delivery"]["entries"].pop(5)
 
@@ -96,6 +101,8 @@ MALFORMED = {
     "cache entry past int64": lambda doc: _set_entry(doc, 2**64),
     "t is 1.7": lambda doc: doc["params"].update(t=1.7),
     "t is true": lambda doc: doc["params"].update(t=True),
+    "cache entry 1 as true": lambda doc: _as_bool(doc["cache"][0][0], 1),
+    "broadcast entry 0 as false": lambda doc: _as_bool(doc["delivery"]["entries"][0]["rows"][0], 0),
     "unknown label": lambda doc: doc.update(label="nope"),
     "q disagrees with the member": lambda doc: doc.update(q=5),
     "N disagrees with the member": lambda doc: doc.update(N=4),
@@ -194,13 +201,18 @@ def test_oracle_lemmas_unit_cache_and_unit_rate(tmp_path, capsys):
 
 
 def test_oracle_lemmas_past_the_demand_cap(tmp_path, capsys):
-    # 2**21 demands is past worst_case_rate's cap; the unit-rate identities
-    # enumerate every demand, so the check cannot run.
-    path = _construct(tmp_path, "theorem2", 2, 21)
-    assert json.loads(path.read_text())["delivery"]["mode"] == "generated"
-    rc = main(["oracle", "--scheme", str(path), "--checks", "lemmas"])
-    assert rc == 2
-    assert "demands exceed cap" in capsys.readouterr().err
+    # 2**21 and 2**20 demands are past the 10**6 cap.  The unit-rate
+    # identities (theorem2) and the unit-cache ones (otp, M = 1) enumerate
+    # every demand, so each check is refused before it starts.
+    for label, N, K in (("theorem2", 2, 21), ("otp", 2, 20)):
+        path = _construct(tmp_path, label, N, K, name=f"{label}.json")
+        assert json.loads(path.read_text())["delivery"]["mode"] == "generated"
+        capsys.readouterr()
+        rc = main(["oracle", "--scheme", str(path), "--checks", "lemmas"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{N}**{K} = {N**K} demands exceed cap" in captured.err
+        assert captured.out == ""
 
 
 def test_oracle_lemmas_need_a_precondition(tmp_path, capsys):

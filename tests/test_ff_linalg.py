@@ -10,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from securecache.constructions import build_theorem1
 from securecache.ff_linalg import (
     FieldMatrix,
+    _eliminate,
     PrimeField,
     in_rowspace,
     is_prime,
@@ -259,3 +260,63 @@ def test_row_basis_and_residual_rank_validate():
         residual_rank(basis, FieldMatrix.identity(3, 4))
     # Column 2 is outside the basis's columns, so it adds nothing.
     assert residual_rank(basis, FieldMatrix(3, [[0, 0, 1]])) == 0
+
+
+def _in_rowspace_one_target(m, target):
+    """Reference: in_rowspace as one elimination of [m.T | target] per target."""
+    t = np.asarray(target, dtype=np.int64) % m.q
+    if m.rows == 0:
+        return np.zeros(0, dtype=np.int64) if not t.any() else None
+    aug = np.hstack([m.data.T, t[:, None]])
+    work, pivots = _eliminate(aug, m.q, reduced=True)
+    if m.rows in pivots:
+        return None
+    coeff = np.zeros(m.rows, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        coeff[c] = work[i, m.rows]
+    return coeff
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    rows=st.integers(0, 5),
+    cols=st.integers(1, 7),
+    kinds=st.lists(st.sampled_from(["combination", "vector", "repeat"]), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_in_rowspace_stack_matches_one_target_at_a_time(q, rows, cols, kinds, data):
+    entries = st.integers(0, q - 1)
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    m_rows = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    m = FieldMatrix(q, np.array(m_rows, dtype=np.int64).reshape(rows, cols))
+    targets = []
+    for kind in kinds:
+        if kind == "combination":
+            weights = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows)), dtype=np.int64)
+            targets.append(((weights @ m.data) % q).tolist())
+        elif kind == "repeat" and targets:
+            targets.append(list(data.draw(st.sampled_from(targets))))
+        else:
+            targets.append(data.draw(row))
+    got = in_rowspace(m, np.array(targets, dtype=np.int64))
+    assert isinstance(got, list) and len(got) == len(targets)
+    rank_m = _sympy_rank(q, m_rows, cols)
+    for target, coeff in zip(targets, got):
+        want = _in_rowspace_one_target(m, target)
+        alone = in_rowspace(m, target)
+        grows = _sympy_rank(q, m_rows + [target], cols) > rank_m
+        if want is None:
+            assert coeff is None and alone is None and grows
+        else:
+            assert np.array_equal(coeff, want) and np.array_equal(alone, want)
+            assert np.array_equal((coeff @ m.data) % q, np.array(target) % q)
+            assert not grows
+
+
+def test_in_rowspace_validates_target_shape():
+    m = FieldMatrix.identity(3, 3)
+    for bad in (1, [1, 0], [[1, 0]], np.zeros((1, 1, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="does not match"):
+            in_rowspace(m, bad)
+    assert in_rowspace(m, np.zeros((0, 3), dtype=np.int64)) == []

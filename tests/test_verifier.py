@@ -1,6 +1,7 @@
 """Verifier tests: rank identities, decoding, and simulation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,71 @@ def test_decode_raises_when_not_decodable():
     )
     with pytest.raises(NotDecodableError, match="not decodable"):
         decode(s, DemandVector((1,)), 1, [], [])
+
+
+def test_decode_names_every_undecodable_unit():
+    # Under the uniform demand broadcast row u sends unit u + 1 of file 1
+    # with coefficient 1.  Dropping that entry from rows 0 and 2 leaves
+    # units 1 and 3 undecodable for every user; unit 2 still decodes.
+    s = build_theorem3(2, 4, 1)
+    d = DemandVector((1, 1, 1, 1))
+    X = s.delivery_matrix(d).data.copy()
+    assert X[0, 0] == X[2, 2] == 1
+    X[0, 0] = X[2, 2] = 0
+    tampered = replace(s, delivery=lambda _: FieldMatrix(s.field.q, X))
+    hidden = np.random.default_rng(3).integers(0, s.field.q, s.layout.total, dtype=np.int64)
+    broadcast = tampered.delivery_matrix(d).apply(hidden)
+    for k in range(1, s.K + 1):
+        with pytest.raises(NotDecodableError) as info:
+            decode(tampered, d, k, s.cache[k - 1].apply(hidden), broadcast)
+        assert info.value.units == (1, 3)
+        assert str(info.value) == (
+            f"unit 1 of file 1 is not decodable by user {k} under demand (1, 1, 1, 1)"
+        )
+
+
+# simulate(s, d, seed=0, corrupt_unit=u).failed_users for u = None and each
+# broadcast row, every demand, frozen from the one-target-at-a-time decoder.
+FROZEN_FAILED_USERS = {
+    "theorem1 (3)": {
+        (1, 1, 1): [(), (1, 2, 3)],
+        (1, 1, 2): [(), (1, 3), (2, 3)],
+        (1, 2, 1): [(), (1, 3), (2, 3)],
+        (1, 2, 2): [(), (1, 3), (2, 3)],
+        (2, 1, 1): [(), (1, 3), (2, 3)],
+        (2, 1, 2): [(), (1, 3), (2, 3)],
+        (2, 2, 1): [(), (1, 3), (2, 3)],
+        (2, 2, 2): [(), (1, 2, 3)],
+    },
+    "theorem3 (2, 4, 1)": {
+        (1, 1, 1, 1): [(), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)],
+        (1, 1, 1, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (1, 1, 2, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (1, 1, 2, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (1, 2, 1, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (1, 2, 1, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (1, 2, 2, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (1, 2, 2, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 1, 1, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 1, 1, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 1, 2, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 1, 2, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 2, 1, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 2, 1, 2): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 2, 2, 1): [(), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+        (2, 2, 2, 2): [(), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4)],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FAILED_USERS))
+def test_simulate_failed_users_frozen(name):
+    s = {"theorem1 (3)": build_theorem1(3), "theorem3 (2, 4, 1)": build_theorem3(2, 4, 1)}[name]
+    got = {}
+    for d in demands_iter(s.N, s.K):
+        rows = s.delivery_matrix(d).rows
+        got[d.entries] = [simulate(s, d, 0, corrupt_unit=u).failed_users for u in [None, *range(rows)]]
+    assert got == FROZEN_FAILED_USERS[name]
 
 
 def test_simulate_seeded_and_reproducible():
