@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constructions import build_shares, share_rows_global
-from .ff_linalg import FieldMatrix, in_rowspace, rank, stack, zero_columns
+from .ff_linalg import FieldMatrix, in_rowspace, rank, ranks, stack
 from .scheme_model import (
     DEMAND_CAP,
     DemandVector,
@@ -36,6 +36,13 @@ from .scheme_model import (
     memory_of,
     worst_case_rate,
 )
+
+
+# Collections (or share subsets) ranked together by one batched
+# elimination.  Larger blocks save no more time and cost memory: on the
+# oracle-agree pass, 1024 added about 2-3 MB of peak RSS and 4096 about
+# 11-12 MB, while 256 ran as fast as 64 or 1024.
+RANK_BLOCK = 256
 
 
 class EnumerationCapError(ValueError):
@@ -263,8 +270,15 @@ def check_rank_agreement(
 
     The universe is all files, all caches, and a bounded demand set of
     deliveries; every collection up to subset_size_cap variables
-    (including the empty one) is checked.
+    (including the empty one) is checked.  Collections are walked in
+    blocks of RANK_BLOCK: each collection's matrix is stacked once, the
+    block's matrices are padded with zero rows and ranked together by
+    one batched elimination, and then each collection's entropy is
+    enumerated and compared with its rank, stopping at the first
+    mismatch.  Only the comparison side ranks; the entropies are counts.
     """
+    if subset_size_cap < 0:
+        raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
     q = s.field.q
     n = s.layout.total
     required = q**n
@@ -277,10 +291,16 @@ def check_rank_agreement(
     )
     resolved = {ref: ref.resolve(s) for ref in universe}
     enum = _Enumerator(q, n)
-    for size in range(0, subset_size_cap + 1):
-        for combo in itertools.combinations(universe, size):
-            G = stacked_matrix(s, combo, resolved)
-            if enum.entropy_units(G.data) != rank(G):
+    combos = itertools.chain.from_iterable(
+        itertools.combinations(universe, size) for size in range(subset_size_cap + 1)
+    )
+    while block := list(itertools.islice(combos, RANK_BLOCK)):
+        mats = [stacked_matrix(s, combo, resolved).data for combo in block]
+        padded = np.zeros((len(mats), max(len(G) for G in mats), n), dtype=np.int64)
+        for G, rows in zip(mats, padded):
+            rows[: len(G)] = G
+        for G, r in zip(mats, ranks(q, padded)):
+            if enum.entropy_units(G) != r:
                 return False
     return True
 
@@ -389,21 +409,22 @@ def check_secret_sharing(
     file (rank unchanged by masking the file columns), and all shares
     together must recover every file unit.  Subsets are checked
     exhaustively up to exhaustive_limit shares, by seeded sample
-    beyond that.
+    beyond that.  They are drawn lazily and ranked RANK_BLOCK at a time
+    by batched elimination, each next to its restriction to the key
+    columns, which has the rank of its file-masked copy.
     """
     sys = build_shares(K, t)
     G = sys.generator
     B, m = sys.units, sys.key_units
     if any(c is None for c in in_rowspace(G, np.eye(B, G.cols, dtype=np.int64))):
         return False
-    file_cols = range(B)
     if sys.n_shares <= exhaustive_limit:
-        subsets: Iterable[tuple[int, ...]] = itertools.combinations(range(sys.n_shares), m)
+        subsets: Iterator[tuple[int, ...]] = itertools.combinations(range(sys.n_shares), m)
     else:
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(range(sys.n_shares), m))) for _ in range(sample_count))
-    for rows in subsets:
-        sub = FieldMatrix(sys.q, G.data[list(rows)])
-        if rank(sub) != rank(zero_columns(sub, file_cols)):
+    while block := list(itertools.islice(subsets, RANK_BLOCK)):
+        subs = G.data[np.array(block)]
+        if not np.array_equal(ranks(sys.q, subs), ranks(sys.q, subs[:, :, B:])):
             return False
     return True

@@ -2,8 +2,9 @@
 
 Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, reduced row echelon form, row-space
-membership, column masking, and ranks of row blocks relative to a
-cached row basis.  All arithmetic is exact integer arithmetic in numpy
+membership, column masking, ranks of row blocks relative to a cached
+row basis, and the ranks of a whole stack of small matrices by one
+batched elimination.  All arithmetic is exact integer arithmetic in numpy
 int64; there are no tolerances anywhere.  A row of products of residues
 sums at most cols terms below q**2, so matrices are refused unless
 q**2 * cols < 2**63.
@@ -216,6 +217,67 @@ def rank(m: FieldMatrix) -> int:
         return 0
     _, pivots = _eliminate(m.data, m.q, reduced=False)
     return len(pivots)
+
+
+def _inverses(x: NDArray, q: int) -> NDArray:
+    """Elementwise x**(q-2) mod q: the inverse of each nonzero residue (Fermat)."""
+    out = np.ones_like(x)
+    base = x % q
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def ranks(q: int, stacks: NDArray) -> NDArray:
+    """Rank over GF(q) of each matrix in a stack of shape (C, R, n).
+
+    Matrices with fewer rows are padded with zero rows, which leaves
+    their rank as it is.  One elimination runs over all of them at once,
+    column by column: in each matrix with a nonzero entry in the column,
+    the first row holding one is the pivot row, and every row, the pivot
+    row included, is reduced by a multiple of it so that the column
+    becomes zero.  The reduced rows and the old pivot row span what the
+    rows spanned before, and the old pivot row is independent of the
+    reduced ones, being nonzero where they are all zero; so each such
+    column lowers the rank by exactly one and the rank is their count.
+    The work is vectorised over the stack, so this is for many small
+    matrices; a single matrix is faster with rank.  Products of residues
+    stay below q**2, so the moduli FieldMatrix accepts are exact here.
+    """
+    if not is_prime(q):
+        raise ValueError(f"field modulus must be prime, got {q}")
+    work = np.asarray(stacks)
+    if work.dtype.kind != "i" or work.ndim != 3:
+        raise ValueError(
+            f"need a 3-dimensional stack of integers, got dtype {work.dtype} and shape {work.shape}"
+        )
+    C, R, n = work.shape
+    if q * q * max(n, 1) >= 1 << 63:
+        raise ValueError(
+            f"modulus {q} is too large for exact int64 products over "
+            f"{n} columns: need q**2 * cols < 2**63"
+        )
+    # A fresh array, so the caller's stack is never written to.
+    work = work.astype(np.int64, copy=False) % q
+    found = np.zeros(C, dtype=np.intp)
+    at = np.arange(C)
+    for c in range(n):
+        nonzero = work[:, :, c] != 0
+        has = nonzero.any(axis=1)
+        if not has.any():
+            continue
+        # A matrix that is zero in this column takes its first row, also
+        # zero there, as pivot row; its factors are then all zero.
+        top = work[at, nonzero.argmax(axis=1), c:]
+        factor = work[:, :, c] * _inverses(top[:, 0], q)[:, None] % q
+        work[:, :, c:] -= factor[:, :, None] * top[:, None, :]
+        work[:, :, c:] %= q
+        found += has
+    return found
 
 
 def rref(m: FieldMatrix) -> FieldMatrix:

@@ -1,5 +1,6 @@
 """Entropy oracle tests: brute-force counts, rank agreement, lemma checks."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from securecache import entropy_oracle, ff_linalg
-from securecache.constructions import build_otp, build_theorem1, build_theorem2, build_theorem3
+from securecache.constructions import build_otp, build_shares, build_theorem1, build_theorem2, build_theorem3
 from securecache.entropy_oracle import (
     EnumerationCapError,
     OracleInvariantError,
@@ -56,6 +57,8 @@ def test_oracle_values_never_consult_rank(monkeypatch):
 
     monkeypatch.setattr(ff_linalg, "_eliminate", refuse)
     monkeypatch.setattr(entropy_oracle, "rank", refuse)
+    monkeypatch.setattr(ff_linalg, "ranks", refuse)
+    monkeypatch.setattr(entropy_oracle, "ranks", refuse)
     res = brute_entropy(s1, [VariableRef.of_cache(k) for k in (1, 2, 3)] + [VariableRef.of_file(1)])
     assert (res.value, res.image_size) == (4, 81)
     res = brute_entropy(s2, [VariableRef.of_cache(1), VariableRef.of_delivery((1, 2, 3))])
@@ -201,6 +204,32 @@ def test_rank_agreement_small_schemes():
     assert check_rank_agreement(build_theorem3(2, 3, 1), subset_size_cap=2)
 
 
+def test_rank_agreement_refuses_negative_cap():
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match=f"got {cap}"):
+            check_rank_agreement(build_theorem1(3), subset_size_cap=cap)
+
+
+def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
+    # theorem1 (3) at cap 2 has 1 + 13 + 78 collections, one block; the
+    # comparison rank of collection 40 alone is raised by one.
+    s = build_theorem1(3)
+    true_ranks = ff_linalg.ranks
+    seen = []
+
+    def skewed(q, stacks):
+        out = true_ranks(q, stacks)
+        offset = sum(seen)
+        seen.append(len(out))
+        if offset <= 40 < offset + len(out):
+            out[40 - offset] += 1
+        return out
+
+    monkeypatch.setattr(entropy_oracle, "ranks", skewed)
+    assert not check_rank_agreement(s, subset_size_cap=2)
+    assert seen == [92]
+
+
 def test_lemma1_lemma2_on_unit_cache_schemes():
     for s in [build_theorem1(2), build_theorem1(3), build_theorem1(4), build_otp(3, 3)]:
         assert check_lemma1_lemma2(s)
@@ -230,3 +259,16 @@ def test_secret_sharing_exhaustive_cases():
 def test_secret_sharing_sampled_path():
     # comb(7, 3) = 35 shares is past the exhaustive limit.
     assert check_secret_sharing(7, 3, sample_count=200)
+
+
+def test_secret_sharing_catches_a_leaking_share(monkeypatch):
+    # With the last key column zeroed, three shares carry only two key
+    # units: shares 0, 3 and 4 have rank 3 but rank 2 once the file
+    # columns are masked, so together they reveal a file combination.
+    # All shares still recover the file, so only the rank comparison fails.
+    honest = build_shares(4, 2)
+    gen = honest.generator.data.copy()
+    gen[:, -1] = 0
+    leaky = dataclasses.replace(honest, generator=ff_linalg.FieldMatrix(honest.q, gen))
+    monkeypatch.setattr(entropy_oracle, "build_shares", lambda K, t: leaky)
+    assert not check_secret_sharing(4, 2)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF, isprime
 from sympy.polys.matrices import DomainMatrix
@@ -15,6 +15,7 @@ from securecache.ff_linalg import (
     in_rowspace,
     is_prime,
     rank,
+    ranks,
     residual_rank,
     row_basis,
     rref,
@@ -320,3 +321,62 @@ def test_in_rowspace_validates_target_shape():
         with pytest.raises(ValueError, match="does not match"):
             in_rowspace(m, bad)
     assert in_rowspace(m, np.zeros((0, 3), dtype=np.int64)) == []
+
+
+@st.composite
+def padded_stacks(draw):
+    """(q, stack, heights): ragged matrices over GF(q), zero-padded to one (C, R, n) stack.
+
+    Each matrix's rows are combinations of a few drawn base rows, so
+    ranks below min(height, n) are common; no base rows at all gives an
+    all-zero matrix.  At most 8 columns keeps the large prime within
+    the overflow guard.
+    """
+    q = draw(st.sampled_from([2, 3, 5, 7, 1000000007]))
+    n = draw(st.integers(1, 8))
+    C = draw(st.integers(1, 6))
+    R = draw(st.integers(1, 6))
+    entries = st.integers(0, q - 1)
+    stack = np.zeros((C, R, n), dtype=np.int64)
+    heights = []
+    for i in range(C):
+        h = draw(st.integers(0, R))
+        k = draw(st.integers(0, h))
+        base = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+        for r in range(h):
+            w = draw(st.lists(entries, min_size=k, max_size=k))
+            stack[i, r] = [sum(a * row[c] for a, row in zip(w, base)) % q for c in range(n)]
+        heights.append(h)
+    return q, stack, heights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=padded_stacks())
+@example(case=(3, np.array([[[1, 2, 0], [2, 1, 0]]]), [2]))
+@example(case=(5, np.array([[[0, 3, 1]], [[4, 0, 2]], [[0, 0, 0]]]), [1, 1, 0]))
+@example(case=(7, np.zeros((4, 3, 2), dtype=np.int64), [3, 0, 2, 1]))
+@example(case=(1000000007, np.array([[[1000000006, 1000000006], [1, 1]]]), [2]))
+def test_ranks_against_sympy_and_rank(case):
+    q, stack, heights = case
+    before = stack.copy()
+    got = ranks(q, stack)
+    assert np.array_equal(stack, before)
+    assert got.shape == (len(stack),)
+    for m, h, r in zip(stack, heights, got.tolist()):
+        assert r == _sympy_rank(q, m[:h].tolist(), m.shape[1])
+        assert r == rank(FieldMatrix(q, m[:h]))
+
+
+def test_ranks_validates():
+    assert ranks(3, np.zeros((0, 2, 2), dtype=np.int64)).tolist() == []
+    assert ranks(3, np.zeros((2, 0, 2), dtype=np.int64)).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="prime"):
+        ranks(4, np.eye(2, dtype=np.int64)[None])
+    with pytest.raises(ValueError, match="3-dimensional"):
+        ranks(3, np.eye(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="integers"):
+        ranks(3, np.eye(2)[None])
+    # The same guard as FieldMatrix: 2**31 - 1 fits two columns but not three.
+    with pytest.raises(ValueError, match="too large"):
+        ranks(2147483647, np.ones((1, 1, 3), dtype=np.int64))
+    assert ranks(2147483647, np.full((1, 2, 2), 2147483646)).tolist() == [1]
