@@ -24,8 +24,6 @@ from .entropy_oracle import (
     OracleInvariantError,
     VariableRef,
     brute_entropy,
-    check_lemma1_lemma2,
-    check_lemma3_lemma4,
     check_rank_agreement,
     check_secret_sharing,
 )
@@ -35,7 +33,6 @@ from .ff_linalg import (
     in_rowspace,
     is_prime,
     rank,
-    rref,
     smallest_prime_at_least,
     stack,
     zero_columns,
@@ -70,6 +67,8 @@ from .verifier import (
     SimulationResult,
     VerificationReport,
     check_correctness,
+    check_lemma1_lemma2,
+    check_lemma3_lemma4,
     check_security,
     decode,
     observed_matrix,

@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import FAMILIES, build_scheme
-from .entropy_oracle import (
-    check_lemma1_lemma2,
-    check_lemma3_lemma4,
-    check_rank_agreement,
-    check_secret_sharing,
-)
+from .entropy_oracle import check_rank_agreement, check_secret_sharing
 from .ff_linalg import FieldMatrix
 from .scheme_model import (
     DemandVector,
@@ -35,7 +30,7 @@ from .scheme_model import (
     randomness_of,
     worst_case_rate,
 )
-from .verifier import simulate, verify_all
+from .verifier import check_lemma1_lemma2, check_lemma3_lemma4, simulate, verify_all
 
 FORMAT_VERSION = 1
 EXPLICIT_DELIVERY_LIMIT = 256

@@ -26,16 +26,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constructions import build_shares, share_rows_global
-from .ff_linalg import FieldMatrix, in_rowspace, rank, ranks, stack
-from .scheme_model import (
-    DEMAND_CAP,
-    DemandVector,
-    LinearScheme,
-    demand_from_index,
-    demands_iter,
-    memory_of,
-    worst_case_rate,
-)
+from .ff_linalg import FieldMatrix, ranks, stack
+from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands_iter
 
 
 # Collections (or share subsets) ranked together by one batched
@@ -305,97 +297,6 @@ def check_rank_agreement(
     return True
 
 
-def _rank_of(s: LinearScheme, refs: Sequence[VariableRef]) -> int:
-    return rank(stacked_matrix(s, refs))
-
-
-def check_lemma1_lemma2(s: LinearScheme) -> bool:
-    """Joint-entropy identities specific to unit cache size.
-
-    First: under any demand, the broadcast together with a requested
-    file already determines the caches of all users requesting that
-    file (for groups of 1 to K-1 users).  Second: any single file and
-    all caches together are mutually independent.  All entropies here
-    are computed as ranks; the oracle's rank agreement check is what
-    ties ranks to counting.  Every demand is checked, so schemes with
-    more than DEMAND_CAP demands are refused.
-    """
-    space = s.N**s.K
-    if space > DEMAND_CAP:
-        raise ValueError(
-            f"{s.N}**{s.K} = {space} demands exceed cap {DEMAND_CAP}; "
-            "the unit-cache identities are checked on every demand"
-        )
-    if memory_of(s) != 1:
-        raise ValueError(f"identities require cache size 1, scheme has M={memory_of(s)}")
-    for d in demands_iter(s.N, s.K):
-        dv = VariableRef.of_delivery(d)
-        for user in range(1, s.K + 1):
-            group = [k for k in range(1, s.K + 1) if d[k] == d[user]]
-            if not 1 <= len(group) <= s.K - 1:
-                continue
-            wanted = VariableRef.of_file(d[user])
-            lhs = _rank_of(s, [wanted, dv])
-            rhs = _rank_of(s, [wanted] + [VariableRef.of_cache(k) for k in group] + [dv])
-            if lhs != rhs:
-                return False
-    caches = [VariableRef.of_cache(k) for k in range(1, s.K + 1)]
-    cache_rank_sum = sum(_rank_of(s, [c]) for c in caches)
-    for n in range(1, s.N + 1):
-        fv = VariableRef.of_file(n)
-        if _rank_of(s, [fv] + caches) != _rank_of(s, [fv]) + cache_rank_sum:
-            return False
-    return True
-
-
-def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bool:
-    """Joint-entropy identities specific to unit broadcast rate.
-
-    With every broadcast one unit, fixing a user's request to file a
-    makes the class of broadcasts with that request a deterministic
-    function of the file and the user's cache; and a foreign file,
-    one whole class, plus one representative from each other class
-    are mutually independent.  Representatives are the
-    lexicographically least demands, plus seeded random re-draws.
-    """
-    if worst_case_rate(s) != 1:
-        raise ValueError("identities require unit rate")
-    all_demands = list(demands_iter(s.N, s.K))
-    rng = random.Random(seed)
-    for user in range(1, s.K + 1):
-        classes = {
-            a: [d for d in all_demands if d[user] == a] for a in range(1, s.N + 1)
-        }
-        class_refs = {
-            a: [VariableRef.of_delivery(d) for d in ds] for a, ds in classes.items()
-        }
-        class_rank = {a: _rank_of(s, class_refs[a]) for a in classes}
-        for a in range(1, s.N + 1):
-            fv = VariableRef.of_file(a)
-            zv = VariableRef.of_cache(user)
-            if _rank_of(s, [fv, zv]) != _rank_of(s, [fv, zv] + class_refs[a]):
-                return False
-        rep_choices = [{a: 0 for a in classes}]
-        for _ in range(samples):
-            rep_choices.append({a: rng.randrange(len(classes[a])) for a in classes})
-        for choice in rep_choices:
-            reps = {a: VariableRef.of_delivery(classes[a][choice[a]]) for a in classes}
-            rep_rank = {a: _rank_of(s, [reps[a]]) for a in classes}
-            for a in range(1, s.N + 1):
-                others = [x for x in range(1, s.N + 1) if x != a]
-                joint = _rank_of(s, class_refs[a] + [reps[x] for x in others])
-                if joint != class_rank[a] + sum(rep_rank[x] for x in others):
-                    return False
-                for b in others:
-                    rest = [x for x in others if x != b]
-                    fv = VariableRef.of_file(b)
-                    joint = _rank_of(s, [fv] + class_refs[a] + [reps[x] for x in rest])
-                    split = _rank_of(s, [fv]) + class_rank[a] + sum(rep_rank[x] for x in rest)
-                    if joint != split:
-                        return False
-    return True
-
-
 def check_secret_sharing(
     K: int,
     t: int,
@@ -407,16 +308,20 @@ def check_secret_sharing(
 
     Every set of comb(K-1, t-1) shares must reveal nothing about the
     file (rank unchanged by masking the file columns), and all shares
-    together must recover every file unit.  Subsets are checked
+    together must recover every file unit (the file columns add all B
+    units to the rank of the key columns).  Subsets are checked
     exhaustively up to exhaustive_limit shares, by seeded sample
     beyond that.  They are drawn lazily and ranked RANK_BLOCK at a time
     by batched elimination, each next to its restriction to the key
     columns, which has the rank of its file-masked copy.
     """
+    if sample_count < 1:
+        raise ValueError(f"need sample_count >= 1, got {sample_count}")
     sys = build_shares(K, t)
     G = sys.generator
     B, m = sys.units, sys.key_units
-    if any(c is None for c in in_rowspace(G, np.eye(B, G.cols, dtype=np.int64))):
+    (r_all,), (r_keys,) = ranks(sys.q, G.data[None]), ranks(sys.q, G.data[None, :, B:])
+    if r_all - r_keys != B:
         return False
     if sys.n_shares <= exhaustive_limit:
         subsets: Iterator[tuple[int, ...]] = itertools.combinations(range(sys.n_shares), m)

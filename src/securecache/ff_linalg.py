@@ -1,13 +1,12 @@
 """Exact linear algebra over prime fields.
 
 Dense matrices with entries reduced mod q, Gaussian elimination with
-first-nonzero pivoting, rank, reduced row echelon form, row-space
-membership, column masking, ranks of row blocks relative to a cached
-row basis, and the ranks of a whole stack of small matrices by one
-batched elimination.  All arithmetic is exact integer arithmetic in numpy
-int64; there are no tolerances anywhere.  A row of products of residues
-sums at most cols terms below q**2, so matrices are refused unless
-q**2 * cols < 2**63.
+first-nonzero pivoting, rank, row-space membership, column masking,
+ranks of row blocks relative to a cached reduced row echelon basis, and
+the ranks of a whole stack of small matrices by one batched elimination.
+All arithmetic is exact integer arithmetic in numpy int64; there are no
+tolerances anywhere.  A row of products of residues sums at most cols
+terms below q**2, so matrices are refused unless q**2 * cols < 2**63.
 """
 
 from __future__ import annotations
@@ -278,14 +277,6 @@ def ranks(q: int, stacks: NDArray) -> NDArray:
         work[:, :, c:] %= q
         found += has
     return found
-
-
-def rref(m: FieldMatrix) -> FieldMatrix:
-    """Reduced row echelon form; deterministic for identical inputs."""
-    if m.rows == 0:
-        return m
-    work, _ = _eliminate(m.data, m.q, reduced=True)
-    return FieldMatrix(m.q, work)
 
 
 class RowBasis(NamedTuple):

@@ -24,6 +24,14 @@ eliminated at most 1 + 2N times per scheme (all columns, and per file
 without it and with only it and the keys), and each check eliminates
 only the residual of the broadcast rows.
 
+The unit-cache and unit-rate identities (check_lemma1_lemma2,
+check_lemma3_lemma4) rank stacks holding a file selector W_a, which is
+the identity on file a's columns and zero elsewhere, so
+
+    rank([W_a; M]) = B + rank(M without file a's columns)
+
+turns each into ranks of masked stacks, computed on the same kernel.
+
 decode and simulate exercise the same schemes on concrete symbol
 vectors, which keeps the rank checks honest.
 """
@@ -38,8 +46,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .ff_linalg import FieldMatrix, RowBasis, in_rowspace, residual_rank, row_basis, stack
-from .scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter
+from .ff_linalg import FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, row_basis, stack
+from .scheme_model import (
+    DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of, worst_case_rate
+)
 
 
 class NotDecodableError(ValueError):
@@ -151,11 +161,15 @@ class _RankKernel:
             self._keep[("only", n)] = [*own, *keys]
         self._bases: dict[tuple[int, tuple[str, int] | None], RowBasis] = {}
 
-    def rank(self, k: int, X: FieldMatrix, view: tuple[str, int] | None = None) -> int:
+    def basis(self, k: int, view: tuple[str, int] | None = None) -> RowBasis:
         b = self._bases.get((k, view))
         if b is None:
             keep = None if view is None else self._keep[view]
             b = self._bases[(k, view)] = row_basis(self.s.cache[k - 1], keep)
+        return b
+
+    def rank(self, k: int, X: FieldMatrix, view: tuple[str, int] | None = None) -> int:
+        b = self.basis(k, view)
         return b.dim + residual_rank(b, X)
 
     def record(self, d: DemandVector, k: int, X: FieldMatrix) -> CheckRecord:
@@ -215,8 +229,10 @@ def verify_all(
         policy: "all" for every demand (subject to cap), or "sample"
             for a seeded sample that always includes the uniform
             demands.
-        count: sample size, required for policy="sample".
-        seed: sample seed, required for policy="sample".
+        count: sample size, at least 1; required for policy="sample"
+            and refused with policy="all".
+        seed: sample seed; required for policy="sample" and refused
+            with policy="all".
         cap: refuse exhaustive sweeps beyond this many demands.
 
     Returns:
@@ -225,6 +241,8 @@ def verify_all(
     """
     space = s.N**s.K
     if policy == "all":
+        if count is not None or seed is not None:
+            raise ValueError("count and seed apply only to policy='sample'")
         if space > cap:
             raise ValueError(
                 f"{s.N}**{s.K} = {space} demands exceed cap {cap}; "
@@ -235,6 +253,8 @@ def verify_all(
     elif policy == "sample":
         if count is None or seed is None:
             raise ValueError("policy='sample' needs count and seed")
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
         demands = (demand_from_index(s.N, s.K, i) for i in _sampled_indices(s.N, s.K, count, seed))
         policy_desc = f"sample(count={count}, seed={seed})"
     else:
@@ -248,6 +268,95 @@ def verify_all(
     return VerificationReport(
         label=s.label, N=s.N, K=s.K, policy=policy_desc, records=tuple(records)
     )
+
+
+def check_lemma1_lemma2(s: LinearScheme) -> bool:
+    """Joint-entropy identities specific to unit cache size.
+
+    First: under any demand, the broadcast together with a requested
+    file already determines the caches of all users requesting that
+    file (for groups of 1 to K-1 users).  Second: any single file and
+    all caches together are mutually independent.  By the file-selector
+    reduction these read: under every non-uniform demand d, each cache
+    Z_k adds no rank to the broadcast without file d_k's columns; and
+    all caches stacked, without any one file's columns, have the rank
+    sum of the single caches.  Every demand is checked, so schemes with
+    more than DEMAND_CAP demands are refused.
+    """
+    space = s.N**s.K
+    if space > DEMAND_CAP:
+        raise ValueError(
+            f"{s.N}**{s.K} = {space} demands exceed cap {DEMAND_CAP}; "
+            "the unit-cache identities are checked on every demand"
+        )
+    if memory_of(s) != 1:
+        raise ValueError(f"identities require cache size 1, scheme has M={memory_of(s)}")
+    kernel = _RankKernel(s)
+    for d in demands_iter(s.N, s.K):
+        if d.uniform:
+            continue
+        X = s.delivery_matrix(d)
+        r_X = {a: row_basis(X, kernel._keep[("without", a)]).dim for a in set(d)}
+        if any(kernel.rank(k, X, ("without", d[k])) != r_X[d[k]] for k in range(1, s.K + 1)):
+            return False
+    caches = stack(s.cache)
+    cache_rank_sum = sum(kernel.basis(k).dim for k in range(1, s.K + 1))
+    return all(
+        row_basis(caches, kernel._keep[("without", n)]).dim == cache_rank_sum
+        for n in range(1, s.N + 1)
+    )
+
+
+def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bool:
+    """Joint-entropy identities specific to unit broadcast rate.
+
+    With every broadcast one unit, fixing a user's request to file a
+    makes the class of broadcasts with that request a deterministic
+    function of the file and the user's cache; and a foreign file,
+    one whole class, plus one representative from each other class
+    are mutually independent.  Representatives are the
+    lexicographically least demands, plus seeded random re-draws.
+    By the file-selector reduction, each broadcast adds no rank to the
+    user's cache without the requested file's columns, and the
+    representatives add their full rank to the class, also without a
+    foreign file's columns.  Each class is eliminated once per user
+    and view; the representatives are reduced against those bases.
+    """
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got {samples}")
+    if worst_case_rate(s) != 1:
+        raise ValueError("identities require unit rate")
+    kernel = _RankKernel(s)
+    X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
+    for d, Xd in X.items():
+        if any(residual_rank(kernel.basis(u, ("without", d[u])), Xd) for u in range(1, s.K + 1)):
+            return False
+    files = range(1, s.N + 1)
+    rng = random.Random(seed)
+    for u in range(1, s.K + 1):
+        classes = {a: [Xd for d, Xd in X.items() if d[u] == a] for a in files}
+        bases = {
+            (a, b): row_basis(stack(classes[a]), None if b is None else kernel._keep[("without", b)])
+            for a in files
+            for b in (None, *files)
+            if b != a
+        }
+        choices = [[0] * s.N]
+        choices += [[rng.randrange(len(classes[a])) for a in files] for _ in range(samples)]
+        for choice in choices:
+            reps = {a: classes[a][i] for a, i in zip(files, choice)}
+            rep_rank = {a: rank(R) for a, R in reps.items()}
+            for a in files:
+                others = [x for x in files if x != a]
+                # b None: the class and the other classes' representatives;
+                # b a foreign file: W_b too, which drops file b's columns.
+                for b in (None, *others):
+                    rest = [x for x in others if x != b]
+                    basis = bases[a, b]
+                    joint = basis.dim + (residual_rank(basis, stack(reps[x] for x in rest)) if rest else 0)
+                    if joint != bases[a, None].dim + sum(rep_rank[x] for x in rest):
+                        return False
+    return True
 
 
 def decode(

@@ -21,15 +21,10 @@ from securecache.constructions import (
     build_theorem2,
     build_theorem3,
 )
-from securecache.entropy_oracle import (
-    check_lemma1_lemma2,
-    check_lemma3_lemma4,
-    check_rank_agreement,
-    check_secret_sharing,
-)
+from securecache.entropy_oracle import check_rank_agreement, check_secret_sharing
 from securecache.scheme_model import DemandVector, memory_of, randomness_of, worst_case_rate
 from securecache.tradeoff import achievable_points, converse_constraints, lower_convex_envelope
-from securecache.verifier import simulate, verify_all
+from securecache.verifier import check_lemma1_lemma2, check_lemma3_lemma4, simulate, verify_all
 
 
 @contextmanager

@@ -182,6 +182,26 @@ def test_verify_sample_policy(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--demands", "sample", "--count", "0", "--seed", "0"], "got 0"),
+        (["--demands", "sample", "--count", "-1", "--seed", "0"], "got -1"),
+        (["--demands", "sample", "--count", "-5", "--seed", "0"], "got -5"),
+        (["--count", "3", "--seed", "1"], "only to policy='sample'"),
+        (["--seed", "1"], "only to policy='sample'"),
+    ],
+)
+def test_verify_refuses_sample_misuse(tmp_path, capsys, extra, message):
+    path = _construct(tmp_path, "otp", 2, 3)
+    capsys.readouterr()
+    rc = main(["verify", "--scheme", str(path), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_entropy_and_sharing(tmp_path, capsys):
     path = _construct(tmp_path, "theorem3", 2, 3, t=1)
     rc = main(["oracle", "--scheme", str(path), "--checks", "entropy,sharing"])

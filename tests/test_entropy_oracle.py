@@ -1,8 +1,16 @@
-"""Entropy oracle tests: brute-force counts, rank agreement, lemma checks."""
+"""Entropy oracle tests: brute-force counts, rank agreement, lemma checks.
 
+The lemma checks run on the verifier's rank kernel; they are tested here
+against a reference that ranks every stacked collection from scratch.
+"""
+
+import ast
 import dataclasses
 import itertools
+import random
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +26,13 @@ from securecache.entropy_oracle import (
     _bounded_deliveries,
     _Enumerator,
     brute_entropy,
-    check_lemma1_lemma2,
-    check_lemma3_lemma4,
     check_rank_agreement,
     check_secret_sharing,
     stacked_matrix,
 )
 from securecache.ff_linalg import rank
+from securecache.scheme_model import DEMAND_CAP, DemandVector, demands_iter, memory_of, worst_case_rate
+from securecache.verifier import check_lemma1_lemma2, check_lemma3_lemma4
 
 
 def test_single_file_entropy_is_unit_count():
@@ -56,7 +64,6 @@ def test_oracle_values_never_consult_rank(monkeypatch):
         raise AssertionError("an oracle value consulted the rank machinery")
 
     monkeypatch.setattr(ff_linalg, "_eliminate", refuse)
-    monkeypatch.setattr(entropy_oracle, "rank", refuse)
     monkeypatch.setattr(ff_linalg, "ranks", refuse)
     monkeypatch.setattr(entropy_oracle, "ranks", refuse)
     res = brute_entropy(s1, [VariableRef.of_cache(k) for k in (1, 2, 3)] + [VariableRef.of_file(1)])
@@ -250,6 +257,174 @@ def test_lemma3_lemma4_requires_unit_rate():
         check_lemma3_lemma4(build_theorem1(3))
 
 
+def test_lemma3_lemma4_refuses_negative_samples():
+    for samples in (-1, -3):
+        with pytest.raises(ValueError, match=f"got {samples}"):
+            check_lemma3_lemma4(build_theorem2(2, 3), samples=samples)
+
+
+def _rank_of(s, refs):
+    return rank(stacked_matrix(s, refs))
+
+
+def _reference_lemma1_lemma2(s):
+    """The unit-cache identities as entropies, each collection ranked from scratch."""
+    if s.N**s.K > DEMAND_CAP:
+        raise ValueError(f"{s.N}**{s.K} = {s.N**s.K} demands exceed cap {DEMAND_CAP}")
+    if memory_of(s) != 1:
+        raise ValueError(f"identities require cache size 1, scheme has M={memory_of(s)}")
+    for d in demands_iter(s.N, s.K):
+        dv = VariableRef.of_delivery(d)
+        for user in range(1, s.K + 1):
+            group = [k for k in range(1, s.K + 1) if d[k] == d[user]]
+            if not 1 <= len(group) <= s.K - 1:
+                continue
+            wanted = VariableRef.of_file(d[user])
+            lhs = _rank_of(s, [wanted, dv])
+            rhs = _rank_of(s, [wanted] + [VariableRef.of_cache(k) for k in group] + [dv])
+            if lhs != rhs:
+                return False
+    caches = [VariableRef.of_cache(k) for k in range(1, s.K + 1)]
+    cache_rank_sum = sum(_rank_of(s, [c]) for c in caches)
+    for n in range(1, s.N + 1):
+        fv = VariableRef.of_file(n)
+        if _rank_of(s, [fv] + caches) != _rank_of(s, [fv]) + cache_rank_sum:
+            return False
+    return True
+
+
+def _reference_lemma3_lemma4(s, samples=10, seed=0):
+    """The unit-rate identities as entropies, each collection ranked from scratch."""
+    if worst_case_rate(s) != 1:
+        raise ValueError("identities require unit rate")
+    all_demands = list(demands_iter(s.N, s.K))
+    rng = random.Random(seed)
+    for user in range(1, s.K + 1):
+        classes = {
+            a: [d for d in all_demands if d[user] == a] for a in range(1, s.N + 1)
+        }
+        class_refs = {
+            a: [VariableRef.of_delivery(d) for d in ds] for a, ds in classes.items()
+        }
+        class_rank = {a: _rank_of(s, class_refs[a]) for a in classes}
+        for a in range(1, s.N + 1):
+            fv = VariableRef.of_file(a)
+            zv = VariableRef.of_cache(user)
+            if _rank_of(s, [fv, zv]) != _rank_of(s, [fv, zv] + class_refs[a]):
+                return False
+        rep_choices = [{a: 0 for a in classes}]
+        for _ in range(samples):
+            rep_choices.append({a: rng.randrange(len(classes[a])) for a in classes})
+        for choice in rep_choices:
+            reps = {a: VariableRef.of_delivery(classes[a][choice[a]]) for a in classes}
+            rep_rank = {a: _rank_of(s, [reps[a]]) for a in classes}
+            for a in range(1, s.N + 1):
+                others = [x for x in range(1, s.N + 1) if x != a]
+                joint = _rank_of(s, class_refs[a] + [reps[x] for x in others])
+                if joint != class_rank[a] + sum(rep_rank[x] for x in others):
+                    return False
+                for b in others:
+                    rest = [x for x in others if x != b]
+                    fv = VariableRef.of_file(b)
+                    joint = _rank_of(s, [fv] + class_refs[a] + [reps[x] for x in rest])
+                    split = _rank_of(s, [fv]) + class_rank[a] + sum(rep_rank[x] for x in rest)
+                    if joint != split:
+                        return False
+    return True
+
+
+def _variant(s, caches=None, broadcasts=None):
+    """s with every cache, and the broadcasts of the listed demands, replaced by the given rows."""
+    q = s.field.q
+    cache = s.cache if caches is None else tuple(ff_linalg.FieldMatrix(q, rows) for rows in caches)
+    table = {d: ff_linalg.FieldMatrix(q, rows) for d, rows in (broadcasts or {}).items()}
+    return dataclasses.replace(
+        s, cache=cache, delivery=lambda d: table[d.entries] if d.entries in table else s.delivery(d)
+    )
+
+
+# otp (2, 2) has columns W_1, W_2, S_1, S_2 and theorem2 (2, 2) has
+# W_1, W_2, S_1_1.  Each variant breaks exactly one of the five
+# identities and keeps the others.
+_S1 = [0, 0, 1, 0]
+IDENTITY_BREAKERS = {
+    # User 1's cache S_1 is not a function of W_1 and the broadcast
+    # W_1 + S_1 + S_2, W_2 + S_2 under demand (1, 2).
+    "lemma1": (check_lemma1_lemma2, _variant(
+        build_otp(2, 2), broadcasts={(1, 2): [[1, 0, 1, 1], [0, 1, 0, 1]]}
+    )),
+    # Both users cache S_1, so the caches are dependent; the extra S_1
+    # broadcast row keeps every cache a function of what is sent.
+    "lemma2": (check_lemma1_lemma2, _variant(
+        build_otp(2, 2),
+        caches=[[_S1], [_S1]],
+        broadcasts={(1, 2): [[1, 0, 1, 0], [0, 1, 0, 1], _S1], (2, 1): [[0, 1, 1, 0], [1, 0, 0, 1], _S1]},
+    )),
+    # Under (1, 1) both users get W_1 + W_2, which neither cache determines
+    # together with W_1; sending S_1_1 under (1, 2) keeps lemma 4 intact.
+    "lemma3": (check_lemma3_lemma4, _variant(
+        build_theorem2(2, 2), broadcasts={(1, 1): [[1, 1, 0]], (1, 2): [[0, 0, 1]]}
+    )),
+    # Every cache and broadcast is S_1_1: a class and another class's
+    # representative are the same variable.
+    "lemma4_joint": (check_lemma3_lemma4, _variant(
+        build_theorem2(2, 2),
+        caches=[[[0, 0, 1]]] * 2,
+        broadcasts={d.entries: [[0, 0, 1]] for d in demands_iter(2, 2)},
+    )),
+    # Every user caches everything; when user 1 asks for W_1, the class
+    # of broadcasts contains W_2 itself.
+    "lemma4_foreign": (check_lemma3_lemma4, _variant(
+        build_theorem2(2, 2),
+        caches=[np.eye(3, dtype=np.int64)] * 2,
+        broadcasts={(1, 1): [[0, 0, 1]], (1, 2): [[0, 1, 0]], (2, 1): [[1, 0, 0]], (2, 2): [[1, 1, 1]]},
+    )),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITY_BREAKERS))
+def test_lemma_checks_fail_on_each_broken_identity(identity):
+    check, s = IDENTITY_BREAKERS[identity]
+    assert not check(s)
+
+
+def _mutants(s, count, rng):
+    """count copies of s, each with one entry of one cache or one broadcast changed."""
+    q = s.field.q
+    demands = [d.entries for d in demands_iter(s.N, s.K)]
+    for _ in range(count):
+        k, d = rng.randrange(s.K), rng.choice(demands)
+        on_cache = rng.random() < 0.5
+        M = (s.cache[k] if on_cache else s.delivery_matrix(DemandVector(d))).data.copy()
+        i, j = rng.randrange(M.shape[0]), rng.randrange(M.shape[1])
+        M[i, j] = (M[i, j] + rng.randrange(1, q)) % q
+        if on_cache:
+            yield _variant(s, caches=[M if u == k else c.data for u, c in enumerate(s.cache)])
+        else:
+            yield _variant(s, broadcasts={d: M})
+
+
+def test_lemma_checks_agree_with_the_reference():
+    # Valid schemes, single-entry mutants of a cache or a broadcast, and
+    # the hand-built breakers; both verdicts must occur for each check.
+    rng = random.Random(7)
+    start = time.perf_counter()
+    cases = {check_lemma1_lemma2: [], check_lemma3_lemma4: []}
+    for s in [build_theorem1(2), build_theorem1(3), build_theorem1(4), build_otp(2, 3), build_otp(3, 2)]:
+        cases[check_lemma1_lemma2] += [s, *_mutants(s, 25, rng)]
+    for N, K in ((2, 2), (2, 3), (3, 2), (2, 4)):
+        s = build_theorem2(N, K)
+        cases[check_lemma3_lemma4] += [s, *_mutants(s, 25, rng)]
+    for check, s in IDENTITY_BREAKERS.values():
+        cases[check].append(s)
+    reference = {check_lemma1_lemma2: _reference_lemma1_lemma2, check_lemma3_lemma4: _reference_lemma3_lemma4}
+    for check, schemes in cases.items():
+        verdicts = [check(s) for s in schemes]
+        assert verdicts == [reference[check](s) for s in schemes]
+        assert set(verdicts) == {True, False}
+    assert time.perf_counter() - start < 10
+
+
 def test_secret_sharing_exhaustive_cases():
     assert check_secret_sharing(3, 1)
     assert check_secret_sharing(4, 2)
@@ -272,3 +447,36 @@ def test_secret_sharing_catches_a_leaking_share(monkeypatch):
     leaky = dataclasses.replace(honest, generator=ff_linalg.FieldMatrix(honest.q, gen))
     monkeypatch.setattr(entropy_oracle, "build_shares", lambda K, t: leaky)
     assert not check_secret_sharing(4, 2)
+
+
+def test_secret_sharing_catches_an_unrecoverable_unit(monkeypatch):
+    # With file column 0 zeroed, no combination of shares yields unit 0.
+    # Any key-unit-many shares still have full rank on the key columns,
+    # so only the recovery comparison fails.
+    honest = build_shares(4, 2)
+    gen = honest.generator.data.copy()
+    gen[:, 0] = 0
+    lossy = dataclasses.replace(honest, generator=ff_linalg.FieldMatrix(honest.q, gen))
+    monkeypatch.setattr(entropy_oracle, "build_shares", lambda K, t: lossy)
+    assert not check_secret_sharing(4, 2)
+
+
+def test_secret_sharing_refuses_non_positive_sample_count():
+    for count in (0, -2):
+        with pytest.raises(ValueError, match=f"got {count}"):
+            check_secret_sharing(7, 3, sample_count=count)
+
+
+def test_oracle_imports_no_rank_routine_but_ranks():
+    # The oracle's only rank routine is the batched comparison side.
+    tree = ast.parse(Path(entropy_oracle.__file__).read_text())
+    from_ff_linalg, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            if node.module == "ff_linalg":
+                from_ff_linalg |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+    assert from_ff_linalg == {"FieldMatrix", "stack", "ranks"}
+    assert not any("verifier" in module for module in modules)

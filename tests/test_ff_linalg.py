@@ -18,7 +18,6 @@ from securecache.ff_linalg import (
     ranks,
     residual_rank,
     row_basis,
-    rref,
     smallest_prime_at_least,
     stack,
     zero_columns,
@@ -138,18 +137,6 @@ def test_rank_subadditive_under_stacking():
         both = rank(stack([a, b]))
         assert both <= rank(a) + rank(b)
         assert both >= max(rank(a), rank(b))
-
-
-def test_rref_deterministic_and_idempotent():
-    rng = np.random.default_rng(13)
-    for _ in range(80):
-        q = int(rng.choice([2, 3, 5]))
-        m = _random_matrix(rng, q, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        r1 = rref(m)
-        r2 = rref(FieldMatrix(q, m.data.copy()))
-        assert r1 == r2
-        assert rref(r1) == r1
-        assert rank(r1) == rank(m)
 
 
 def test_stack_validates():

@@ -129,6 +129,20 @@ def test_verify_all_sample_needs_count_and_seed():
         verify_all(s, policy="bogus")
 
 
+def test_verify_all_refuses_sample_counts_below_one():
+    s = build_otp(2, 3)
+    for count in (0, -1, -5):
+        with pytest.raises(ValueError, match=f"got {count}"):
+            verify_all(s, policy="sample", count=count, seed=0)
+
+
+def test_verify_all_refuses_count_or_seed_without_sample():
+    s = build_otp(2, 3)
+    for kwargs in ({"count": 3, "seed": 1}, {"count": 3}, {"seed": 1}):
+        with pytest.raises(ValueError, match="only to policy='sample'"):
+            verify_all(s, **kwargs)
+
+
 def test_report_json_serializable():
     report = verify_all(build_theorem1(2))
     blob = json.dumps(report.as_dict())
