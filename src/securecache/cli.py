@@ -166,6 +166,12 @@ def load_scheme(path: Path) -> LinearScheme:
     return document_to_scheme(json.loads(path.read_text()))
 
 
+def _cannot_write(path: Path, e: OSError) -> int:
+    """Report an output file that cannot be written; an input error, exit 2."""
+    print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+    return 2
+
+
 def _load_or_report(path: str) -> LinearScheme | None:
     """The scheme at path, or None once the reason it cannot be loaded is printed."""
     try:
@@ -188,7 +194,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    write_scheme(s, out)
+    try:
+        write_scheme(s, out)
+    except OSError as e:
+        return _cannot_write(out, e)
     t_part = f" t={s.params['t']}" if "t" in s.params else ""
     print(
         f"{s.label} N={s.N} K={s.K}{t_part}: q={s.field.q} B={s.B} "
@@ -207,9 +216,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        try:
+            Path(args.report).write_text(
+                json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+            )
+        except OSError as e:
+            return _cannot_write(Path(args.report), e)
     failures = report.failures()
     verdict = "PASS" if report.passed else "FAIL"
     print(
@@ -302,9 +314,15 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.write_text(data.csv_text(include_prior=args.include_prior))
     vertex_path = out.with_suffix(".vertices.json")
-    vertex_path.write_text(json.dumps(data.vertices_dict(), indent=2, sort_keys=True) + "\n")
+    for path, text in (
+        (out, data.csv_text(include_prior=args.include_prior)),
+        (vertex_path, json.dumps(data.vertices_dict(), indent=2, sort_keys=True) + "\n"),
+    ):
+        try:
+            path.write_text(text)
+        except OSError as e:
+            return _cannot_write(path, e)
     env = ", ".join(f"({p.M}, {p.R})" for p in data.envelope.vertices)
     print(f"N={args.N} K={args.K}: envelope vertices {env}")
     print(f"curves -> {out}, vertices -> {vertex_path}")

@@ -4,9 +4,13 @@ Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, row-space membership, column masking,
 ranks of row blocks relative to a cached reduced row echelon basis, and
 the ranks of a whole stack of small matrices by one batched elimination.
-All arithmetic is exact integer arithmetic in numpy int64; there are no
-tolerances anywhere.  A row of products of residues sums at most cols
-terms below q**2, so matrices are refused unless q**2 * cols < 2**63.
+All arithmetic is exact integer arithmetic; there are no tolerances
+anywhere.  Small eliminations (at most SMALL_ROWS rows and SMALL_ENTRIES
+entries) run row by row on Python integers, which cannot overflow;
+everything else runs in numpy int64.  A row of products of residues sums
+at most cols terms below q**2, so matrices are refused unless
+q**2 * cols < 2**63, which keeps the int64 paths and the residual
+products of residual_rank exact.
 """
 
 from __future__ import annotations
@@ -172,13 +176,74 @@ def zero_columns(m: FieldMatrix, cols: Iterable[int]) -> FieldMatrix:
     return FieldMatrix(m.q, arr)
 
 
+# Inputs at most this many rows and entries are eliminated row by row on
+# Python integers; numpy's per-call overhead dominates a column loop there.
+SMALL_ROWS = 12
+SMALL_ENTRIES = 256
+
+
 def _eliminate(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
     """Gaussian elimination mod q on a copy of arr.
 
+    Returns an echelon form of arr with pivot rows normalized to 1 and
+    zero rows last, and its pivot column list.  With reduced=True the
+    entries above pivots are cleared as well, giving the RREF.  The
+    pivot columns of any echelon form of arr are the columns of arr
+    outside the span of the columns before them, and the RREF of a
+    matrix is unique; so both depend on arr alone, not on the order in
+    which rows are eliminated.  Small inputs go row by row on Python
+    integers, larger ones column by column in numpy, and callers get the
+    same pivots, and with reduced=True the same matrix, either way.
+    """
+    rows, cols = arr.shape
+    if rows <= SMALL_ROWS and rows * cols <= SMALL_ENTRIES:
+        return _eliminate_rows(arr, q, reduced)
+    return _eliminate_columns(arr, q, reduced)
+
+
+def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
+    """_eliminate in Python integers, one input row at a time.
+
+    Each row is reduced by the pivot rows found so far, in the order
+    they were found: each of those is 1 at its pivot column and zero at
+    the earlier ones, so the remainder ends zero at every pivot column.
+    A nonzero remainder is scaled to 1 at its first nonzero column and
+    becomes a pivot row; with reduced=True that column is also cleared
+    from the earlier pivot rows.
+    """
+    rows, cols = arr.shape
+    found: list[tuple[int, list[int]]] = []
+    for row in arr.tolist():
+        for c, prow in found:
+            f = row[c]
+            if f:
+                row = [(x - f * y) % q for x, y in zip(row, prow)]
+        for lead, x in enumerate(row):
+            if x:
+                break
+        else:
+            continue
+        inv = pow(row[lead], -1, q)
+        row = [x * inv % q for x in row]
+        if reduced:
+            for i, (c, prow) in enumerate(found):
+                f = prow[lead]
+                if f:
+                    found[i] = (c, [(x - f * y) % q for x, y in zip(prow, row)])
+        found.append((lead, row))
+    found.sort()
+    work = np.zeros((rows, cols), dtype=np.int64)
+    if found:
+        work[: len(found)] = np.array([prow for _, prow in found], dtype=np.int64)
+    return work, [c for c, _ in found]
+
+
+def _eliminate_columns(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
+    """_eliminate in numpy, one column at a time.
+
     Pivots are chosen as the first nonzero entry scanning down each
-    column; pivot rows are normalized to 1.  With reduced=True the
-    entries above pivots are cleared as well (RREF).  Returns the
-    eliminated matrix and the pivot column list.
+    column; with reduced=True the entries above the pivots are cleared
+    once all pivots are found.
     """
     work = arr.copy()
     rows, cols = work.shape
@@ -357,13 +422,14 @@ def in_rowspace(
         so each result is deterministic.
 
     All targets are solved with one elimination of [m.T | targets.T].
-    Its columns are taken in order, so it pivots on every column of m.T
-    as a single target's elimination would, with the same row
-    operations; at that point the rows from rank(m) down are zero on
-    m.T, and a target is solvable exactly when its column is zero on
-    them too.  Later pivots sit in those rows and are all zero on a
-    solvable target's column, so clearing above them leaves it as it
-    was: each coefficient vector is the one a lone target would get.
+    Its RREF is P @ [m.T | targets.T] for some invertible P, and since
+    RREF is unique, P @ m.T is the RREF of m.T whatever order the rows
+    were eliminated in: r = rank(m) pivots, all on m.T's columns, and
+    zero rows from r down.  A target t is a combination of the columns
+    of m.T exactly when P @ t is zero from row r down too.  Then its
+    first r entries are the coefficients of the pivot columns of m.T,
+    which are independent, so they are the unique solution supported
+    there: each coefficient vector is the one a lone target would get.
     """
     t = np.asarray(target, dtype=np.int64) % m.q
     stacked = t.ndim == 2

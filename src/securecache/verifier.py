@@ -48,7 +48,7 @@ from numpy.typing import NDArray
 
 from .ff_linalg import FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, row_basis, stack
 from .scheme_model import (
-    DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of, worst_case_rate
+    DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
 )
 
 
@@ -321,13 +321,22 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
     representatives add their full rank to the class, also without a
     foreign file's columns.  Each class is eliminated once per user
     and view; the representatives are reduced against those bases.
+    Every broadcast is built once, and the unit-rate precondition is
+    read off them, so schemes with more than DEMAND_CAP demands are
+    refused.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
-    if worst_case_rate(s) != 1:
+    space = s.N**s.K
+    if space > DEMAND_CAP:
+        raise ValueError(
+            f"{s.N}**{s.K} = {space} demands exceed cap {DEMAND_CAP}; "
+            "use sampled verification instead of an exhaustive sweep"
+        )
+    X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
+    if max(Xd.rows for Xd in X.values()) != s.B:
         raise ValueError("identities require unit rate")
     kernel = _RankKernel(s)
-    X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
     for d, Xd in X.items():
         if any(residual_rank(kernel.basis(u, ("without", d[u])), Xd) for u in range(1, s.K + 1)):
             return False

@@ -169,6 +169,26 @@ def test_verify_missing_file(tmp_path, capsys):
     assert "cannot load scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scheme", "{scheme}", "--report", "{out}"],
+        ["construct", "--scheme", "otp", "--N", "2", "--K", "2", "--out", "{out}"],
+        ["tradeoff", "--N", "2", "--K", "3", "--out", "{out}"],
+    ],
+    ids=["verify-report", "construct-out", "tradeoff-out"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    scheme = _construct(tmp_path, "otp", 2, 2)
+    capsys.readouterr()
+    out = tmp_path / "missing-dir" / "out.json"
+    rc = main([a.format(scheme=scheme, out=out) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: " in err
+    assert "Traceback" not in err
+
+
 def test_verify_sample_policy(tmp_path, capsys):
     path = _construct(tmp_path, "theorem2", 4, 4)
     rc = main(["verify", "--scheme", str(path), "--demands", "sample"])

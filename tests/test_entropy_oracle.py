@@ -31,7 +31,7 @@ from securecache.entropy_oracle import (
     stacked_matrix,
 )
 from securecache.ff_linalg import rank
-from securecache.scheme_model import DEMAND_CAP, DemandVector, demands_iter, memory_of, worst_case_rate
+from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, worst_case_rate
 from securecache.verifier import check_lemma1_lemma2, check_lemma3_lemma4
 
 
@@ -255,6 +255,21 @@ def test_lemma3_lemma4_on_unit_rate_schemes():
 def test_lemma3_lemma4_requires_unit_rate():
     with pytest.raises(ValueError, match="unit rate"):
         check_lemma3_lemma4(build_theorem1(3))
+
+
+def test_lemma3_lemma4_builds_each_delivery_matrix_once(monkeypatch):
+    calls = []
+    build = LinearScheme.delivery_matrix
+
+    def counted(self, d):
+        calls.append(d.entries)
+        return build(self, d)
+
+    monkeypatch.setattr(LinearScheme, "delivery_matrix", counted)
+    for N, K in ((2, 3), (3, 3)):
+        calls.clear()
+        assert check_lemma3_lemma4(build_theorem2(N, K), samples=2)
+        assert len(calls) == N**K and len(set(calls)) == N**K
 
 
 def test_lemma3_lemma4_refuses_negative_samples():

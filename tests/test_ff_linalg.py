@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from sympy import GF, isprime
 from sympy.polys.matrices import DomainMatrix
 
+from securecache import ff_linalg
 from securecache.constructions import build_theorem1
 from securecache.ff_linalg import (
     FieldMatrix,
-    _eliminate,
+    _eliminate_columns,
+    _eliminate_rows,
     PrimeField,
     in_rowspace,
     is_prime,
@@ -251,12 +253,12 @@ def test_row_basis_and_residual_rank_validate():
 
 
 def _in_rowspace_one_target(m, target):
-    """Reference: in_rowspace as one elimination of [m.T | target] per target."""
+    """Reference: in_rowspace as one column-ordered elimination of [m.T | target] per target."""
     t = np.asarray(target, dtype=np.int64) % m.q
     if m.rows == 0:
         return np.zeros(0, dtype=np.int64) if not t.any() else None
     aug = np.hstack([m.data.T, t[:, None]])
-    work, pivots = _eliminate(aug, m.q, reduced=True)
+    work, pivots = _eliminate_columns(aug, m.q, reduced=True)
     if m.rows in pivots:
         return None
     coeff = np.zeros(m.rows, dtype=np.int64)
@@ -300,6 +302,76 @@ def test_in_rowspace_stack_matches_one_target_at_a_time(q, rows, cols, kinds, da
             assert np.array_equal(coeff, want) and np.array_equal(alone, want)
             assert np.array_equal((coeff @ m.data) % q, np.array(target) % q)
             assert not grows
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(q, matrix): dense, sparse 0/1-heavy or low-rank, on both sides of the size limits.
+
+    The large prime gets at most 8 columns, the most the int64 column
+    path is exact for.
+    """
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 1000000007]))
+    rows = draw(st.integers(0, 20))
+    cols = draw(st.integers(1, 8 if q > 11 else 30))
+    kind = draw(st.sampled_from(["dense", "sparse", "low_rank"]))
+    dense = st.integers(0, q - 1)
+    entries = st.sampled_from([0, 0, 0, 1, q - 1]) if kind == "sparse" else dense
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    if kind == "low_rank":
+        base = draw(st.lists(row, min_size=0, max_size=3))
+        weights = draw(st.lists(st.lists(dense, min_size=len(base), max_size=len(base)), min_size=rows, max_size=rows))
+        m = [[sum(w * b[c] for w, b in zip(ws, base)) % q for c in range(cols)] for ws in weights]
+    else:
+        m = draw(st.lists(row, min_size=rows, max_size=rows))
+    return q, np.array(m, dtype=np.int64).reshape(rows, cols)
+
+
+def _sympy_rref(q, m):
+    """RREF and pivots over GF(q) by sympy, entries as residues in [0, q)."""
+    rows, cols = m.shape
+    if rows == 0:
+        return m.copy(), []
+    gf = GF(q)
+    ref, pivots = DomainMatrix([[gf(int(x)) for x in row] for row in m.tolist()], (rows, cols), gf).rref()
+    return np.array([[int(x) % q for x in row] for row in ref.to_list()], dtype=np.int64), list(pivots)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=elimination_inputs(), reduced=st.booleans())
+@example(case=(3, np.array([[1, 2, 0], [2, 1, 1], [0, 0, 2], [1, 2, 1]])), reduced=True)
+@example(case=(5, np.array([[0, 0, 1], [0, 2, 4], [3, 1, 0]])), reduced=True)
+@example(case=(7, np.zeros((13, 2), dtype=np.int64)), reduced=False)
+@example(case=(1000000007, np.array([[1000000006, 2], [1, 1000000005], [3, 4]])), reduced=True)
+def test_elimination_paths_agree_with_each_other_and_sympy(case, reduced):
+    q, m = case
+    before = m.copy()
+    by_rows, piv_rows = _eliminate_rows(m, q, reduced)
+    by_cols, piv_cols = _eliminate_columns(m, q, reduced)
+    assert np.array_equal(m, before)
+    want, want_piv = _sympy_rref(q, m)
+    assert piv_rows == piv_cols == want_piv
+    for work in (by_rows, by_cols):
+        assert work.dtype == np.int64 and work.shape == m.shape
+        # Echelon form either way: pivot rows are 1 at their pivot, zero
+        # before it, and the remaining rows are zero.
+        for i, c in enumerate(want_piv):
+            assert work[i, c] == 1 and not work[i, :c].any()
+        assert not work[len(want_piv):].any()
+    if reduced:
+        assert np.array_equal(by_rows, by_cols)
+        assert np.array_equal(by_rows, want)
+
+
+def test_eliminate_picks_the_row_path_within_the_size_limits(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ff_linalg, "_eliminate_rows", lambda a, q, r: calls.append(("rows", a.shape)))
+    monkeypatch.setattr(ff_linalg, "_eliminate_columns", lambda a, q, r: calls.append(("columns", a.shape)))
+    shapes = [(0, 3), (12, 21), (1, 256), (13, 2), (12, 22), (1, 257)]
+    for shape in shapes:
+        ff_linalg._eliminate(np.zeros(shape, dtype=np.int64), 3, False)
+    assert ff_linalg.SMALL_ROWS == 12 and ff_linalg.SMALL_ENTRIES == 256
+    assert [path for path, _ in calls] == ["rows"] * 3 + ["columns"] * 3
 
 
 def test_in_rowspace_validates_target_shape():
