@@ -17,8 +17,6 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .constructions import FAMILIES, build_scheme
 from .entropy_oracle import check_rank_agreement, check_secret_sharing
 from .ff_linalg import FieldMatrix
@@ -54,8 +52,18 @@ def scheme_rate(s: LinearScheme) -> Fraction:
 
 
 def scheme_to_document(s: LinearScheme) -> dict:
-    """JSON-ready document for a scheme, explicit broadcasts when small."""
-    doc = {
+    """JSON-ready document for a scheme, explicit broadcasts when small.
+
+    Each broadcast is built once: an explicit table is built first and
+    the worst-case rate is read off it.
+    """
+    entries = None
+    if s.N**s.K <= EXPLICIT_DELIVERY_LIMIT:
+        entries = [
+            {"demand": list(d.entries), "rows": s.delivery_matrix(d).row_lists()}
+            for d in demands_iter(s.N, s.K)
+        ]
+    return {
         "format_version": FORMAT_VERSION,
         "label": s.label,
         "params": dict(s.params),
@@ -67,21 +75,11 @@ def scheme_to_document(s: LinearScheme) -> dict:
         "cache": [m.row_lists() for m in s.cache],
         "metadata": {
             "M": _frac(memory_of(s)),
-            "R": _frac(scheme_rate(s)),
+            "R": _frac(max(Fraction(len(e["rows"]), s.B) for e in entries) if entries else scheme_rate(s)),
             "L": _frac(randomness_of(s)),
         },
+        "delivery": {"mode": "explicit", "entries": entries} if entries else {"mode": "generated"},
     }
-    if s.N**s.K <= EXPLICIT_DELIVERY_LIMIT:
-        doc["delivery"] = {
-            "mode": "explicit",
-            "entries": [
-                {"demand": list(d.entries), "rows": s.delivery_matrix(d).row_lists()}
-                for d in demands_iter(s.N, s.K)
-            ],
-        }
-    else:
-        doc["delivery"] = {"mode": "generated"}
-    return doc
 
 
 def _document_matrix(q: int, rows: object) -> FieldMatrix:
@@ -138,8 +136,9 @@ def document_to_scheme(doc: dict) -> LinearScheme:
     if mode == "explicit":
         entries = doc["delivery"]["entries"]
         demands = [tuple(e["demand"]) for e in entries]
+        # A JSON true would hash equal to 1, so entries must be ints, not bools.
         if (
-            np.array(demands).dtype.kind != "i"
+            any(type(n) is not int for demand in demands for n in demand)
             or len(demands) != N**K
             or set(demands) != set(itertools.product(range(1, N + 1), repeat=K))
         ):
@@ -158,8 +157,11 @@ def document_to_scheme(doc: dict) -> LinearScheme:
     return replace(member, cache=cache, delivery=delivery)
 
 
-def write_scheme(s: LinearScheme, path: Path) -> None:
-    path.write_text(json.dumps(scheme_to_document(s), indent=2, sort_keys=True) + "\n")
+def write_scheme(s: LinearScheme, path: Path) -> dict:
+    """Write the scheme's document to path and return it."""
+    doc = scheme_to_document(s)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc
 
 
 def load_scheme(path: Path) -> LinearScheme:
@@ -195,14 +197,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return 2
     out = Path(args.out)
     try:
-        write_scheme(s, out)
+        doc = write_scheme(s, out)
     except OSError as e:
         return _cannot_write(out, e)
     t_part = f" t={s.params['t']}" if "t" in s.params else ""
-    print(
-        f"{s.label} N={s.N} K={s.K}{t_part}: q={s.field.q} B={s.B} "
-        f"M={memory_of(s)} R={scheme_rate(s)} L={randomness_of(s)} -> {out}"
-    )
+    M, R, L = (Fraction(*doc["metadata"][k]) for k in "MRL")
+    print(f"{s.label} N={s.N} K={s.K}{t_part}: q={s.field.q} B={s.B} M={M} R={R} L={L} -> {out}")
     return 0
 
 

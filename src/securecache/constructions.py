@@ -326,11 +326,9 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     layout = VariableLayout(N, B, names)
     total = layout.total
 
-    share_cache = {
-        (n, L): row
-        for n in range(1, N + 1)
-        for L, row in zip(shares.labels, _share_rows(shares, layout, n, shares.labels))
-    }
+    # share_rows[n - 1, i]: file n's share with label shares.labels[i].
+    share_rows = np.stack([_share_rows(shares, layout, n, shares.labels) for n in range(1, N + 1)])
+    label_index = {L: i for i, L in enumerate(shares.labels)}
 
     head = tuple(range(1, t + 2))
     cache_list = []
@@ -340,7 +338,7 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
             for n in range(1, N + 1):
                 for L in shares.labels:
                     if k in L:
-                        rows.append(share_cache[(n, L)])
+                        rows.append(share_rows[n - 1, label_index[L]])
             for V in cross:
                 if k in V and V != head:
                     rows.append(_unit_row(total, layout.key_column(cross_name[V])))
@@ -350,7 +348,7 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
             for n in range(1, N + 1):
                 for L in shares.labels:
                     if k in L:
-                        row = share_cache[(n, L)].copy()
+                        row = share_rows[n - 1, label_index[L]].copy()
                         row[own_col] += 1
                         rows.append(row)
             for V in cross:
@@ -361,24 +359,19 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
         cache_list.append(_matrix(q, rows, total))
     cache = tuple(cache_list)
 
+    # Row v of a non-uniform broadcast serves the subset V = cross[v]: it
+    # sends t + 1 times V's cross key (none for the head, cross[0]) plus,
+    # for each member V[j], the share of its file labelled V without V[j].
+    members = np.array(cross) - 1
+    labels = np.array([[label_index[V[:j] + V[j + 1:]] for j in range(t + 1)] for V in cross])
+    keys = np.zeros((len(cross), total), dtype=np.int64)
+    keys[np.arange(1, len(cross)), [layout.key_column(cross_name[V]) for V in cross[1:]]] = t + 1
+
     def delivery(d: DemandVector) -> FieldMatrix:
         if d.uniform:
             return layout.file_selector(q, d[1])
-        rows = []
-        row = np.zeros(total, dtype=np.int64)
-        for i in head:
-            rest = tuple(u for u in head if u != i)
-            row = row + share_cache[(d[i], rest)]
-        rows.append(row)
-        for V in cross:
-            if V == head:
-                continue
-            row = _unit_row(total, layout.key_column(cross_name[V]), t + 1)
-            for i in V:
-                rest = tuple(u for u in V if u != i)
-                row = row + share_cache[(d[i], rest)]
-            rows.append(row)
-        return _matrix(q, rows, total)
+        files = np.array(d.entries)[members] - 1
+        return FieldMatrix(q, keys + share_rows[files, labels].sum(axis=1))
 
     return LinearScheme(
         field=PrimeField(q),

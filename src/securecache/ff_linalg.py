@@ -10,7 +10,7 @@ entries) run row by row on Python integers, which cannot overflow;
 everything else runs in numpy int64.  A row of products of residues sums
 at most cols terms below q**2, so matrices are refused unless
 q**2 * cols < 2**63, which keeps the int64 paths and the residual
-products of residual_rank exact.
+operator products of residual_rank exact.
 """
 
 from __future__ import annotations
@@ -104,6 +104,20 @@ class FieldMatrix:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _trusted(cls, q: int, data: NDArray) -> "FieldMatrix":
+        """Wrap data as a FieldMatrix without checking or copying it; it becomes read-only.
+
+        For results computed here from validated matrices only: the caller
+        guarantees a prime q and a fresh 2-D int64 array data with entries
+        in [0, q) and cols >= 1 columns, where q**2 * cols < 2**63.
+        """
+        m = object.__new__(cls)
+        data.flags.writeable = False
+        object.__setattr__(m, "q", q)
+        object.__setattr__(m, "data", data)
+        return m
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldMatrix is immutable")
 
@@ -157,7 +171,7 @@ def stack(matrices: Iterable[FieldMatrix]) -> FieldMatrix:
             raise ValueError(f"mixed moduli {q} and {m.q}")
         if m.cols != cols:
             raise ValueError(f"mixed widths {cols} and {m.cols}")
-    return FieldMatrix(q, np.vstack([m.data for m in mats]))
+    return FieldMatrix._trusted(q, np.vstack([m.data for m in mats]))
 
 
 def zero_columns(m: FieldMatrix, cols: Iterable[int]) -> FieldMatrix:
@@ -182,12 +196,16 @@ SMALL_ROWS = 12
 SMALL_ENTRIES = 256
 
 
-def _eliminate(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
+def _eliminate(
+    arr: NDArray, q: int, reduced: bool, build: bool = True
+) -> tuple[NDArray | None, list[int]]:
     """Gaussian elimination mod q on a copy of arr.
 
     Returns an echelon form of arr with pivot rows normalized to 1 and
     zero rows last, and its pivot column list.  With reduced=True the
-    entries above pivots are cleared as well, giving the RREF.  The
+    entries above pivots are cleared as well, giving the RREF.  With
+    build=False a caller that needs only the pivots may get None in
+    place of the echelon form.  The
     pivot columns of any echelon form of arr are the columns of arr
     outside the span of the columns before them, and the RREF of a
     matrix is unique; so both depend on arr alone, not on the order in
@@ -197,11 +215,13 @@ def _eliminate(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]
     """
     rows, cols = arr.shape
     if rows <= SMALL_ROWS and rows * cols <= SMALL_ENTRIES:
-        return _eliminate_rows(arr, q, reduced)
+        return _eliminate_rows(arr, q, reduced, build)
     return _eliminate_columns(arr, q, reduced)
 
 
-def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
+def _eliminate_rows(
+    arr: NDArray, q: int, reduced: bool, build: bool = True
+) -> tuple[NDArray | None, list[int]]:
     """_eliminate in Python integers, one input row at a time.
 
     Each row is reduced by the pivot rows found so far, in the order
@@ -209,7 +229,8 @@ def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[
     the earlier ones, so the remainder ends zero at every pivot column.
     A nonzero remainder is scaled to 1 at its first nonzero column and
     becomes a pivot row; with reduced=True that column is also cleared
-    from the earlier pivot rows.
+    from the earlier pivot rows.  With build=False the pivot rows are
+    not copied into an array, and None is returned in its place.
     """
     rows, cols = arr.shape
     found: list[tuple[int, list[int]]] = []
@@ -232,6 +253,8 @@ def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[
                     found[i] = (c, [(x - f * y) % q for x, y in zip(prow, row)])
         found.append((lead, row))
     found.sort()
+    if not build:
+        return None, [c for c, _ in found]
     work = np.zeros((rows, cols), dtype=np.int64)
     if found:
         work[: len(found)] = np.array([prow for _, prow in found], dtype=np.int64)
@@ -279,7 +302,7 @@ def rank(m: FieldMatrix) -> int:
     """Rank of m over its prime field."""
     if m.rows == 0:
         return 0
-    _, pivots = _eliminate(m.data, m.q, reduced=False)
+    _, pivots = _eliminate(m.data, m.q, reduced=False, build=False)
     return len(pivots)
 
 
@@ -345,44 +368,43 @@ def ranks(q: int, stacks: NDArray) -> NDArray:
 
 
 class RowBasis(NamedTuple):
-    """Reduced row echelon basis of a row space, kept for reducing rows.
+    """Reduced row echelon basis of a row space, kept as a residual operator.
 
-    The basis rows are the identity on the pivot columns, so only their
-    entries on the free columns are stored.  Columns in neither list
-    were masked out when the basis was built and are ignored.
+    op has one row per column of the matrix the basis was built from
+    and one column per free column, a kept column that is not a pivot.
+    Row c of op is the unit vector of c's place among the free columns
+    when c is free, minus the entries on the free columns of the basis
+    row with pivot c when c is a pivot, and zero when c was masked out.
+    So x @ op is each row of x minus its pivot entries times the basis
+    rows, read on the free columns.
     """
 
     q: int
-    cols: int
-    pivots: NDArray
-    free: NDArray
-    free_part: NDArray
+    dim: int
+    op: NDArray
 
     @property
-    def dim(self) -> int:
-        return len(self.pivots)
+    def cols(self) -> int:
+        return self.op.shape[0]
 
 
 def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
     """RREF basis of the row space of m restricted to the columns keep.
 
     Restricting to keep has the same ranks as zeroing every other column
-    with zero_columns; keep=None keeps all columns.
+    with zero_columns; keep=None keeps all columns, and a column may be
+    kept once only.
     """
     keep_idx = np.arange(m.cols) if keep is None else np.asarray(keep, dtype=np.intp)
-    if ((keep_idx < 0) | (keep_idx >= m.cols)).any():
-        raise IndexError(f"columns {keep_idx.tolist()} out of range for {m.cols} columns")
+    if ((keep_idx < 0) | (keep_idx >= m.cols)).any() or len(set(keep_idx.tolist())) != keep_idx.size:
+        raise IndexError(f"columns {keep_idx.tolist()} out of range or repeated for {m.cols} columns")
     work, piv = _eliminate(m.data[:, keep_idx], m.q, reduced=True)
-    is_free = np.ones(keep_idx.size, dtype=bool)
-    is_free[piv] = False
-    free_local = np.flatnonzero(is_free)
-    return RowBasis(
-        q=m.q,
-        cols=m.cols,
-        pivots=keep_idx[piv],
-        free=keep_idx[free_local],
-        free_part=work[: len(piv)][:, free_local],
-    )
+    free = np.ones(keep_idx.size, dtype=bool)
+    free[piv] = False
+    op = np.zeros((m.cols, keep_idx.size - len(piv)), dtype=np.int64)
+    op[keep_idx[free], np.arange(op.shape[1])] = 1
+    op[keep_idx[piv]] = -work[: len(piv)][:, free] % m.q
+    return RowBasis(m.q, len(piv), op)
 
 
 def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
@@ -393,16 +415,18 @@ def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
     each row of x its pivot entries times the basis rows leaves a
     residual that is zero on the pivot columns and spans, together with
     the basis, the same space as before; since the basis is the
-    identity on the pivots, the residual's rank is the increment.
+    identity on the pivots, the residual's rank is the increment.  The
+    residual on the free columns is x @ op, one int64 product: each
+    entry sums x.cols products of residues, each below q**2, and x
+    passed FieldMatrix's guard q**2 * x.cols < 2**63, so it is exact.
     """
     if x.q != basis.q or x.cols != basis.cols:
         raise ValueError(
             f"{x!r} does not match a basis over GF({basis.q}) with {basis.cols} columns"
         )
-    if basis.free.size == 0:
+    if basis.op.shape[1] == 0:
         return 0
-    res = (x.data[:, basis.free] - x.data[:, basis.pivots] @ basis.free_part) % basis.q
-    return rank(FieldMatrix(basis.q, res))
+    return rank(FieldMatrix._trusted(basis.q, x.data @ basis.op % basis.q))
 
 
 def in_rowspace(

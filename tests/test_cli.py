@@ -10,7 +10,7 @@ import pytest
 
 from securecache.cli import load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import build_otp, build_scheme, build_theorem2
-from securecache.scheme_model import DemandVector, memory_of, randomness_of
+from securecache.scheme_model import DemandVector, LinearScheme, memory_of, randomness_of
 
 
 def _construct(tmp_path, label, N, K, t=None, name="scheme.json"):
@@ -69,6 +69,23 @@ def test_document_round_trip_generated(tmp_path):
     assert memory_of(back) == 1
 
 
+@pytest.mark.parametrize(
+    ("label", "N", "K", "t", "mode", "line"),
+    [
+        ("theorem3", 3, 3, 1, "explicit", "q=3 B=2 M=2 R=3/2 L=2"),
+        ("otp", 2, 9, None, "generated", "q=2 B=1 M=1 R=9 L=9"),
+    ],
+)
+def test_construct_builds_each_delivery_matrix_once(tmp_path, capsys, monkeypatch, label, N, K, t, mode, line):
+    calls = []
+    built = LinearScheme.delivery_matrix
+    monkeypatch.setattr(LinearScheme, "delivery_matrix", lambda s, d: calls.append(d) or built(s, d))
+    out = _construct(tmp_path, label, N, K, t)
+    assert json.loads(out.read_text())["delivery"]["mode"] == mode
+    assert len(calls) == N**K
+    assert f": {line} -> " in capsys.readouterr().out
+
+
 def test_document_rejects_unknown_version(tmp_path, capsys):
     path = _construct(tmp_path, "otp", 2, 2)
     doc = json.loads(path.read_text())
@@ -103,6 +120,8 @@ MALFORMED = {
     "t is true": lambda doc: doc["params"].update(t=True),
     "cache entry 1 as true": lambda doc: _as_bool(doc["cache"][0][0], 1),
     "broadcast entry 0 as false": lambda doc: _as_bool(doc["delivery"]["entries"][0]["rows"][0], 0),
+    # [true, 1, 1] would hash equal to the demand (1, 1, 1) it replaces.
+    "demand entry 1 as true": lambda doc: _as_bool(doc["delivery"]["entries"][0]["demand"], 1),
     "unknown label": lambda doc: doc.update(label="nope"),
     "q disagrees with the member": lambda doc: doc.update(q=5),
     "N disagrees with the member": lambda doc: doc.update(N=4),
@@ -326,6 +345,16 @@ def test_scheme_document_metadata():
     assert doc["metadata"]["M"] == [8, 3]
     assert doc["metadata"]["R"] == [4, 3]
     assert Fraction(*doc["metadata"]["L"]) == Fraction(7, 3)
+
+
+def test_cli_import_loads_no_test_or_solver_module():
+    # Importing these would cost every command's start-up time.
+    code = "import json, sys, securecache.cli; print(json.dumps([m.split('.')[0] for m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "securecache" in loaded
+    assert not loaded & {"scipy", "sympy", "hypothesis"}
 
 
 def test_help_runs_as_module():

@@ -9,6 +9,8 @@ import pytest
 
 from securecache.constructions import (
     FAMILIES,
+    _matrix,
+    _unit_row,
     assign_coefficients,
     build_otp,
     build_scheme,
@@ -294,6 +296,62 @@ def test_tradeoff_family_corner_values():
     assert (memory_of(s), worst_case_rate(s)) == (Fraction(8, 3), Fraction(4, 3))
     s = build_theorem3(4, 3, 1)
     assert (memory_of(s), worst_case_rate(s)) == (Fraction(5, 2), Fraction(3, 2))
+
+
+def _loop_theorem3_delivery(s):
+    """theorem3's broadcast rule as a Python loop of row additions, the reference.
+
+    The body of delivery is kept verbatim from the loop the builder ran
+    before broadcasts came from one gather; the setup rebuilds the
+    names it closed over.
+    """
+    N, K, t = s.params["N"], s.params["K"], s.params["t"]
+    q, layout, total = s.field.q, s.layout, s.layout.total
+    cross = tuple(itertools.combinations(range(1, K + 1), t + 1))
+    cross_name = {V: "S_{" + ",".join(str(u) for u in V) + "}" for V in cross}
+    labels = s.shares.labels
+    share_cache = {
+        (n, L): row for n in range(1, N + 1) for L, row in zip(labels, share_rows_global(s, n, labels).data)
+    }
+    head = tuple(range(1, t + 2))
+
+    def delivery(d: DemandVector) -> FieldMatrix:
+        if d.uniform:
+            return layout.file_selector(q, d[1])
+        rows = []
+        row = np.zeros(total, dtype=np.int64)
+        for i in head:
+            rest = tuple(u for u in head if u != i)
+            row = row + share_cache[(d[i], rest)]
+        rows.append(row)
+        for V in cross:
+            if V == head:
+                continue
+            row = _unit_row(total, layout.key_column(cross_name[V]), t + 1)
+            for i in V:
+                rest = tuple(u for u in V if u != i)
+                row = row + share_cache[(d[i], rest)]
+            rows.append(row)
+        return _matrix(q, rows, total)
+
+    return delivery
+
+
+def test_theorem3_broadcasts_match_the_loop_reference():
+    members = [
+        (N, K, t)
+        for K in range(3, 7)
+        for N in range(2, 12)
+        if N**K * K <= 4096
+        for t in range(1, K - 1)
+    ]
+    assert len(members) == 28
+    for N, K, t in members:
+        s = build_theorem3(N, K, t)
+        reference = _loop_theorem3_delivery(s)
+        for d in demands_iter(N, K):
+            got, want = s.delivery_matrix(d), reference(d)
+            assert got == want and got.data.dtype == want.data.dtype, (N, K, t, d.entries)
 
 
 def test_share_rows_global_match_generator():

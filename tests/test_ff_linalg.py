@@ -1,10 +1,12 @@
 """Exact prime-field linear algebra tests."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import GF, isprime
+from sympy import GF, isprime, prevprime
 from sympy.polys.matrices import DomainMatrix
 
 from securecache import ff_linalg
@@ -213,23 +215,47 @@ def _sympy_rank(q, rows, cols):
     return DomainMatrix([[gf(int(x)) for x in row] for row in rows], (len(rows), cols), gf).rank()
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    q=st.sampled_from([3, 5, 7]),
-    z_rows=st.integers(0, 5),
-    x_rows=st.integers(0, 5),
-    cols=st.integers(1, 7),
-    data=st.data(),
-)
-def test_residual_rank_against_sympy(q, z_rows, x_rows, cols, data):
+def _edge_prime(cols):
+    """The largest prime q with q**2 * cols < 2**63, the most FieldMatrix admits."""
+    return prevprime(isqrt((2**63 - 1) // cols) + 1)
+
+
+EDGE_7 = _edge_prime(7)
+
+
+@st.composite
+def residual_cases(draw):
+    """(q, cols, z, x, keep): a basis matrix, rows to reduce against it, kept columns.
+
+    Besides small primes, q may be 1000000007 or the largest prime the
+    overflow guard admits for the drawn cols, where the residual
+    operator's products come closest to 2**63.
+    """
+    cols = draw(st.integers(1, 7))
+    q = draw(st.sampled_from([3, 5, 7, 1000000007, _edge_prime(cols)]))
     entries = st.integers(0, q - 1)
-    z = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=z_rows, max_size=z_rows))
-    x = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=x_rows, max_size=x_rows))
-    keep = data.draw(st.none() | st.lists(st.integers(0, cols - 1), unique=True))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    z = draw(st.lists(row, min_size=0, max_size=5))
+    x = draw(st.lists(row, min_size=0, max_size=5))
+    keep = draw(st.none() | st.lists(st.integers(0, cols - 1), unique=True))
+    return q, cols, z, x, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=residual_cases())
+@example(case=(EDGE_7, 7, [[EDGE_7 - 1] * 7] * 5, [[EDGE_7 - 1] * 7] * 5, None))
+# Basis rows e_i + e_6: the operator's only column is 1 on column 6 and
+# q - 1 on columns 0..5, so x @ op sums six products (q - 1)**2 and
+# q - 1, about 6/7 of 2**63.
+@example(
+    case=(EDGE_7, 7, [[int(c in (i, 6)) for c in range(7)] for i in range(6)], [[EDGE_7 - 1] * 7] * 5, None)
+)
+def test_residual_rank_against_sympy(case):
+    q, cols, z, x, keep = case
     kept = list(range(cols)) if keep is None else sorted(keep)
     sub = lambda rows: [[row[c] for c in kept] for row in rows]
-    Z = FieldMatrix(q, np.array(z, dtype=np.int64).reshape(z_rows, cols))
-    X = FieldMatrix(q, np.array(x, dtype=np.int64).reshape(x_rows, cols))
+    Z = FieldMatrix(q, np.array(z, dtype=np.int64).reshape(len(z), cols))
+    X = FieldMatrix(q, np.array(x, dtype=np.int64).reshape(len(x), cols))
     basis = row_basis(Z, keep)
     want_z = _sympy_rank(q, sub(z), len(kept))
     want_both = _sympy_rank(q, sub(z + x), len(kept))
@@ -243,6 +269,8 @@ def test_row_basis_and_residual_rank_validate():
         row_basis(m, [0, 3])
     with pytest.raises(IndexError):
         row_basis(m, [-1])
+    with pytest.raises(IndexError, match="repeated"):
+        row_basis(m, [1, 1])
     basis = row_basis(m, [0, 1])
     with pytest.raises(ValueError):
         residual_rank(basis, FieldMatrix.identity(5, 3))
@@ -348,6 +376,8 @@ def test_elimination_paths_agree_with_each_other_and_sympy(case, reduced):
     before = m.copy()
     by_rows, piv_rows = _eliminate_rows(m, q, reduced)
     by_cols, piv_cols = _eliminate_columns(m, q, reduced)
+    # rank asks for the pivots only; they are the same without the array.
+    assert _eliminate_rows(m, q, reduced, build=False) == (None, piv_rows)
     assert np.array_equal(m, before)
     want, want_piv = _sympy_rref(q, m)
     assert piv_rows == piv_cols == want_piv
@@ -365,7 +395,7 @@ def test_elimination_paths_agree_with_each_other_and_sympy(case, reduced):
 
 def test_eliminate_picks_the_row_path_within_the_size_limits(monkeypatch):
     calls = []
-    monkeypatch.setattr(ff_linalg, "_eliminate_rows", lambda a, q, r: calls.append(("rows", a.shape)))
+    monkeypatch.setattr(ff_linalg, "_eliminate_rows", lambda a, q, r, b: calls.append(("rows", a.shape)))
     monkeypatch.setattr(ff_linalg, "_eliminate_columns", lambda a, q, r: calls.append(("columns", a.shape)))
     shapes = [(0, 3), (12, 21), (1, 256), (13, 2), (12, 22), (1, 257)]
     for shape in shapes:
