@@ -1,11 +1,13 @@
 """Brute-force entropy oracle, independent of the rank machinery.
 
 Entropies of collections of scheme variables are measured by literally
-enumerating every assignment of the global input vector, pushing each
-through the variables' matrices, and tallying the image.  The walk goes
-block by block: the inputs that share their leading digits form a block,
-and by linearity its images are one table, the images of all trailing
-digit patterns, plus the block's shift, the image of the leading digits,
+enumerating every assignment of the input vector, pushing each through
+the variables' matrices, and tallying the image.  Only the essential
+columns are walked: dropping zero and repeated columns scales every
+tally by one power of q (see _essential_columns).  The walk goes block
+by block: the inputs that share their leading digits form a block, and
+by linearity its images are one table, the images of all trailing digit
+patterns, plus the block's shift, the image of the leading digits,
 reduced mod q.  Each image is coded as a base-q integer and the codes
 are counted exactly.  For linear maps of uniform inputs the image must
 be uniform and its size a power of q, so every entropy is an exact
@@ -121,6 +123,30 @@ def stacked_matrix(
     return stack(mats)
 
 
+def _essential_columns(stacks: NDArray) -> tuple[NDArray, NDArray]:
+    """Each matrix's essential columns moved first, and how many there are.
+
+    stacks is a zero-padded (C, R, n) block.  In each matrix a column is
+    essential unless it is all zero or equal, entry by entry, to an
+    earlier one; the essential columns keep their order.  Returns the
+    permuted block and the C kept widths n'; columns are compared entry
+    by entry, so nothing can overflow and no field inverse is needed.
+
+    Exact: let G' be G's first n' columns after the move.  For x uniform
+    on GF(q)**n, summing each class of equal columns' x_j into one y_i
+    is a surjective linear map onto GF(q)**n' whose fibres all hold
+    q**(n - n') inputs, with G x = G' y; a zero column's x_j changes no
+    image.  So each image tally of G is q**(n - n') times the matching
+    tally of G': entropy, uniformity and power-of-q size carry over.
+    """
+    n = stacks.shape[2]
+    equal = (stacks[:, :, :, None] == stacks[:, :, None, :]).all(axis=1)
+    repeat = (equal & np.triu(np.ones((n, n), dtype=bool), 1)).any(axis=1)
+    keep = stacks.any(axis=1) & ~repeat
+    order = np.argsort(~keep, axis=1, kind="stable")
+    return np.take_along_axis(stacks, order[:, None, :], axis=2), keep.sum(axis=1)
+
+
 def _digit_rows(q: int, k: int) -> NDArray:
     """All q**k vectors of k base-q digits, most significant first, in counting order."""
     powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -139,7 +165,8 @@ class _Enumerator:
     exactly: into one counter per possible code when there are at most
     as many of those as inputs, by sorting all codes otherwise.  Where
     q**rows would reach 2**62, the rows are coded in groups and the
-    group codes compared as raw bytes.
+    group codes compared as raw bytes.  The oracle builds one per
+    essential width n (see _essential_columns), not per layout width.
     """
 
     BLOCK = 1 << 12
@@ -222,10 +249,11 @@ def brute_entropy(
 ) -> EntropyResult:
     """Entropy of a variable collection, in units, by full enumeration.
 
-    Enumerates all q**total inputs (refusing politely past max_enum),
-    maps them through the stacked variable matrices, and checks that
-    the image is uniform with size an exact power of q.  The value is
-    that exact logarithm; rank is never consulted.
+    Refuses politely when q**total exceeds max_enum.  Otherwise walks
+    the q**n' inputs of the stacked matrices' n' essential columns (see
+    _essential_columns) and checks that the image is uniform with size
+    an exact power of q.  The value is that exact logarithm; rank is
+    never consulted.
     """
     q = s.field.q
     n = s.layout.total
@@ -235,8 +263,8 @@ def brute_entropy(
     G = stacked_matrix(s, refs)
     if G.rows == 0:
         return EntropyResult(value=0, uniform=True, image_size=1)
-    enum = _Enumerator(q, n)
-    value = enum.entropy_units(G.data)
+    (G_kept,), (width,) = _essential_columns(G.data[None])
+    value = _Enumerator(q, width).entropy_units(G_kept[:, :width])
     return EntropyResult(value=value, uniform=True, image_size=q**value)
 
 
@@ -266,8 +294,9 @@ def check_rank_agreement(
     blocks of RANK_BLOCK: each collection's matrix is stacked once, the
     block's matrices are padded with zero rows and ranked together by
     one batched elimination, and then each collection's entropy is
-    enumerated and compared with its rank, stopping at the first
-    mismatch.  Only the comparison side ranks; the entropies are counts.
+    enumerated over its essential columns (found once per block) and
+    compared with its rank, stopping at the first mismatch.  Only the
+    comparison side ranks; the entropies are counts.
     """
     if subset_size_cap < 0:
         raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
@@ -282,7 +311,7 @@ def check_rank_agreement(
         + [VariableRef.of_delivery(d) for d in _bounded_deliveries(s, max_deliveries)]
     )
     resolved = {ref: ref.resolve(s) for ref in universe}
-    enum = _Enumerator(q, n)
+    enums: dict[int, _Enumerator] = {}
     combos = itertools.chain.from_iterable(
         itertools.combinations(universe, size) for size in range(subset_size_cap + 1)
     )
@@ -291,8 +320,10 @@ def check_rank_agreement(
         padded = np.zeros((len(mats), max(len(G) for G in mats), n), dtype=np.int64)
         for G, rows in zip(mats, padded):
             rows[: len(G)] = G
-        for G, r in zip(mats, ranks(q, padded)):
-            if enum.entropy_units(G) != r:
+        kept, widths = _essential_columns(padded)
+        for G, G_kept, width, r in zip(mats, kept, widths.tolist(), ranks(q, padded)):
+            enum = enums.get(width) or enums.setdefault(width, _Enumerator(q, width))
+            if enum.entropy_units(G_kept[: len(G), :width]) != r:
                 return False
     return True
 

@@ -82,8 +82,16 @@ def test_construct_builds_each_delivery_matrix_once(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(LinearScheme, "delivery_matrix", lambda s, d: calls.append(d) or built(s, d))
     out = _construct(tmp_path, label, N, K, t)
     assert json.loads(out.read_text())["delivery"]["mode"] == mode
-    assert len(calls) == N**K
+    # A generated document holds no broadcast, so none is built.
+    assert len(calls) == (N**K if mode == "explicit" else 0)
     assert f": {line} -> " in capsys.readouterr().out
+
+
+def test_generated_document_marks_its_rate_declared():
+    # theorem3 (2, 9, 2) declares R = 9/3; explicit documents carry no mark.
+    meta = scheme_to_document(build_scheme("theorem3", 2, 9, 2))["metadata"]
+    assert meta["R"] == [3, 1] and meta["R_source"] == "declared"
+    assert "R_source" not in scheme_to_document(build_otp(2, 3))["metadata"]
 
 
 def test_document_rejects_unknown_version(tmp_path, capsys):

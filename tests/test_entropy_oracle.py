@@ -25,6 +25,7 @@ from securecache.entropy_oracle import (
     VariableRef,
     _bounded_deliveries,
     _Enumerator,
+    _essential_columns,
     brute_entropy,
     check_rank_agreement,
     check_secret_sharing,
@@ -116,6 +117,64 @@ def test_enumerator_matches_plain_enumeration(case):
     assert enum.entropy_units(G) == value
     if G.shape[0]:
         assert sorted(enum.image_tally(G).tolist()) == sorted(images.values())
+
+
+@st.composite
+def padded_blocks(draw):
+    """(q, mats, block): up to 4 maps with zero and repeated columns injected, zero-padded into one block."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, {2: 9, 3: 9, 5: 6, 7: 5}[q]))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(0, 6))
+        G = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * n, max_size=rows * n)), dtype=np.int64)
+        G = G.reshape(rows, n)
+        for j in range(n):
+            # Each column is kept as drawn, zeroed, or a copy of an earlier one.
+            how = draw(st.sampled_from(["drawn", "zero", "repeat"]))
+            if how == "zero":
+                G[:, j] = 0
+            elif how == "repeat" and j:
+                G[:, j] = G[:, draw(st.integers(0, j - 1))]
+        mats.append(G)
+    return q, mats, _padded(mats, n, draw(st.integers(0, 2)))
+
+
+def _padded(mats, n, extra_rows=0):
+    block = np.zeros((len(mats), max(len(G) for G in mats) + extra_rows, n), dtype=np.int64)
+    for G, rows in zip(mats, block):
+        rows[: len(G)] = G
+    return block
+
+
+def _block_case(q, *mats, extra_rows=0):
+    mats = [np.array(G, dtype=np.int64) for G in mats]
+    return q, mats, _padded(mats, mats[0].shape[1], extra_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=padded_blocks())
+@example(case=_block_case(3, np.zeros((0, 4))))
+@example(case=_block_case(3, np.zeros((0, 4)), extra_rows=2))
+@example(case=_block_case(2, np.zeros((3, 5)), np.zeros((0, 5)), extra_rows=1))
+# Columns that agree on the first row only are not repeats.
+@example(case=_block_case(2, [[1, 1, 0], [0, 1, 0]], [[1, 0, 1]]))
+def test_essential_columns_scale_every_tally(case):
+    q, mats, block = case
+    kept, widths = _essential_columns(block)
+    for G, G_kept, width in zip(mats, kept, widths.tolist()):
+        n = G.shape[1]
+        # The nonzero columns, each once, in order of first appearance.
+        distinct = list(dict.fromkeys(col for col in map(tuple, G.T.tolist()) if any(col)))
+        assert width == len(distinct)
+        assert G_kept[: len(G), :width].T.tolist() == [list(col) for col in distinct]
+        assert not G_kept[len(G) :].any()
+        reduced = G_kept[: len(G), :width]
+        full_enum, enum = _Enumerator(q, n), _Enumerator(q, width)
+        assert full_enum.entropy_units(G) == enum.entropy_units(reduced)
+        if len(G):
+            full = sorted(full_enum.image_tally(G).tolist())
+            assert full == sorted(q ** (n - width) * c for c in enum.image_tally(reduced).tolist())
 
 
 def test_image_codes_stay_below_2_to_62():
