@@ -5,17 +5,31 @@ matrices, and either an explicit demand-to-broadcast table (small
 demand spaces) or a marker that the broadcast rule is re-derived from
 the scheme label and parameters.  Exit codes: 0 all checks passed,
 1 a mathematical check failed, 2 usage or input error.
+
+A document's matrices, its K caches and every explicit broadcast, are
+read in one pass: their rows are gathered into one list, converted by
+one np.array call, checked once (integer dtype, the layout's width,
+entries in [0, q)) and cut back into one FieldMatrix per matrix by row
+count.  numpy reads a JSON true or false among integers as 1 or 0, so
+the entries' types are also scanned for bools, but only when the
+decoded document text holds `true` or `false`, the only ways JSON
+writes a boolean.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
+import functools
 import itertools
 import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NoReturn
+
+import numpy as np
 
 from .constructions import FAMILIES, build_scheme
 from .entropy_oracle import check_rank_agreement, check_secret_sharing
@@ -75,19 +89,76 @@ def scheme_to_document(s: LinearScheme) -> dict:
     }
 
 
-def _document_matrix(q: int, rows: object) -> FieldMatrix:
-    """A matrix from a document, whose entries must all be JSON integers.
+def _shape_problem(m: object, total: int) -> str | None:
+    """Why m is not a non-empty list of rows of total entries, or None if it is one."""
+    if type(m) is not list:
+        return f"got {json.dumps(m)[:40]}"
+    if not m:
+        return "got no rows"
+    for i, row in enumerate(m, start=1):
+        if type(row) is not list:
+            return f"row {i} is {json.dumps(row)[:40]}, not a list"
+        if len(row) != total:
+            return f"row {i} has {len(row)} entries"
+    return None
 
-    FieldMatrix refuses any other dtype, but numpy promotes bool with int,
-    so a true or false among integers would be read as 1 or 0.
+
+def _read_matrices(
+    q: int, total: int, matrices: list, name: Callable[[int], str], scan_bools: bool
+) -> list[FieldMatrix]:
+    """Every matrix of a document, converted and checked as one array.
+
+    Each of matrices, as decoded from JSON, must be a non-empty list of
+    rows of total integers in [0, q).  The rows of all of them become one
+    int64 array, checked once and cut back into one FieldMatrix per
+    matrix.  numpy reads a true or false among integers as 1 or 0, so
+    scan_bools asks for a scan of the entries' types; without it no entry
+    may be a bool.  Anything else raises ValueError naming the first
+    matrix at fault, name(i) being the name of matrices[i].
     """
-    m = FieldMatrix(q, rows)
-    if bool in set(map(type, itertools.chain.from_iterable(rows))):
-        raise ValueError("matrix entries must be integers, got a JSON true or false")
-    return m
+    if q * q * total >= 1 << 63:
+        raise ValueError(f"modulus {q} is too large for exact int64 products over {total} columns")
+
+    def shape_error(i: int, problem: str) -> ValueError:
+        return ValueError(f"{name(i)} must be a non-empty list of rows of {total} entries each; {problem}")
+
+    rows: list = []
+    ends: list[int] = []
+    for i, m in enumerate(matrices):
+        if type(m) is not list or not m:
+            raise shape_error(i, _shape_problem(m, total))
+        rows += m
+        ends.append(len(rows))
+
+    def fail(problem: str, bad_row: Callable[[list], bool]) -> NoReturn:
+        i = next((i for i, row in enumerate(rows) if bad_row(row)), 0)
+        raise ValueError(f"{name(bisect.bisect_right(ends, i))} has {problem}")
+
+    try:
+        arr = np.array(rows)
+    except ValueError:  # rows, or entries that are lists, of uneven lengths
+        arr = None
+    # An int array of shape (rows, total) can only come from rows that are
+    # lists of total integers, so the rows' shapes are checked only when
+    # the array is not one.
+    if arr is None or arr.dtype.kind != "i" or arr.shape != (len(rows), total):
+        for i, m in enumerate(matrices):
+            problem = _shape_problem(m, total)
+            if problem:
+                raise shape_error(i, problem)
+        fail(
+            "an entry that is not an integer within int64",
+            lambda row: not all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in row),
+        )
+    if scan_bools and bool in set(map(type, itertools.chain.from_iterable(rows))):
+        fail("a JSON true or false as an entry", lambda row: bool in set(map(type, row)))
+    if arr.min() < 0 or arr.max() >= q:
+        fail(f"an entry outside [0, {q})", lambda row: not all(0 <= x < q for x in row))
+    arr = arr.astype(np.int64, copy=False)
+    return [FieldMatrix._trusted(q, arr[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def document_to_scheme(doc: dict) -> LinearScheme:
+def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
     """Rebuild a scheme from a document, checked against its family member.
 
     The label and params must name a member of constructions.FAMILIES,
@@ -95,11 +166,17 @@ def document_to_scheme(doc: dict) -> LinearScheme:
     from the member.  Cache matrices always come from the document (so
     hand edits are what gets verified), and so does the broadcast table
     in explicit mode, which must list every demand once; in generated
-    mode the member's broadcast rule is used.  Matrix entries must be
-    integers.  Anything else raises ValueError.
+    mode the member's broadcast rule is used.  Every cache and explicit
+    broadcast must be a non-empty list of rows of the layout's width,
+    with integer entries in [0, q): an out-of-range entry is refused, not
+    reduced.  All of them are read as one array (see _read_matrices).
+    load_scheme passes scan_bools=False when the document text holds
+    neither `true` nor `false`, since then no entry can be a JSON boolean
+    and the per-entry type scan is skipped.  Anything else raises
+    ValueError.
     """
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     label, params, N, K = doc["label"], doc["params"], doc["N"], doc["K"]
     family = FAMILIES.get(label) if isinstance(label, str) else None
@@ -110,6 +187,10 @@ def document_to_scheme(doc: dict) -> LinearScheme:
         and type(K) is int
         and isinstance(params, dict)
         and all(type(v) is int for v in params.values())
+        # Every member's params carry its N and K; comparing them first keeps
+        # a huge N or K from reaching members(), which lists per-K members.
+        and params.get("N") == N
+        and params.get("K") == K
         and params in family.members(N, K)
     ):
         raise ValueError(f"params {params!r} name no {label} member with N={N!r}, K={K!r}")
@@ -121,33 +202,38 @@ def document_to_scheme(doc: dict) -> LinearScheme:
     ):
         if type(doc[key]) is not type(want) or doc[key] != want:
             raise ValueError(f"{key} is {doc[key]!r}, but {label} {params} has {want!r}")
-    q, total = member.field.q, member.layout.total
-    if not isinstance(doc["cache"], list):
-        raise ValueError(f"cache must be a list of {K} matrices, got {doc['cache']!r}")
-    cache = tuple(_document_matrix(q, rows) for rows in doc["cache"])
+    # The K caches, then in explicit mode one broadcast per listed demand.
+    documented = doc["cache"]
+    if type(documented) is not list or len(documented) != K:
+        raise ValueError(f"cache must be a list of {K} matrices, one per user")
+    demands: list[tuple] = []
     mode = doc["delivery"]["mode"]
     if mode == "explicit":
         entries = doc["delivery"]["entries"]
         demands = [tuple(e["demand"]) for e in entries]
         # A JSON true would hash equal to 1, so entries must be ints, not bools.
         if (
-            any(type(n) is not int for demand in demands for n in demand)
+            not set(map(type, itertools.chain.from_iterable(demands))) <= {int}
             or len(demands) != N**K
             or set(demands) != set(itertools.product(range(1, N + 1), repeat=K))
         ):
             raise ValueError(f"explicit delivery table must list each of the {N}**{K} demands once")
-        table = {d: _document_matrix(q, e["rows"]) for d, e in zip(demands, entries)}
-        if any(m.cols != total for m in table.values()):
-            raise ValueError(f"explicit delivery table has a broadcast without {total} columns")
+        documented = documented + [e["rows"] for e in entries]
+    elif mode != "generated":
+        raise ValueError(f"unknown delivery mode {mode!r}")
+
+    def name(i: int) -> str:
+        return f"cache of user {i + 1}" if i < K else f"broadcast for demand {list(demands[i - K])}"
+
+    matrices = _read_matrices(member.field.q, member.layout.total, documented, name, scan_bools)
+    delivery = member.delivery
+    if mode == "explicit":
+        table = dict(zip(demands, matrices[K:]))
 
         def delivery(d: DemandVector) -> FieldMatrix:
             return table[d.entries]
 
-    elif mode == "generated":
-        delivery = member.delivery
-    else:
-        raise ValueError(f"unknown delivery mode {mode!r}")
-    return replace(member, cache=cache, delivery=delivery)
+    return replace(member, cache=tuple(matrices[:K]), delivery=delivery)
 
 
 def write_scheme(s: LinearScheme, path: Path) -> dict:
@@ -158,7 +244,11 @@ def write_scheme(s: LinearScheme, path: Path) -> dict:
 
 
 def load_scheme(path: Path) -> LinearScheme:
-    return document_to_scheme(json.loads(path.read_text()))
+    text = path.read_text()
+    # JSON writes a boolean only as one of these literals.  The test runs on
+    # the decoded text: json.loads also takes UTF-16 or UTF-32 bytes, where
+    # the literal is not the ASCII byte string.
+    return document_to_scheme(json.loads(text), scan_bools="true" in text or "false" in text)
 
 
 def _cannot_write(path: Path, e: OSError) -> int:
@@ -327,7 +417,9 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: main() reuses it."""
     parser = argparse.ArgumentParser(
         prog="securecache",
         description="Construct and machine-check secure coded caching schemes.",

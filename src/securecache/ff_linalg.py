@@ -108,7 +108,8 @@ class FieldMatrix:
     def _trusted(cls, q: int, data: NDArray) -> "FieldMatrix":
         """Wrap data as a FieldMatrix without checking or copying it; it becomes read-only.
 
-        For results computed here from validated matrices only: the caller
+        For data already checked, such as results computed here from
+        validated matrices or the entries of a loaded document: the caller
         guarantees a prime q and a fresh 2-D int64 array data with entries
         in [0, q) and cols >= 1 columns, where q**2 * cols < 2**63.
         """
@@ -139,7 +140,7 @@ class FieldMatrix:
 
     def row_lists(self) -> list[list[int]]:
         """Entries as plain nested lists (JSON-friendly)."""
-        return [[int(x) for x in row] for row in self.data]
+        return self.data.tolist()
 
     def apply(self, vec: NDArray) -> NDArray:
         """Matrix-vector product mod q; vec has length cols."""

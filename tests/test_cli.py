@@ -1,12 +1,18 @@
 """CLI tests, run in-process through main() except one subprocess smoke test."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from securecache.cli import load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import build_otp, build_scheme, build_theorem2
@@ -118,6 +124,18 @@ def _drop_demand(doc):
     doc["delivery"]["entries"].pop(5)
 
 
+def _widen_every_row(doc):
+    # The rows stay even, so only the width check can catch it.
+    for m in doc["cache"] + [e["rows"] for e in doc["delivery"]["entries"]]:
+        for row in m:
+            row.append(0)
+
+
+def _first_broadcast(doc):
+    # Explicit tables list demands in order, so this is demand [1, 1, 1].
+    return doc["delivery"]["entries"][0]
+
+
 # Each edit turns the explicit theorem3 (3, 3, 1) document into a malformed one.
 MALFORMED = {
     "q is a string": lambda doc: doc.update(q="3"),
@@ -134,9 +152,33 @@ MALFORMED = {
     "q disagrees with the member": lambda doc: doc.update(q=5),
     "N disagrees with the member": lambda doc: doc.update(N=4),
     "K disagrees with the member": lambda doc: doc.update(K=4),
+    # theorem3's members() lists K - 2 members, so K must not reach it.
+    "K is 2**64": lambda doc: doc.update(K=2**64),
+    "format_version is true": lambda doc: doc.update(format_version=True),
     "B disagrees with the member": lambda doc: doc.update(B=3),
     "key_names disagree with the member": lambda doc: doc["key_names"].reverse(),
     "explicit table misses a demand": _drop_demand,
+    "cache row one entry short": lambda doc: doc["cache"][0][0].pop(),
+    "every row one entry too wide": _widen_every_row,
+    "ragged broadcast row": lambda doc: _first_broadcast(doc)["rows"][0].append(0),
+    "empty broadcast": lambda doc: _first_broadcast(doc).update(rows=[]),
+    "flat cache": lambda doc: doc["cache"].__setitem__(0, doc["cache"][0][0]),
+    "cache entry equal to q": lambda doc: _set_entry(doc, doc["q"]),
+    "cache entry -1": lambda doc: _set_entry(doc, -1),
+}
+
+# What the message names for some cases; the layout of theorem3 (3, 3, 1) is 12 wide.
+MALFORMED_MESSAGES = {
+    "cache row one entry short": "cache of user 1 must be a non-empty list of rows of 12 entries each; row 1 has 11 entries",
+    "every row one entry too wide": "cache of user 1 must be a non-empty list of rows of 12 entries each; row 1 has 13 entries",
+    "ragged broadcast row": "broadcast for demand [1, 1, 1] must be a non-empty list of rows of 12 entries each; row 1 has 13 entries",
+    "empty broadcast": "broadcast for demand [1, 1, 1] must be a non-empty list of rows of 12 entries each; got no rows",
+    "flat cache": "cache of user 1 must be a non-empty list of rows of 12 entries each; row 1 is 1, not a list",
+    "cache entry equal to q": "cache of user 1 has an entry outside [0, 3)",
+    "cache entry -1": "cache of user 1 has an entry outside [0, 3)",
+    "cache entry 1.5": "cache of user 1 has an entry that is not an integer within int64",
+    "cache entry 1 as true": "cache of user 1 has a JSON true or false as an entry",
+    "broadcast entry 0 as false": "broadcast for demand [1, 1, 1] has a JSON true or false as an entry",
 }
 
 
@@ -151,7 +193,51 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, case):
     assert main(["verify", "--scheme", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot load scheme: ")
+    assert MALFORMED_MESSAGES.get(case, "") in captured.err
     assert captured.out == ""
+
+
+_DELETE = object()  # a mutation that deletes the key or list item
+_T331 = scheme_to_document(build_scheme("theorem3", 3, 3, 1))
+
+
+def _subtree_paths(node, path=()):
+    """The path of every subtree of a decoded JSON document but the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _subtree_paths(child, path + (key,))
+
+
+# Drawing the depth first keeps the many matrix entries from crowding out
+# the top-level fields.
+_T331_PATHS: dict[int, list[tuple]] = {}
+for _path in _subtree_paths(_T331):
+    _T331_PATHS.setdefault(len(_path), []).append(_path)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_verify_never_raises_on_a_mutated_document(data):
+    depth = data.draw(st.sampled_from(sorted(_T331_PATHS)), label="depth")
+    *parents, last = data.draw(st.sampled_from(_T331_PATHS[depth]), label="path")
+    value = data.draw(st.sampled_from([None, "x", 1.5, True, False, [[1]], 2**64, 0, -1, _DELETE]))
+    doc = copy.deepcopy(_T331)
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            rc = main(["verify", "--scheme", str(path)])
+    assert rc in (0, 1, 2), out.getvalue()
 
 
 def test_verify_clean_scheme(tmp_path, capsys):
