@@ -16,7 +16,6 @@ from .constructions import (
     build_theorem1,
     build_theorem2,
     build_theorem3,
-    uniform_delivery,
 )
 from .entropy_oracle import (
     EntropyResult,
@@ -63,6 +62,7 @@ from .verifier import (
     CheckRecord,
     CorrectnessCheck,
     NotDecodableError,
+    PreconditionError,
     SecurityCheck,
     SimulationResult,
     VerificationReport,

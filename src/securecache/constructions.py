@@ -51,13 +51,6 @@ def _unit_row(total: int, col: int, value: int = 1) -> NDArray:
     return row
 
 
-def uniform_delivery(s: LinearScheme, d: DemandVector) -> FieldMatrix:
-    """Direct broadcast of the commonly requested file's units."""
-    if not d.uniform:
-        raise ValueError(f"demand {d.entries} is not uniform")
-    return s.layout.file_selector(s.field.q, d[1])
-
-
 # ---------------------------------------------------------------------------
 # One-time-pad baseline
 # ---------------------------------------------------------------------------

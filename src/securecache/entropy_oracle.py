@@ -4,17 +4,21 @@ Entropies of collections of scheme variables are measured by literally
 enumerating every assignment of the input vector, pushing each through
 the variables' matrices, and tallying the image.  Only the essential
 columns are walked: dropping zero and repeated columns scales every
-tally by one power of q (see _essential_columns).  The walk goes block
-by block: the inputs that share their leading digits form a block, and
-by linearity its images are one table, the images of all trailing digit
-patterns, plus the block's shift, the image of the leading digits,
-reduced mod q.  Each image is coded as a base-q integer and the codes
-are counted exactly.  For linear maps of uniform inputs the image must
-be uniform and its size a power of q, so every entropy is an exact
-integer count of units; the oracle raises rather than round.  No oracle
-value is computed with rank or elimination: agreement of these counts
-with matrix ranks is the cross-check that keeps the rank-based verifier
-honest.
+tally by one power of q (see _essential_columns).  Each image is coded
+as a base-q integer and the codes are counted exactly.  A rank-agreement
+block's collections are grouped by essential width: where the width
+leaves at most _Enumerator.BLOCK inputs, a whole group's images are one
+batched product, and each collection's sorted codes are checked for
+uniformity by where their boundaries fall (see _sorted_units).  Wider
+collections are walked block by block: the inputs that share their
+leading digits form a block, and by linearity its images are one table,
+the images of all trailing digit patterns, plus the block's shift, the
+image of the leading digits, reduced mod q.  For linear maps of uniform
+inputs the image must be uniform and its size a power of q, so every
+entropy is an exact integer count of units; the oracle raises rather
+than round.  No oracle value is computed with rank or elimination:
+agreement of these counts with matrix ranks is the cross-check that
+keeps the rank-based verifier honest.
 """
 
 from __future__ import annotations
@@ -154,23 +158,38 @@ def _digit_rows(q: int, k: int) -> NDArray:
 
 
 class _Enumerator:
-    """Block walk over all q**n input vectors.
+    """Exact image tallies over all q**n input vectors, for a stack of maps.
 
     An input is split into its first hi digits and its last lo digits,
     lo being the most with q**lo <= BLOCK, but at least one if n > 0.
-    For a map G the low digits' images form one table and the high
-    digits' images one shift per block; by linearity the block of inputs
-    sharing their high digits maps to (table + shift) % q.  Each image
-    is then coded as a base-q Horner integer and the codes are tallied
-    exactly: into one counter per possible code when there are at most
-    as many of those as inputs, by sorting all codes otherwise.  Where
-    q**rows would reach 2**62, the rows are coded in groups and the
-    group codes compared as raw bytes.  The oracle builds one per
+    Images are coded as base-q Horner integers of their rows: a code
+    fits one int64 for up to `group` rows (q**group < 2**62), and codes
+    of that many rows are equal exactly when the images are.
+
+    Small widths, hi = 0 and at most `group` rows: low_digits holds
+    every input, so the images of a whole stack of maps are one product
+    low_digits @ G^T % q per map, coded in one more.  A zero padding row
+    adds 0 to every code and changes no tally.  The stack is coded CHUNK
+    image entries at a time, each map's codes are sorted, and
+    _sorted_units reads every map's entropy off its sorted codes.
+
+    Otherwise each map is walked block by block: for a map G the low
+    digits' images form one table and the high digits' images one shift
+    per block; by linearity the block of inputs sharing their high
+    digits maps to (table + shift) % q.  The codes are tallied exactly:
+    into one counter per possible code when there are at most as many
+    of those as inputs, by sorting all codes otherwise.  Where q**rows
+    would reach 2**62, the rows are coded in groups and the group codes
+    compared as raw bytes.  The oracle builds one enumerator per
     essential width n (see _essential_columns), not per layout width.
     """
 
     BLOCK = 1 << 12
     CODE_LIMIT = 1 << 62
+    # Image entries (maps x inputs x rows) coded per chunk of a stack,
+    # 128 KB of int64 images.  Chunks of 2**12 to 2**16 entries ran alike
+    # on the oracle-agree pass; larger ones only hold more memory.
+    CHUNK = BLOCK << 2
 
     def __init__(self, q: int, n: int) -> None:
         self.q = q
@@ -185,6 +204,25 @@ class _Enumerator:
         while q ** (self.group + 1) < self.CODE_LIMIT:
             self.group += 1
         self.powers = q ** np.arange(self.group - 1, -1, -1, dtype=np.int64)
+
+    def entropy_units(self, stacks: NDArray) -> NDArray:
+        """Exact log_q of each map's image size, with uniformity enforced.
+
+        stacks is a (C, m, n) block of C row maps, zero rows allowed;
+        returns C integers.
+        """
+        C, m = stacks.shape[:2]
+        if m == 0:
+            return np.zeros(C, dtype=np.int64)
+        if self.hi or m > self.group:
+            return np.array([_tally_units(self.q, self.image_tally(G)) for G in stacks], dtype=np.int64)
+        powers = self.powers[self.group - m :]
+        step = max(1, self.CHUNK // (self.count * m))
+        units = []
+        for a in range(0, C, step):
+            images = self.low_digits @ stacks[a : a + step].transpose(0, 2, 1) % self.q
+            units.append(_sorted_units(self.q, np.sort(images @ powers, axis=1)))
+        return np.concatenate(units)
 
     def image_tally(self, G: NDArray) -> NDArray:
         """How many inputs map to each image under the row map G, one entry per image."""
@@ -223,25 +261,54 @@ class _Enumerator:
             codes[:, j] = group @ self.powers[self.group - group.shape[1] :]
         return codes
 
-    def entropy_units(self, G: NDArray) -> int:
-        """Exact log_q of the image size, with uniformity enforced."""
-        if G.shape[0] == 0:
-            return 0
-        counts = self.image_tally(G)
-        if counts.min() != counts.max():
-            raise OracleInvariantError(
-                f"non-uniform image for a linear map: tallies {sorted(set(counts.tolist()))}"
-            )
-        image_size = len(counts)
-        value, size = 0, 1
-        while size < image_size:
-            size *= self.q
-            value += 1
-        if size != image_size:
-            raise OracleInvariantError(
-                f"image size {image_size} is not a power of {self.q}"
-            )
-        return value
+
+def _tally_units(q: int, counts: NDArray) -> int:
+    """Exact log_q of the image size from its tallies, with uniformity enforced."""
+    if counts.min() != counts.max():
+        raise OracleInvariantError(
+            f"non-uniform image for a linear map: tallies {sorted(set(counts.tolist()))}"
+        )
+    image_size = len(counts)
+    value, size = 0, 1
+    while size < image_size:
+        size *= q
+        value += 1
+    if size != image_size:
+        raise OracleInvariantError(f"image size {image_size} is not a power of {q}")
+    return value
+
+
+def _sorted_units(q: int, codes: NDArray) -> NDArray:
+    """Exact log_q of each row's count of distinct codes, with uniformity enforced.
+
+    codes is (C, T), each row the sorted image codes of all T = q**n
+    inputs of one map.  A row with d distinct codes splits at d - 1
+    boundaries, the positions p in [1, T) where codes[p] != codes[p - 1],
+    and each code's tally is the gap between consecutive boundaries,
+    0 and T included.  The image is uniform exactly when every gap is
+    T / d, that is when d divides T and the boundaries are the d - 1
+    multiples of T / d; q being prime, d divides q**n exactly when d is
+    a power of q.  Both tests are exact integer comparisons.
+    """
+    T = codes.shape[1]
+    edges = codes[:, 1:] != codes[:, :-1]
+    sizes = edges.sum(axis=1) + 1
+    units = np.full(len(sizes), -1, dtype=np.int64)
+    value, size = 0, 1
+    while size <= T:
+        units[sizes == size] = value
+        value, size = value + 1, size * q
+    if (units < 0).any():
+        raise OracleInvariantError(f"image size {sizes[units < 0][0]} is not a power of {q}")
+    expected = np.arange(1, T) % (T // sizes)[:, None] == 0
+    bad = (edges != expected).any(axis=1)
+    if bad.any():
+        cuts = np.flatnonzero(edges[bad.argmax()]) + 1
+        tallies = np.diff(np.concatenate([[0], cuts, [T]]))
+        raise OracleInvariantError(
+            f"non-uniform image for a linear map: tallies {sorted(set(tallies.tolist()))}"
+        )
+    return units
 
 
 def brute_entropy(
@@ -261,10 +328,8 @@ def brute_entropy(
     if required > max_enum:
         raise EnumerationCapError(q, n, required, max_enum)
     G = stacked_matrix(s, refs)
-    if G.rows == 0:
-        return EntropyResult(value=0, uniform=True, image_size=1)
-    (G_kept,), (width,) = _essential_columns(G.data[None])
-    value = _Enumerator(q, width).entropy_units(G_kept[:, :width])
+    kept, (width,) = _essential_columns(G.data[None])
+    value = int(_Enumerator(q, width).entropy_units(kept[:, :, :width])[0])
     return EntropyResult(value=value, uniform=True, image_size=q**value)
 
 
@@ -293,10 +358,12 @@ def check_rank_agreement(
     (including the empty one) is checked.  Collections are walked in
     blocks of RANK_BLOCK: each collection's matrix is stacked once, the
     block's matrices are padded with zero rows and ranked together by
-    one batched elimination, and then each collection's entropy is
-    enumerated over its essential columns (found once per block) and
-    compared with its rank, stopping at the first mismatch.  Only the
-    comparison side ranks; the entropies are counts.
+    one batched elimination.  The block's essential columns are found
+    once, its collections grouped by essential width, and each group's
+    entropies enumerated by one _Enumerator call on the group's stack,
+    trimmed to its longest member, then compared with their ranks,
+    stopping at the first group with a mismatch.  Only the comparison
+    side ranks; the entropies are counts.
     """
     if subset_size_cap < 0:
         raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
@@ -321,9 +388,13 @@ def check_rank_agreement(
         for G, rows in zip(mats, padded):
             rows[: len(G)] = G
         kept, widths = _essential_columns(padded)
-        for G, G_kept, width, r in zip(mats, kept, widths.tolist(), ranks(q, padded)):
+        rows = np.array([len(G) for G in mats])
+        rank_of = ranks(q, padded)
+        for width in set(widths.tolist()):
+            group = np.flatnonzero(widths == width)
             enum = enums.get(width) or enums.setdefault(width, _Enumerator(q, width))
-            if enum.entropy_units(G_kept[: len(G), :width]) != r:
+            units = enum.entropy_units(kept[group, : rows[group].max(), :width])
+            if not np.array_equal(units, rank_of[group]):
                 return False
     return True
 

@@ -172,7 +172,7 @@ def stack(matrices: Iterable[FieldMatrix]) -> FieldMatrix:
             raise ValueError(f"mixed moduli {q} and {m.q}")
         if m.cols != cols:
             raise ValueError(f"mixed widths {cols} and {m.cols}")
-    return FieldMatrix._trusted(q, np.vstack([m.data for m in mats]))
+    return FieldMatrix._trusted(q, np.concatenate([m.data for m in mats]))
 
 
 def zero_columns(m: FieldMatrix, cols: Iterable[int]) -> FieldMatrix:

@@ -52,6 +52,10 @@ from .scheme_model import (
 )
 
 
+class PreconditionError(ValueError):
+    """The scheme lacks what a lemma check needs: unit cache size or unit rate."""
+
+
 class NotDecodableError(ValueError):
     """Some requested units are not combinations of the observed symbols.
 
@@ -281,7 +285,8 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
     Z_k adds no rank to the broadcast without file d_k's columns; and
     all caches stacked, without any one file's columns, have the rank
     sum of the single caches.  Every demand is checked, so schemes with
-    more than DEMAND_CAP demands are refused.
+    more than DEMAND_CAP demands are refused; a scheme whose cache size
+    is not 1 raises PreconditionError.
     """
     space = s.N**s.K
     if space > DEMAND_CAP:
@@ -290,7 +295,7 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
             "the unit-cache identities are checked on every demand"
         )
     if memory_of(s) != 1:
-        raise ValueError(f"identities require cache size 1, scheme has M={memory_of(s)}")
+        raise PreconditionError(f"identities require cache size 1, scheme has M={memory_of(s)}")
     kernel = _RankKernel(s)
     for d in demands_iter(s.N, s.K):
         if d.uniform:
@@ -321,9 +326,9 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
     representatives add their full rank to the class, also without a
     foreign file's columns.  Each class is eliminated once per user
     and view; the representatives are reduced against those bases.
-    Every broadcast is built once, and the unit-rate precondition is
-    read off them, so schemes with more than DEMAND_CAP demands are
-    refused.
+    Every broadcast is built once, so schemes with more than DEMAND_CAP
+    demands are refused, and the unit-rate precondition is read off
+    them: a scheme without it raises PreconditionError.
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
@@ -335,7 +340,7 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
         )
     X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
     if max(Xd.rows for Xd in X.values()) != s.B:
-        raise ValueError("identities require unit rate")
+        raise PreconditionError("identities require unit rate")
     kernel = _RankKernel(s)
     for d, Xd in X.items():
         if any(residual_rank(kernel.basis(u, ("without", d[u])), Xd) for u in range(1, s.K + 1)):

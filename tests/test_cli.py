@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from securecache.cli import load_scheme, main, scheme_to_document, write_scheme
-from securecache.constructions import build_otp, build_scheme, build_theorem2
+from securecache.constructions import FAMILIES, build_otp, build_scheme, build_theorem2
 from securecache.scheme_model import DemandVector, LinearScheme, memory_of, randomness_of
 
 
@@ -240,6 +241,30 @@ def test_verify_never_raises_on_a_mutated_document(data):
     assert rc in (0, 1, 2), out.getvalue()
 
 
+def test_load_refuses_a_document_smaller_than_its_N_or_K(tmp_path, monkeypatch, capsys):
+    # N, K and params agree on a member of 10**6 users or files, but the
+    # document holds 3 caches with rows of 12 entries; the family is never
+    # asked to list or build that member.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loader listed or built a member past the document's size")
+
+    family = dataclasses.replace(FAMILIES["theorem3"], members=refuse, build=refuse)
+    monkeypatch.setitem(FAMILIES, "theorem3", family)
+    for key, message in (
+        ("K", "cache must be a list of 1000000 matrices, one per user"),
+        ("N", "cache of user 1 has rows of 12 entries, fewer than N=1000000 files"),
+    ):
+        doc = copy.deepcopy(_T331)
+        doc[key] = doc["params"][key] = 10**6
+        path = tmp_path / f"big_{key}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--scheme", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot load scheme: {message}\n"
+        assert captured.out == ""
+
+
 def test_verify_clean_scheme(tmp_path, capsys):
     path = _construct(tmp_path, "theorem3", 3, 3, t=1)
     report = tmp_path / "report.json"
@@ -351,6 +376,24 @@ def test_oracle_lemmas_unit_cache_and_unit_rate(tmp_path, capsys):
     assert rc == 0
     assert "unit-cache identities: PASS" in out
     assert "unit-rate identities: PASS" in out
+
+
+def test_oracle_lemmas_build_each_broadcast_once(tmp_path, monkeypatch, capsys):
+    # theorem2 (2, 3) has unit rate and M = 2; the unit-rate check reads
+    # its precondition off the broadcasts it checks.
+    path = _construct(tmp_path, "theorem2", 2, 3)
+    calls = []
+    build = LinearScheme.delivery_matrix
+
+    def counted(self, d):
+        calls.append(d.entries)
+        return build(self, d)
+
+    monkeypatch.setattr(LinearScheme, "delivery_matrix", counted)
+    capsys.readouterr()
+    assert main(["oracle", "--scheme", str(path), "--checks", "lemmas"]) == 0
+    assert capsys.readouterr().out == "unit-rate identities: PASS\n"
+    assert len(calls) == 2**3
 
 
 def test_oracle_lemmas_past_the_demand_cap(tmp_path, capsys):

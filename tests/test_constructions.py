@@ -19,7 +19,6 @@ from securecache.constructions import (
     build_theorem2,
     build_theorem3,
     share_rows_global,
-    uniform_delivery,
 )
 from securecache.ff_linalg import FieldMatrix, rank, zero_columns
 from securecache.scheme_model import (
@@ -101,11 +100,11 @@ def test_two_file_broadcast_rows():
 
 def test_uniform_delivery_sends_file_directly():
     s = build_theorem1(4)
-    d = DemandVector((2, 2, 2, 2))
-    assert uniform_delivery(s, d).row_lists() == [[0, 1, 0, 0, 0]]
-    assert s.delivery_matrix(d) == uniform_delivery(s, d)
-    with pytest.raises(ValueError):
-        uniform_delivery(s, DemandVector((1, 2, 2, 2)))
+    X = s.delivery_matrix(DemandVector((2, 2, 2, 2)))
+    assert X.row_lists() == [[0, 1, 0, 0, 0]]
+    assert X == s.layout.file_selector(s.field.q, 2)
+    # A non-uniform demand is coded over the keys instead: R = K - 1 rows.
+    assert s.delivery_matrix(DemandVector((1, 2, 2, 2))).rows == 3
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from securecache import entropy_oracle, ff_linalg
 from securecache.constructions import build_otp, build_shares, build_theorem1, build_theorem2, build_theorem3
@@ -26,6 +28,7 @@ from securecache.entropy_oracle import (
     _bounded_deliveries,
     _Enumerator,
     _essential_columns,
+    _sorted_units,
     brute_entropy,
     check_rank_agreement,
     check_secret_sharing,
@@ -114,7 +117,7 @@ def test_enumerator_matches_plain_enumeration(case):
     while q**value < len(images):
         value += 1
     assert q**value == len(images)
-    assert enum.entropy_units(G) == value
+    assert enum.entropy_units(G[None]).tolist() == [value]
     if G.shape[0]:
         assert sorted(enum.image_tally(G).tolist()) == sorted(images.values())
 
@@ -171,7 +174,7 @@ def test_essential_columns_scale_every_tally(case):
         assert not G_kept[len(G) :].any()
         reduced = G_kept[: len(G), :width]
         full_enum, enum = _Enumerator(q, n), _Enumerator(q, width)
-        assert full_enum.entropy_units(G) == enum.entropy_units(reduced)
+        assert full_enum.entropy_units(G[None]).tolist() == enum.entropy_units(reduced[None]).tolist()
         if len(G):
             full = sorted(full_enum.image_tally(G).tolist())
             assert full == sorted(q ** (n - width) * c for c in enum.image_tally(reduced).tolist())
@@ -185,16 +188,94 @@ def test_image_codes_stay_below_2_to_62():
         assert enum.powers.tolist() == [q**i for i in range(enum.group - 1, -1, -1)]
 
 
+# 3**8 inputs are past _Enumerator.BLOCK, so these maps are walked and tallied.
 def test_non_uniform_tally_is_refused(monkeypatch):
     monkeypatch.setattr(_Enumerator, "image_tally", lambda self, G: np.array([3, 1, 3]))
     with pytest.raises(OracleInvariantError, match="non-uniform"):
-        _Enumerator(3, 2).entropy_units(np.eye(2, dtype=np.int64))
+        _Enumerator(3, 8).entropy_units(np.eye(8, dtype=np.int64)[None])
 
 
 def test_non_power_image_size_is_refused(monkeypatch):
     monkeypatch.setattr(_Enumerator, "image_tally", lambda self, G: np.array([1, 1]))
     with pytest.raises(OracleInvariantError, match="not a power of 3"):
-        _Enumerator(3, 2).entropy_units(np.eye(2, dtype=np.int64))
+        _Enumerator(3, 8).entropy_units(np.eye(8, dtype=np.int64)[None])
+
+
+def test_sorted_codes_give_each_rows_units():
+    codes = np.array([[5] * 8, [0, 0, 0, 0, 7, 7, 7, 7], [1, 1, 2, 2, 4, 4, 9, 9], list(range(8))])
+    assert _sorted_units(2, codes).tolist() == [0, 1, 2, 3]
+    assert _sorted_units(3, np.array([[0, 0, 0, 4, 4, 4, 8, 8, 8]])).tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "q, row, problem",
+    [
+        # Four codes, a power of 2, but tallied 3, 1, 2, 2.
+        (2, [0, 0, 0, 1, 2, 2, 3, 3], "non-uniform"),
+        (2, [0, 0, 0, 1], "non-uniform"),
+        # Three codes, a power of 3, but tallied 4, 4, 1.
+        (3, [0, 0, 0, 0, 1, 1, 1, 1, 2], "non-uniform"),
+        (3, [0, 0, 0, 1, 1, 1, 2, 2, 3], "image size 4 is not a power of 3"),
+        (3, [0, 0, 0, 0, 0, 1, 1, 1, 1], "image size 2 is not a power of 3"),
+        (2, [0, 1, 2, 2], "image size 3 is not a power of 2"),
+    ],
+)
+def test_sorted_codes_of_a_non_uniform_image_are_refused(q, row, problem):
+    # A uniform row first: the refused row need not be the first.
+    with pytest.raises(OracleInvariantError, match=problem):
+        _sorted_units(q, np.array([[0] * len(row), row]))
+
+
+@st.composite
+def map_stacks(draw):
+    """(q, mats, stack): 1-6 low-rank maps of mixed row counts, zero-padded into one (C, R, n) stack.
+
+    Widths run past _Enumerator.BLOCK for each q (2**13, 3**8, 5**6 inputs),
+    so both the sorted-code tally and the block walk are drawn.
+    """
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, {2: 13, 3: 8, 5: 6}[q]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.integers(0, 7))
+        r = draw(st.integers(0, max(min(rows, n), 0)))
+        mats.append(rng.integers(0, q, (rows, r)) @ rng.integers(0, q, (r, n)) % q)
+    return q, mats, _padded(mats, n, draw(st.integers(0, 3)))
+
+
+def _walk_units(q, G):
+    """The entropy of one map by the per-map block walk."""
+    return entropy_oracle._tally_units(q, _Enumerator(q, G.shape[1]).image_tally(G)) if len(G) else 0
+
+
+def _map_stack_case(q, rows_each, n, extra_rows, seed=0):
+    rng = np.random.default_rng(seed)
+    mats = [rng.integers(0, q, (rows, n)) for rows in rows_each]
+    return q, mats, _padded(mats, n, extra_rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=map_stacks())
+# More zero-padded rows than one Horner group holds (61 for q = 2): walked.
+@example(case=_map_stack_case(2, [3, 0, 5], 6, 60))
+@example(case=_map_stack_case(3, [40, 2], 4, 0))
+# Many maps of one width, coded in several chunks.
+@example(case=_map_stack_case(2, [4, 1, 0, 6, 2] * 8, 9, 1))
+@example(case=_map_stack_case(5, [0, 0], 3, 2))
+def test_stacked_entropies_match_the_walk_and_sympy(case):
+    q, mats, stack = case
+    units = _Enumerator(q, stack.shape[2]).entropy_units(stack).tolist()
+    assert units == [_walk_units(q, G) for G in mats]
+    assert units == [_sympy_rank(q, G.tolist(), stack.shape[2]) for G in mats]
+
+
+def _sympy_rank(q, rows, cols):
+    if not rows:
+        return 0
+    gf = GF(q)
+    return DomainMatrix([[gf(int(x)) for x in row] for row in rows], (len(rows), cols), gf).rank()
 
 
 def test_empty_collection_has_zero_entropy():
@@ -277,23 +358,30 @@ def test_rank_agreement_refuses_negative_cap():
 
 
 def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
-    # theorem1 (3) at cap 2 has 1 + 13 + 78 collections, one block; the
-    # comparison rank of collection 40 alone is raised by one.
-    s = build_theorem1(3)
+    # Each scheme at cap 2 has 1 + 13 + 78 collections, one block; the
+    # comparison rank of collection 40 alone is raised by one.  On
+    # theorem1 (3) it has essential width 3 and 31 others share it, so
+    # it is tallied in a stack; on theorem3 (2, 3, 1) its 3**8 inputs are
+    # past _Enumerator.BLOCK, so it is walked on its own.
     true_ranks = ff_linalg.ranks
-    seen = []
+    for s, small in ((build_theorem1(3), True), (build_theorem3(2, 3, 1), False)):
+        seen, widths = [], []
 
-    def skewed(q, stacks):
-        out = true_ranks(q, stacks)
-        offset = sum(seen)
-        seen.append(len(out))
-        if offset <= 40 < offset + len(out):
-            out[40 - offset] += 1
-        return out
+        def skewed(q, stacks):
+            out = true_ranks(q, stacks)
+            offset = sum(seen)
+            seen.append(len(out))
+            widths.extend(_essential_columns(stacks)[1].tolist())
+            if offset <= 40 < offset + len(out):
+                out[40 - offset] += 1
+            return out
 
-    monkeypatch.setattr(entropy_oracle, "ranks", skewed)
-    assert not check_rank_agreement(s, subset_size_cap=2)
-    assert seen == [92]
+        monkeypatch.setattr(entropy_oracle, "ranks", skewed)
+        assert not check_rank_agreement(s, subset_size_cap=2)
+        assert seen == [92]
+        q, width = s.field.q, widths[40]
+        assert (q**width <= _Enumerator.BLOCK) == small
+        assert widths.count(width) >= 2
 
 
 def test_lemma1_lemma2_on_unit_cache_schemes():
