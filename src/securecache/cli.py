@@ -26,6 +26,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NoReturn
 
@@ -49,6 +50,76 @@ EXPLICIT_DELIVERY_LIMIT = 256
 
 def _frac(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+# The text of 0..1023: most entries of a scheme document are small.  A
+# dict lookup is faster than int.__repr__, and a missing key raises.
+_SMALL_INTS = {i: str(i) for i in range(1024)}
+
+
+def _json_text(obj: object) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", byte for byte.
+
+    Every JSON file the CLI writes goes through here.  json's indenting
+    encoder runs in pure Python, one small string per list entry; here a
+    list of plain ints, such as a matrix row, is written with one join,
+    and the pieces are joined once at the end.  Only dicts with str keys,
+    lists, str, int, bool and None are written; any other type, float
+    included, raises TypeError.
+    """
+    out: list[str] = []
+    _json_chunks(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(o: object, nl: str, out: list[str]) -> None:
+    """Append o's JSON text to out; nl is the newline and indent of the line o starts on."""
+    inner = nl + "  "
+    if type(o) is list and o:
+        # Bools are excluded here: they would look up as 0 and 1.
+        if set(map(type, o)) == {int}:
+            sep = "," + inner
+            try:
+                body = sep.join(map(_SMALL_INTS.__getitem__, o))
+            except KeyError:
+                body = sep.join(map(int.__repr__, o))
+            out += ("[", inner, body, nl, "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            sep = "," + inner
+            _json_chunks(x, inner, out)
+        out += (nl, "]")
+    elif type(o) is dict and o:
+        key_types = set(map(type, o))
+        if key_types != {str}:
+            raise TypeError(f"JSON object keys must be str, got {sorted(t.__name__ for t in key_types)}")
+        sep = "{" + inner
+        for k in sorted(o):
+            out += (sep, encode_basestring_ascii(k), ": ")
+            sep = "," + inner
+            _json_chunks(o[k], inner, out)
+        out += (nl, "}")
+    elif type(o) is list:
+        out.append("[]")
+    elif type(o) is dict:
+        out.append("{}")
+    elif type(o) is str:
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif type(o) is bool:
+        out.append("true" if o else "false")
+    elif type(o) is int:
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"cannot write {type(o).__name__} {o!r:.40} as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +263,9 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
     ):
         raise ValueError(no_member)
     # members() lists per-K members and build() allocates N * B columns, so
-    # N and K are bounded by the document's own size first: it must hold K
-    # caches, and a row as long as the layout, at least N columns.
+    # both are bounded by the document's own size first: it must hold K
+    # caches, and a row of at least N entries before members() runs and of
+    # N * B before build() does (theorem3's B is C(K - 1, t)).
     documented = doc["cache"]
     if type(documented) is not list or len(documented) != K:
         raise ValueError(f"cache must be a list of {K} matrices, one per user")
@@ -202,6 +274,15 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
         raise ValueError(f"cache of user 1 has rows of {len(first[0])} entries, fewer than N={N} files")
     if params not in family.members(N, K):
         raise ValueError(no_member)
+    # Any cache's first row will do here: a malformed cache of user 1 is
+    # reported, with the layout's width, once the member is built.
+    files = N * family.units(**params)
+    widest = max((len(m[0]) for m in documented if type(m) is list and m and type(m[0]) is list), default=0)
+    if widest < files:
+        raise ValueError(
+            f"the caches' first rows hold at most {widest} entries, "
+            f"fewer than the N*B={files} file columns of {label} {params}"
+        )
     member = family.build(**params)
     for key, want in (
         ("q", member.field.q),
@@ -244,7 +325,7 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
 def write_scheme(s: LinearScheme, path: Path) -> dict:
     """Write the scheme's document to path and return it."""
     doc = scheme_to_document(s)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(doc))
     return doc
 
 
@@ -305,9 +386,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     if args.report:
         try:
-            Path(args.report).write_text(
-                json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-            )
+            Path(args.report).write_text(_json_text(report.as_dict()))
         except OSError as e:
             return _cannot_write(Path(args.report), e)
     failures = report.failures()
@@ -410,7 +489,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     vertex_path = out.with_suffix(".vertices.json")
     for path, text in (
         (out, data.csv_text(include_prior=args.include_prior)),
-        (vertex_path, json.dumps(data.vertices_dict(), indent=2, sort_keys=True) + "\n"),
+        (vertex_path, _json_text(data.vertices_dict())),
     ):
         try:
             path.write_text(text)

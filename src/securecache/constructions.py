@@ -410,21 +410,28 @@ class Family:
     build(**params) builds the member with those params; members(N, K)
     lists the params of every member at (N, K), as built schemes carry
     them; mrl(**params) is a member's declared (M, R, L) in file units;
-    source, params formatted in, names its point on the tradeoff curve.
+    source, params formatted in, names its point on the tradeoff curve;
+    units(**params) is a member's units per file B, found without
+    building it.
     """
 
     build: Callable[..., LinearScheme]
     members: Callable[[int, int], list[dict[str, int]]]
     mrl: Callable[..., tuple[Fraction, Fraction, Fraction]]
     source: str
+    units: Callable[..., int] = lambda **params: 1
 
 
 def _plain_members(N: int, K: int) -> list[dict[str, int]]:
     return [{"N": N, "K": K}] if N >= 2 and K >= 2 else []
 
 
+def _theorem3_units(N: int, K: int, t: int) -> int:
+    return comb(K - 1, t)
+
+
 def _theorem3_mrl(N: int, K: int, t: int) -> tuple[Fraction, Fraction, Fraction]:
-    B = comb(K - 1, t)
+    B = _theorem3_units(N, K, t)
     keys = comb(K - 1, t - 1) + comb(K, t + 1)
     return Fraction(N * t, K - t) + 1 - Fraction(1, B), Fraction(K, t + 1), Fraction(keys, B)
 
@@ -450,6 +457,7 @@ FAMILIES: dict[str, Family] = {
         lambda N, K: [{"N": N, "K": K, "t": t} for t in range(1, K - 1)] if N >= 2 else [],
         _theorem3_mrl,
         "tradeoff family t={t}",
+        _theorem3_units,
     ),
 }
 

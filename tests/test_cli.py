@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from securecache.cli import load_scheme, main, scheme_to_document, write_scheme
+from securecache.cli import _json_text, load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import FAMILIES, build_otp, build_scheme, build_theorem2
 from securecache.scheme_model import DemandVector, LinearScheme, memory_of, randomness_of
 
@@ -265,6 +266,29 @@ def test_load_refuses_a_document_smaller_than_its_N_or_K(tmp_path, monkeypatch, 
         assert captured.out == ""
 
 
+def test_load_refuses_a_theorem3_member_wider_than_the_documents_rows(tmp_path, monkeypatch, capsys):
+    # 40 caches name theorem3 (2, 40, 20), whose B = C(39, 20) is about
+    # 6.9e10 units per file, but every row has 12 entries: the loader must
+    # refuse before it builds the member.
+    def refuse(**params):
+        raise AssertionError("the loader built a member wider than the document's rows")
+
+    monkeypatch.setitem(FAMILIES, "theorem3", dataclasses.replace(FAMILIES["theorem3"], build=refuse))
+    doc = copy.deepcopy(_T331)
+    params = {"N": 2, "K": 40, "t": 20}
+    doc.update(N=2, K=40, params=params, cache=[doc["cache"][0]] * 40)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--scheme", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: cannot load scheme: the caches' first rows hold at most 12 entries, "
+        f"fewer than the N*B={2 * comb(39, 20)} file columns of theorem3 {params}\n"
+    )
+    assert captured.out == ""
+
+
 def test_verify_clean_scheme(tmp_path, capsys):
     path = _construct(tmp_path, "theorem3", 3, 3, t=1)
     report = tmp_path / "report.json"
@@ -475,6 +499,76 @@ def test_tradeoff_rejects_bad_grid(tmp_path, capsys):
     rc = main(["tradeoff", "--N", "2", "--K", "4", "--grid", "1", "--out", str(tmp_path / "c.csv")])
     assert rc == 2
     assert "grid samples" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: byte for byte json.dumps(indent=2, sort_keys=True) + "\n"
+# ---------------------------------------------------------------------------
+
+
+def _stdlib_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_STRINGS = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t", "\x00\x7f", "é€", "\U0001d11e", "\ud800"])
+_LEAVES = (
+    st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([0, 1, 1023, 1024, -1, 2**64, 2**64 + 1])
+    | st.booleans()
+    | st.none()
+    | _STRINGS
+    # Lists of ints take the writer's joined path, past the small-int table too.
+    | st.lists(st.integers(min_value=-3, max_value=1030), max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(value=_JSON_VALUES, x=st.floats(allow_nan=True))
+def test_json_text_is_the_stdlib_indented_dump(value, x):
+    assert _json_text(value) == _stdlib_text(value)
+    with pytest.raises(TypeError):
+        _json_text({"value": value, "x": [0, x]})
+
+
+@pytest.mark.parametrize("value", [{1: 0}, {"a": {None: 0}}, (1, 2), b"x"])
+def test_json_text_refuses_non_str_keys_and_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize(
+    "label, N, K, t",
+    [("otp", 2, 3, None), ("otp", 2, 16, None), ("theorem1", 2, 4, None), ("theorem2", 3, 3, None), ("theorem3", 3, 4, 2)],
+)
+def test_construct_writes_the_stdlib_indented_dump(tmp_path, label, N, K, t):
+    text = _construct(tmp_path, label, N, K, t).read_text()
+    assert json.loads(text)["delivery"]["mode"] == ("generated" if K == 16 else "explicit")
+    assert text == _stdlib_text(json.loads(text))
+
+
+def test_verify_report_is_the_stdlib_indented_dump(tmp_path, capsys):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    doc = json.loads(path.read_text())
+    doc["cache"][0][0] = [0] * len(doc["cache"][0][0])
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--scheme", str(path), "--report", str(report)]) == 1
+    text = report.read_text()
+    assert json.loads(text)["failures"]
+    assert text == _stdlib_text(json.loads(text))
+
+
+def test_tradeoff_vertices_are_the_stdlib_indented_dump(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    assert main(["tradeoff", "--N", "3", "--K", "4", "--out", str(out)]) == 0
+    text = out.with_suffix(".vertices.json").read_text()
+    assert text == _stdlib_text(json.loads(text))
 
 
 def test_scheme_document_metadata():

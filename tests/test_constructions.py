@@ -410,6 +410,7 @@ def test_family_declares_what_its_members_measure(label):
                 assert s.label == label and dict(s.params) == params
                 measured = (memory_of(s), worst_case_rate(s), randomness_of(s))
                 assert family.mrl(**params) == measured, params
+                assert family.units(**params) == s.B, params
                 built += 1
     assert built > 0
 
