@@ -7,7 +7,6 @@ computes exact memory-rate tradeoff curves with converse bounds.
 """
 
 from .constructions import (
-    CoefficientAssignment,
     ShareSystem,
     assign_coefficients,
     build_otp,
@@ -18,7 +17,6 @@ from .constructions import (
     build_theorem3,
 )
 from .entropy_oracle import (
-    EntropyResult,
     EnumerationCapError,
     OracleInvariantError,
     VariableRef,
@@ -66,10 +64,8 @@ from .verifier import (
     SecurityCheck,
     SimulationResult,
     VerificationReport,
-    check_correctness,
     check_lemma1_lemma2,
     check_lemma3_lemma4,
-    check_security,
     decode,
     observed_matrix,
     simulate,

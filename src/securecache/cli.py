@@ -330,10 +330,10 @@ def write_scheme(s: LinearScheme, path: Path) -> dict:
 
 
 def load_scheme(path: Path) -> LinearScheme:
-    text = path.read_text()
-    # JSON writes a boolean only as one of these literals.  The test runs on
-    # the decoded text: json.loads also takes UTF-16 or UTF-32 bytes, where
-    # the literal is not the ASCII byte string.
+    # JSON is UTF-8 (RFC 8259), and json.loads reads a CR LF as whitespace,
+    # so the bytes need no newline translation.
+    text = path.read_bytes().decode("utf-8")
+    # JSON writes a boolean only as one of these literals.
     return document_to_scheme(json.loads(text), scan_bools="true" in text or "false" in text)
 
 

@@ -21,7 +21,8 @@ fields:
 
 Uniform demands (all users ask for the same file) are always served by
 sending the file's units directly; that is both cheaper and secure, so
-the worst-case rate is attained on non-uniform demands.
+the worst-case rate is attained on non-uniform demands.  Each builder
+codes only the non-uniform demands, and _member adds the uniform rule.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,6 +52,36 @@ def _unit_row(total: int, col: int, value: int = 1) -> NDArray:
     return row
 
 
+def _member(
+    label: str,
+    params: dict[str, int],
+    q: int,
+    layout: VariableLayout,
+    cache: Sequence[FieldMatrix],
+    coded: Callable[[DemandVector], FieldMatrix],
+    **extra: object,
+) -> LinearScheme:
+    """A family member whose broadcast rule is coded for non-uniform demands only.
+
+    Every family serves a uniform demand the same way, by sending the
+    file's units directly, so that rule is applied here, once.
+    """
+
+    def delivery(d: DemandVector) -> FieldMatrix:
+        return layout.file_selector(q, d[1]) if d.uniform else coded(d)
+
+    return LinearScheme(
+        field=PrimeField(q),
+        layout=layout,
+        K=params["K"],
+        cache=tuple(cache),
+        delivery=delivery,
+        label=label,
+        params=params,
+        **extra,
+    )
+
+
 # ---------------------------------------------------------------------------
 # One-time-pad baseline
 # ---------------------------------------------------------------------------
@@ -67,9 +98,7 @@ def build_otp(N: int, K: int) -> LinearScheme:
         for k in range(1, K + 1)
     )
 
-    def delivery(d: DemandVector) -> FieldMatrix:
-        if d.uniform:
-            return layout.file_selector(q, d[1])
+    def coded(d: DemandVector) -> FieldMatrix:
         rows = []
         for k in range(1, K + 1):
             row = _unit_row(total, layout.file_columns(d[k])[0])
@@ -77,15 +106,7 @@ def build_otp(N: int, K: int) -> LinearScheme:
             rows.append(row)
         return _matrix(q, rows, total)
 
-    return LinearScheme(
-        field=PrimeField(q),
-        layout=layout,
-        K=K,
-        cache=cache,
-        delivery=delivery,
-        label="otp",
-        params={"N": N, "K": K},
-    )
+    return _member("otp", {"N": N, "K": K}, q, layout, cache, coded)
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +114,8 @@ def build_otp(N: int, K: int) -> LinearScheme:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientAssignment:
-    """GF(3) broadcast coefficients, one per user."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for a in self.values:
-            if a not in (1, 2):
-                raise ValueError(f"coefficients live in {{1, 2}}, got {a}")
-
-
-def assign_coefficients(d: DemandVector) -> CoefficientAssignment:
-    """Per-user GF(3) coefficients for a non-uniform two-file demand.
+def assign_coefficients(d: DemandVector) -> tuple[int, ...]:
+    """Per-user GF(3) coefficients, each 1 or 2, for a non-uniform two-file demand.
 
     Within each demand group (users requesting the same file, in user
     order) coefficients are dealt as (1, 2) pairs while more than two
@@ -130,7 +139,7 @@ def assign_coefficients(d: DemandVector) -> CoefficientAssignment:
         elif len(group) == 2:
             values[group[0] - 1] = 2
             values[group[1] - 1] = 2
-    return CoefficientAssignment(tuple(values))
+    return tuple(values)
 
 
 def build_theorem1(K: int) -> LinearScheme:
@@ -157,10 +166,8 @@ def build_theorem1(K: int) -> LinearScheme:
     cache_rows.append([last])
     cache = tuple(_matrix(q, rows, total) for rows in cache_rows)
 
-    def delivery(d: DemandVector) -> FieldMatrix:
-        if d.uniform:
-            return layout.file_selector(q, d[1])
-        a = assign_coefficients(d).values
+    def coded(d: DemandVector) -> FieldMatrix:
+        a = assign_coefficients(d)
         rows = []
         for k in range(1, K):
             row = _unit_row(total, layout.file_columns(d[k])[0], a[k - 1])
@@ -168,15 +175,7 @@ def build_theorem1(K: int) -> LinearScheme:
             rows.append(row)
         return _matrix(q, rows, total)
 
-    return LinearScheme(
-        field=PrimeField(q),
-        layout=layout,
-        K=K,
-        cache=cache,
-        delivery=delivery,
-        label="theorem1",
-        params={"N": N, "K": K},
-    )
+    return _member("theorem1", {"N": N, "K": K}, q, layout, cache, coded)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +213,8 @@ def build_theorem2(N: int, K: int) -> LinearScheme:
     cache_list.append(
         _matrix(q, [_unit_row(total, layout.key_column(name)) for name in names], total)
     )
-    cache = tuple(cache_list)
 
-    def delivery(d: DemandVector) -> FieldMatrix:
-        if d.uniform:
-            return layout.file_selector(q, d[1])
+    def coded(d: DemandVector) -> FieldMatrix:
         row = _unit_row(total, layout.file_columns(d[K])[0])
         for i in range(1, K):
             if d[K] >= 2:
@@ -227,15 +223,7 @@ def build_theorem2(N: int, K: int) -> LinearScheme:
                 row[layout.key_column(f"S_{d[i] - 1}_{i}")] += 1
         return _matrix(q, [row], total)
 
-    return LinearScheme(
-        field=PrimeField(q),
-        layout=layout,
-        K=K,
-        cache=cache,
-        delivery=delivery,
-        label="theorem2",
-        params={"N": N, "K": K},
-    )
+    return _member("theorem2", {"N": N, "K": K}, q, layout, cache_list, coded)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +338,6 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
                     row[own_col] -= 1
                     rows.append(row)
         cache_list.append(_matrix(q, rows, total))
-    cache = tuple(cache_list)
 
     # Row v of a non-uniform broadcast serves the subset V = cross[v]: it
     # sends t + 1 times V's cross key (none for the head, cross[0]) plus,
@@ -360,22 +347,13 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     keys = np.zeros((len(cross), total), dtype=np.int64)
     keys[np.arange(1, len(cross)), [layout.key_column(cross_name[V]) for V in cross[1:]]] = t + 1
 
-    def delivery(d: DemandVector) -> FieldMatrix:
-        if d.uniform:
-            return layout.file_selector(q, d[1])
+    def coded(d: DemandVector) -> FieldMatrix:
         files = np.array(d.entries)[members] - 1
         return FieldMatrix(q, keys + share_rows[files, labels].sum(axis=1))
 
-    return LinearScheme(
-        field=PrimeField(q),
-        layout=layout,
-        K=K,
-        cache=cache,
-        delivery=delivery,
-        label="theorem3",
-        params={"N": N, "K": K, "t": t},
-        randomness=FAMILIES["theorem3"].mrl(N, K, t)[2],
-        shares=shares,
+    return _member(
+        "theorem3", {"N": N, "K": K, "t": t}, q, layout, cache_list, coded,
+        randomness=FAMILIES["theorem3"].mrl(N, K, t)[2], shares=shares,
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,8 +64,8 @@ class VariableRef:
 
     kind is one of "file", "cache", "delivery", "shares"; index is the
     file or user for the first two, demand the demand tuple for a
-    delivery, and (index, labels) the file and share labels for a
-    share set.
+    delivery, and (index, labels) the file and its tuple of share
+    labels for a share set.
     """
 
     kind: str
@@ -86,10 +86,6 @@ class VariableRef:
         entries = d.entries if isinstance(d, DemandVector) else tuple(d)
         return cls(kind="delivery", demand=entries)
 
-    @classmethod
-    def of_shares(cls, n: int, labels: Iterable[tuple[int, ...]]) -> "VariableRef":
-        return cls(kind="shares", index=n, labels=tuple(tuple(L) for L in labels))
-
     def resolve(self, s: LinearScheme) -> FieldMatrix:
         if self.kind == "file":
             return s.layout.file_selector(s.field.q, self.index)
@@ -102,13 +98,6 @@ class VariableRef:
         if self.kind == "shares":
             return share_rows_global(s, self.index, self.labels)
         raise ValueError(f"unknown variable kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    value: int
-    uniform: bool
-    image_size: int
 
 
 def stacked_matrix(
@@ -313,14 +302,14 @@ def _sorted_units(q: int, codes: NDArray) -> NDArray:
 
 def brute_entropy(
     s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = 10**7
-) -> EntropyResult:
+) -> int:
     """Entropy of a variable collection, in units, by full enumeration.
 
     Refuses politely when q**total exceeds max_enum.  Otherwise walks
     the q**n' inputs of the stacked matrices' n' essential columns (see
     _essential_columns) and checks that the image is uniform with size
-    an exact power of q.  The value is that exact logarithm; rank is
-    never consulted.
+    an exact power of q, raising OracleInvariantError if not.  Returns
+    that exact logarithm; rank is never consulted.
     """
     q = s.field.q
     n = s.layout.total
@@ -329,8 +318,7 @@ def brute_entropy(
         raise EnumerationCapError(q, n, required, max_enum)
     G = stacked_matrix(s, refs)
     kept, (width,) = _essential_columns(G.data[None])
-    value = int(_Enumerator(q, width).entropy_units(kept[:, :, :width])[0])
-    return EntropyResult(value=value, uniform=True, image_size=q**value)
+    return int(_Enumerator(q, width).entropy_units(kept[:, :, :width])[0])
 
 
 def _bounded_deliveries(s: LinearScheme, max_deliveries: int) -> list[DemandVector]:

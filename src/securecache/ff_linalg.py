@@ -60,13 +60,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        x = x % self.q
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(x, -1, self.q)
-
 
 class FieldMatrix:
     """Immutable dense matrix over the integers mod a prime q.
@@ -133,10 +126,6 @@ class FieldMatrix:
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
         return cls(q, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "FieldMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
 
     def row_lists(self) -> list[list[int]]:
         """Entries as plain nested lists (JSON-friendly)."""

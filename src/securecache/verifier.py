@@ -189,22 +189,6 @@ class _RankKernel:
         )
 
 
-def _single_check(s: LinearScheme, d: DemandVector, k: int) -> CheckRecord:
-    if not 1 <= k <= s.K:
-        raise IndexError(f"user {k} out of range [1, {s.K}]")
-    return _RankKernel(s).record(d, k, s.delivery_matrix(d))
-
-
-def check_correctness(s: LinearScheme, d: DemandVector, k: int) -> CorrectnessCheck:
-    """Rank identity for user k decoding file d_k under demand d."""
-    return _single_check(s, d, k).correctness
-
-
-def check_security(s: LinearScheme, d: DemandVector, k: int) -> SecurityCheck:
-    """Rank identity for user k learning nothing beyond file d_k."""
-    return _single_check(s, d, k).security
-
-
 def _sampled_indices(N: int, K: int, count: int, seed: int) -> list[int]:
     """Deterministic demand sample always containing the uniform demands."""
     space = N**K

@@ -325,6 +325,48 @@ def test_verify_flags_tampered_broadcast(tmp_path, capsys):
     assert "demand [2, 1] user 1: correctness rank identity failed" in out
 
 
+def test_verify_flags_a_tampered_uniform_broadcast(tmp_path, capsys):
+    # The builders' uniform rule never stands in for a document's table:
+    # zeroing a row of a uniform broadcast fails exactly that demand's K checks.
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [2, 2, 2])
+    entry["rows"][0] = [0] * len(entry["rows"][0])
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["verify", "--scheme", str(path), "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("FAIL theorem3: 27 demands, 81 (demand, user) checks, 3 failures\n")
+    failures = json.loads(report.read_text())["failures"]
+    assert [(f["demand"], f["user"], f["correct"]) for f in failures] == [([2, 2, 2], k, False) for k in (1, 2, 3)]
+
+
+def test_load_reads_a_crlf_copy_like_the_original(tmp_path, capsys):
+    path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    results = []
+    for p in (path, crlf):
+        report = tmp_path / f"{p.stem}.report.json"
+        rc = main(["verify", "--scheme", str(p), "--report", str(report)])
+        results.append((rc, capsys.readouterr(), report.read_bytes()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
+def test_load_refuses_a_utf16_copy(tmp_path, capsys):
+    path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(path.read_text().encode("utf-16"))
+    capsys.readouterr()
+    assert main(["verify", "--scheme", str(utf16)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load scheme: 'utf-8' codec can't decode")
+    assert captured.out == ""
+
+
 def test_verify_missing_file(tmp_path, capsys):
     rc = main(["verify", "--scheme", str(tmp_path / "nope.json")])
     assert rc == 2

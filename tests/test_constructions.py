@@ -40,10 +40,10 @@ def _row_set(m: FieldMatrix) -> frozenset:
 
 
 def test_assign_coefficients_examples():
-    assert assign_coefficients(DemandVector((1, 1, 2))).values == (2, 2, 1)
-    assert assign_coefficients(DemandVector((2, 1, 2))).values == (2, 1, 2)
-    assert assign_coefficients(DemandVector((1, 1, 1, 2, 2))).values == (1, 2, 1, 2, 2)
-    assert assign_coefficients(DemandVector((1, 2))).values == (1, 1)
+    assert assign_coefficients(DemandVector((1, 1, 2))) == (2, 2, 1)
+    assert assign_coefficients(DemandVector((2, 1, 2))) == (2, 1, 2)
+    assert assign_coefficients(DemandVector((1, 1, 1, 2, 2))) == (1, 2, 1, 2, 2)
+    assert assign_coefficients(DemandVector((1, 2))) == (1, 1)
 
 
 def test_assign_coefficients_rejects():
@@ -61,7 +61,7 @@ def test_assign_coefficients_group_sums():
             d = DemandVector(entries)
             if d.uniform:
                 continue
-            a = assign_coefficients(d).values
+            a = assign_coefficients(d)
             assert all(x in (1, 2) for x in a)
             for n in (1, 2):
                 total = sum(a[u - 1] for u in range(1, K + 1) if d[u] == n)
@@ -98,13 +98,29 @@ def test_two_file_broadcast_rows():
     assert X2.row_lists() == [[0, 2, 2, 0], [1, 0, 0, 2]]
 
 
-def test_uniform_delivery_sends_file_directly():
-    s = build_theorem1(4)
-    X = s.delivery_matrix(DemandVector((2, 2, 2, 2)))
-    assert X.row_lists() == [[0, 1, 0, 0, 0]]
-    assert X == s.layout.file_selector(s.field.q, 2)
-    # A non-uniform demand is coded over the keys instead: R = K - 1 rows.
-    assert s.delivery_matrix(DemandVector((1, 2, 2, 2))).rows == 3
+UNIFORM_MEMBERS = {
+    "otp (2, 3)": ("otp", 2, 3, None),
+    "theorem1 (4)": ("theorem1", 2, 4, None),
+    "theorem2 (3, 3)": ("theorem2", 3, 3, None),
+    "theorem3 (2, 4, 1)": ("theorem3", 2, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_MEMBERS))
+def test_uniform_delivery_sends_file_directly(name):
+    # Every family shares one uniform rule: the file's B units, sent in
+    # the clear.  Non-uniform demands take the family's coded rule, R*B rows.
+    label, N, K, t = UNIFORM_MEMBERS[name]
+    s = build_scheme(label, N, K, t)
+    for n in range(1, N + 1):
+        X = s.delivery_matrix(DemandVector((n,) * K))
+        assert X == s.layout.file_selector(s.field.q, n)
+    if label == "theorem1":
+        assert s.delivery_matrix(DemandVector((2,) * K)).row_lists() == [[0, 1, 0, 0, 0]]
+    R = FAMILIES[label].mrl(**s.params)[1]
+    for d in demands_iter(N, K):
+        if not d.uniform:
+            assert s.delivery_matrix(d).rows == R * s.B, d
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,12 @@ def _random_matrix(rng, q, rows, cols):
     return FieldMatrix(q, rng.integers(0, q, size=(rows, cols)))
 
 
+def _identity(q, n):
+    return FieldMatrix(q, np.eye(n, dtype=np.int64))
+
+
 def test_rank_of_identity():
-    assert rank(FieldMatrix.identity(2, 4)) == 4
+    assert rank(_identity(2, 4)) == 4
 
 
 def test_rank_of_zero_matrix():
@@ -65,7 +69,7 @@ def test_observed_stack_ranks_for_two_file_scheme():
 
 
 def test_zero_columns_out_of_range():
-    m = FieldMatrix.identity(3, 3)
+    m = _identity(3, 3)
     with pytest.raises(IndexError):
         zero_columns(m, [3])
     with pytest.raises(IndexError):
@@ -147,9 +151,9 @@ def test_stack_validates():
     with pytest.raises(ValueError):
         stack([])
     with pytest.raises(ValueError):
-        stack([FieldMatrix.identity(2, 2), FieldMatrix.identity(3, 2)])
+        stack([_identity(2, 2), _identity(3, 2)])
     with pytest.raises(ValueError):
-        stack([FieldMatrix.identity(2, 2), FieldMatrix.identity(2, 3)])
+        stack([_identity(2, 2), _identity(2, 3)])
 
 
 def test_field_matrix_validation_and_immutability():
@@ -181,10 +185,7 @@ def test_modulus_that_could_overflow_is_refused():
 
 
 def test_prime_field():
-    f = PrimeField(7)
-    assert f.inv(3) == 5
-    with pytest.raises(ZeroDivisionError):
-        f.inv(7)
+    assert PrimeField(7).q == 7
     with pytest.raises(ValueError):
         PrimeField(9)
 
@@ -264,7 +265,7 @@ def test_residual_rank_against_sympy(case):
 
 
 def test_row_basis_and_residual_rank_validate():
-    m = FieldMatrix.identity(3, 3)
+    m = _identity(3, 3)
     with pytest.raises(IndexError):
         row_basis(m, [0, 3])
     with pytest.raises(IndexError):
@@ -273,9 +274,9 @@ def test_row_basis_and_residual_rank_validate():
         row_basis(m, [1, 1])
     basis = row_basis(m, [0, 1])
     with pytest.raises(ValueError):
-        residual_rank(basis, FieldMatrix.identity(5, 3))
+        residual_rank(basis, _identity(5, 3))
     with pytest.raises(ValueError):
-        residual_rank(basis, FieldMatrix.identity(3, 4))
+        residual_rank(basis, _identity(3, 4))
     # Column 2 is outside the basis's columns, so it adds nothing.
     assert residual_rank(basis, FieldMatrix(3, [[0, 0, 1]])) == 0
 
@@ -405,7 +406,7 @@ def test_eliminate_picks_the_row_path_within_the_size_limits(monkeypatch):
 
 
 def test_in_rowspace_validates_target_shape():
-    m = FieldMatrix.identity(3, 3)
+    m = _identity(3, 3)
     for bad in (1, [1, 0], [[1, 0]], np.zeros((1, 1, 3), dtype=np.int64)):
         with pytest.raises(ValueError, match="does not match"):
             in_rowspace(m, bad)

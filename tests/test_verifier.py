@@ -22,8 +22,6 @@ from securecache.scheme_model import (
 )
 from securecache.verifier import (
     NotDecodableError,
-    check_correctness,
-    check_security,
     decode,
     observed_matrix,
     simulate,
@@ -31,20 +29,23 @@ from securecache.verifier import (
 )
 
 
+def _records(s):
+    """verify_all's record of every (demand, user) pair of s, keyed by that pair."""
+    return {(r.demand, r.user): r for r in verify_all(s).records}
+
+
 def test_correctness_ranks_two_file_scheme():
-    s = build_theorem1(3)
-    d = DemandVector((1, 1, 2))
-    c1 = check_correctness(s, d, 1)
+    records = _records(build_theorem1(3))
+    c1 = records[(1, 1, 2), 1].correctness
     assert (c1.passed, c1.rank_full, c1.rank_masked_requested, c1.file_units) == (True, 3, 2, 1)
-    c3 = check_correctness(s, d, 3)
+    c3 = records[(1, 1, 2), 3].correctness
     assert (c3.passed, c3.rank_full, c3.rank_masked_requested) == (True, 3, 2)
 
 
 def test_security_ranks_two_file_scheme():
-    s = build_theorem1(3)
-    d = DemandVector((1, 1, 2))
+    records = _records(build_theorem1(3))
     for k in (1, 2, 3):
-        chk = check_security(s, d, k)
+        chk = records[(1, 1, 2), k].security
         assert chk.passed and chk.rank_full == chk.rank_masked_others == 3
 
 
@@ -59,7 +60,7 @@ def test_degenerate_scheme_fails_correctness():
         delivery=lambda d: empty,
         label="degenerate",
     )
-    chk = check_correctness(s, DemandVector((1, 2)), 1)
+    chk = _records(s)[(1, 2), 1].correctness
     assert not chk.passed
     assert (chk.rank_full, chk.rank_masked_requested, chk.file_units) == (0, 0, 1)
 
@@ -82,7 +83,7 @@ def _leaky_pad_scheme():
 
 def test_leaky_scheme_fails_security_by_one_unit():
     s = _leaky_pad_scheme()
-    chk = check_security(s, DemandVector((1, 1)), 1)
+    chk = _records(s)[(1, 1), 1].security
     assert not chk.passed
     assert chk.rank_full - chk.rank_masked_others == s.B
 
@@ -159,6 +160,7 @@ def test_correctness_rank_form_matches_decodability():
     # the observed row space.
     schemes = [build_theorem1(3), build_theorem2(2, 3), build_theorem3(2, 3, 1), _leaky_pad_scheme()]
     for s in schemes:
+        records = _records(s)
         for d in demands_iter(s.N, s.K):
             for k in range(1, s.K + 1):
                 G = observed_matrix(s, d, k)
@@ -166,7 +168,7 @@ def test_correctness_rank_form_matches_decodability():
                     in_rowspace(G, np.eye(s.layout.total, dtype=np.int64)[col]) is not None
                     for col in s.layout.file_columns(d[k])
                 )
-                assert decodable == check_correctness(s, d, k).passed, (s.label, d, k)
+                assert decodable == records[d.entries, k].correctness.passed, (s.label, d, k)
 
 
 def test_decode_recovers_ground_truth():
@@ -353,8 +355,6 @@ def test_rank_triples_match_stack_elimination():
             assert rec.security.rank_full == r_full
             assert rec.correctness.passed == (r_full == r_req + s.B)
             assert rec.security.passed == (r_full == r_oth)
-            assert check_correctness(s, d, rec.user) == rec.correctness
-            assert check_security(s, d, rec.user) == rec.security
         assert report.passed == (s not in tampered), s.label
 
 
@@ -372,11 +372,11 @@ def test_verify_all_eliminates_each_cache_at_most_1_plus_2n_times(monkeypatch):
     assert len(calls) == s.K * (1 + 2 * s.N)
 
 
-def test_single_checks_validate_user():
+def test_decode_validates_user():
     s = build_theorem1(3)
     d = DemandVector((1, 2, 1))
     for k in (0, 4):
-        with pytest.raises(IndexError):
-            check_correctness(s, d, k)
-        with pytest.raises(IndexError):
-            check_security(s, d, k)
+        with pytest.raises(IndexError, match=f"user {k} out of range"):
+            observed_matrix(s, d, k)
+        with pytest.raises(IndexError, match=f"user {k} out of range"):
+            decode(s, d, k, [0], [0, 0])
