@@ -58,10 +58,8 @@ from .tradeoff import (
 )
 from .verifier import (
     CheckRecord,
-    CorrectnessCheck,
     NotDecodableError,
     PreconditionError,
-    SecurityCheck,
     SimulationResult,
     VerificationReport,
     check_lemma1_lemma2,

@@ -396,7 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{len(report.records)} (demand, user) checks, {len(failures)} failures"
     )
     for r in failures[:20]:
-        stage = "correctness" if not r.correctness.passed else "security"
+        stage = "correctness" if not r.correct else "security"
         print(f"  demand {list(r.demand)} user {r.user}: {stage} rank identity failed")
     if len(failures) > 20:
         print(f"  ... and {len(failures) - 20} more")
@@ -447,10 +447,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     )
                     return 2
             elif check == "sharing":
-                if s.shares is None:
+                if "t" not in s.params:
                     print("error: scheme carries no share system", file=sys.stderr)
                     return 2
-                good = check_secret_sharing(s.shares.K, s.shares.t)
+                good = check_secret_sharing(s.K, s.params["t"])
                 print(f"share threshold: {'PASS' if good else 'FAIL'}")
                 ok = ok and good
     except ValueError as e:

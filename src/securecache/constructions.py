@@ -59,7 +59,7 @@ def _member(
     layout: VariableLayout,
     cache: Sequence[FieldMatrix],
     coded: Callable[[DemandVector], FieldMatrix],
-    **extra: object,
+    randomness: Fraction | None = None,
 ) -> LinearScheme:
     """A family member whose broadcast rule is coded for non-uniform demands only.
 
@@ -78,7 +78,7 @@ def _member(
         delivery=delivery,
         label=label,
         params=params,
-        **extra,
+        randomness=randomness,
     )
 
 
@@ -308,7 +308,11 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     total = layout.total
 
     # share_rows[n - 1, i]: file n's share with label shares.labels[i].
-    share_rows = np.stack([_share_rows(shares, layout, n, shares.labels) for n in range(1, N + 1)])
+    g = shares.generator.data
+    share_rows = np.zeros((N, shares.n_shares, total), dtype=np.int64)
+    for n in range(1, N + 1):
+        share_rows[n - 1][:, list(layout.file_columns(n))] = g[:, :B]
+        share_rows[n - 1][:, [layout.key_column(f"S_{n}^{i}") for i in range(1, m + 1)]] = g[:, B:]
     label_index = {L: i for i, L in enumerate(shares.labels)}
 
     head = tuple(range(1, t + 2))
@@ -353,27 +357,8 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
 
     return _member(
         "theorem3", {"N": N, "K": K, "t": t}, q, layout, cache_list, coded,
-        randomness=FAMILIES["theorem3"].mrl(N, K, t)[2], shares=shares,
+        randomness=FAMILIES["theorem3"].mrl(N, K, t)[2],
     )
-
-
-def _share_rows(
-    shares: ShareSystem, layout: VariableLayout, n: int, labels: tuple[tuple[int, ...], ...]
-) -> NDArray:
-    """Generator rows of file n's shares for the given labels, over the global layout."""
-    g = shares.generator.data[[shares.labels.index(L) for L in labels]]
-    rows = np.zeros((len(labels), layout.total), dtype=np.int64)
-    rows[:, list(layout.file_columns(n))] = g[:, : shares.units]
-    keys = [layout.key_column(f"S_{n}^{i + 1}") for i in range(shares.key_units)]
-    rows[:, keys] = g[:, shares.units :]
-    return rows
-
-
-def share_rows_global(s: LinearScheme, n: int, labels: tuple[tuple[int, ...], ...]) -> FieldMatrix:
-    """Rows of file n's shares over a tradeoff scheme's global layout."""
-    if s.shares is None:
-        raise ValueError(f"scheme {s.label!r} carries no share system")
-    return FieldMatrix(s.field.q, _share_rows(s.shares, s.layout, n, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Brute-force entropy oracle, independent of the rank machinery.
 
-Entropies of collections of scheme variables are measured by literally
-enumerating every assignment of the input vector, pushing each through
-the variables' matrices, and tallying the image.  Only the essential
+Entropies of collections of files, caches and broadcasts are measured
+by enumerating every assignment of the input vector, pushing each
+through their matrices, and tallying the image.  Only the essential
 columns are walked: dropping zero and repeated columns scales every
 tally by one power of q (see _essential_columns).  Each image is coded
 as a base-q integer and the codes are counted exactly.  A rank-agreement
@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .constructions import build_shares, share_rows_global
+from .constructions import build_shares
 from .ff_linalg import FieldMatrix, ranks, stack
 from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands_iter
 
@@ -62,16 +62,13 @@ class OracleInvariantError(RuntimeError):
 class VariableRef:
     """Reference to one random variable of a scheme.
 
-    kind is one of "file", "cache", "delivery", "shares"; index is the
-    file or user for the first two, demand the demand tuple for a
-    delivery, and (index, labels) the file and its tuple of share
-    labels for a share set.
+    kind is one of "file", "cache", "delivery"; index is the file or
+    user for the first two, and demand the demand tuple for a delivery.
     """
 
     kind: str
     index: int = 0
     demand: tuple[int, ...] = ()
-    labels: tuple[tuple[int, ...], ...] = ()
 
     @classmethod
     def of_file(cls, n: int) -> "VariableRef":
@@ -95,8 +92,6 @@ class VariableRef:
             return s.cache[self.index - 1]
         if self.kind == "delivery":
             return s.delivery_matrix(DemandVector(self.demand))
-        if self.kind == "shares":
-            return share_rows_global(s, self.index, self.labels)
         raise ValueError(f"unknown variable kind {self.kind!r}")
 
 

@@ -6,6 +6,8 @@ unit or key unit), one cache matrix per user, and a delivery rule
 mapping a demand vector to a broadcast matrix.  All size accounting
 (cache memory M, worst-case rate R, randomness L) is done in exact
 rationals, measured in file units: one unit is a 1/B fraction of a file.
+Every exhaustive sweep over demands goes through demands_iter, the one
+place that refuses more than DEMAND_CAP of them.
 """
 
 from __future__ import annotations
@@ -13,14 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .ff_linalg import FieldMatrix, PrimeField
-
-if TYPE_CHECKING:
-    from .constructions import ShareSystem
 
 Rational = Fraction
 
@@ -109,12 +108,20 @@ class DemandVector:
         return iter(self.entries)
 
 
+# Exhaustive sweeps over demands refuse beyond this many demands.
+DEMAND_CAP = 10**6
+
+
 def demands_iter(N: int, K: int) -> Iterator[DemandVector]:
-    """All N**K demand vectors in lexicographic order."""
+    """All N**K demand vectors in lexicographic order, refused at the call past DEMAND_CAP."""
     if N < 1 or K < 1:
         raise ValueError(f"need N >= 1 and K >= 1, got N={N}, K={K}")
-    for entries in itertools.product(range(1, N + 1), repeat=K):
-        yield DemandVector(entries)
+    if N**K > DEMAND_CAP:
+        raise ValueError(
+            f"{N}**{K} = {N**K} demands exceed cap {DEMAND_CAP}; "
+            "use sampled verification instead of an exhaustive sweep"
+        )
+    return map(DemandVector, itertools.product(range(1, N + 1), repeat=K))
 
 
 def demand_from_index(N: int, K: int, index: int) -> DemandVector:
@@ -147,7 +154,6 @@ class LinearScheme:
     label: str
     params: Mapping[str, int] = field(default_factory=dict)
     randomness: Rational | None = None
-    shares: "ShareSystem | None" = None
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -198,22 +204,8 @@ def randomness_of(s: LinearScheme) -> Rational:
     return Fraction(len(s.layout.key_names), s.B)
 
 
-# Exhaustive sweeps over demands refuse beyond this many demands.
-DEMAND_CAP = 10**6
-
-
-def worst_case_rate(s: LinearScheme, cap: int = DEMAND_CAP) -> Rational:
-    """Worst-case broadcast rate R in file units, over all N**K demands.
-
-    Raises when the demand space exceeds cap; callers should fall back
-    to sampled verification instead of an exhaustive rate check.
-    """
-    count = s.N**s.K
-    if count > cap:
-        raise ValueError(
-            f"{s.N}**{s.K} = {count} demands exceed cap {cap}; "
-            "use sampled verification instead of an exhaustive sweep"
-        )
+def worst_case_rate(s: LinearScheme) -> Rational:
+    """Worst-case broadcast rate R in file units, over all N**K demands (at most DEMAND_CAP)."""
     worst = Fraction(0)
     for d in demands_iter(s.N, s.K):
         worst = max(worst, Fraction(s.delivery_matrix(d).rows, s.B))

@@ -69,41 +69,38 @@ class NotDecodableError(ValueError):
 
 
 @dataclass(frozen=True)
-class CorrectnessCheck:
-    passed: bool
-    rank_full: int
-    rank_masked_requested: int
-    file_units: int
-
-
-@dataclass(frozen=True)
-class SecurityCheck:
-    passed: bool
-    rank_full: int
-    rank_masked_others: int
-
-
-@dataclass(frozen=True)
 class CheckRecord:
+    """The rank triple of user `user` under `demand`; both verdicts follow from it."""
+
     demand: tuple[int, ...]
     user: int
-    correctness: CorrectnessCheck
-    security: SecurityCheck
+    rank_full: int
+    rank_masked_requested: int
+    rank_masked_others: int
+    file_units: int
+
+    @property
+    def correct(self) -> bool:
+        return self.rank_full == self.rank_masked_requested + self.file_units
+
+    @property
+    def secure(self) -> bool:
+        return self.rank_full == self.rank_masked_others
 
     @property
     def ok(self) -> bool:
-        return self.correctness.passed and self.security.passed
+        return self.correct and self.secure
 
     def as_dict(self) -> dict:
         return {
             "demand": list(self.demand),
             "user": self.user,
-            "correct": self.correctness.passed,
-            "rank_full": self.correctness.rank_full,
-            "rank_masked_requested": self.correctness.rank_masked_requested,
-            "file_units": self.correctness.file_units,
-            "secure": self.security.passed,
-            "rank_masked_others": self.security.rank_masked_others,
+            "correct": self.correct,
+            "rank_full": self.rank_full,
+            "rank_masked_requested": self.rank_masked_requested,
+            "file_units": self.file_units,
+            "secure": self.secure,
+            "rank_masked_others": self.rank_masked_others,
         }
 
 
@@ -178,14 +175,13 @@ class _RankKernel:
 
     def record(self, d: DemandVector, k: int, X: FieldMatrix) -> CheckRecord:
         """Both rank identities for user k under demand d with broadcast X."""
-        r_full = self.rank(k, X)
-        r_req = self.rank(k, X, ("without", d[k]))
-        r_oth = self.rank(k, X, ("only", d[k]))
         return CheckRecord(
             demand=d.entries,
             user=k,
-            correctness=CorrectnessCheck(r_full == r_req + self.s.B, r_full, r_req, self.s.B),
-            security=SecurityCheck(r_full == r_oth, r_full, r_oth),
+            rank_full=self.rank(k, X),
+            rank_masked_requested=self.rank(k, X, ("without", d[k])),
+            rank_masked_others=self.rank(k, X, ("only", d[k])),
+            file_units=self.s.B,
         )
 
 
@@ -208,34 +204,26 @@ def verify_all(
     policy: str = "all",
     count: int | None = None,
     seed: int | None = None,
-    cap: int = DEMAND_CAP,
 ) -> VerificationReport:
     """Run the correctness and security rank checks over demands.
 
     Args:
         s: the scheme under test.
-        policy: "all" for every demand (subject to cap), or "sample"
-            for a seeded sample that always includes the uniform
-            demands.
-        count: sample size, at least 1; required for policy="sample"
-            and refused with policy="all".
+        policy: "all" for every demand (at most DEMAND_CAP), or
+            "sample" for a seeded sample that always includes the
+            uniform demands.
+        count: sample size, 1 to DEMAND_CAP; required for
+            policy="sample" and refused with policy="all".
         seed: sample seed; required for policy="sample" and refused
             with policy="all".
-        cap: refuse exhaustive sweeps beyond this many demands.
 
     Returns:
         A report with one record per (demand, user) pair, in
         lexicographic demand order.
     """
-    space = s.N**s.K
     if policy == "all":
         if count is not None or seed is not None:
             raise ValueError("count and seed apply only to policy='sample'")
-        if space > cap:
-            raise ValueError(
-                f"{s.N}**{s.K} = {space} demands exceed cap {cap}; "
-                "use policy='sample' with a count and seed"
-            )
         demands = demands_iter(s.N, s.K)
         policy_desc = "all"
     elif policy == "sample":
@@ -243,6 +231,8 @@ def verify_all(
             raise ValueError("policy='sample' needs count and seed")
         if count < 1:
             raise ValueError(f"sample count must be at least 1, got {count}")
+        if count > DEMAND_CAP:
+            raise ValueError(f"sample count {count} exceeds cap {DEMAND_CAP}")
         demands = (demand_from_index(s.N, s.K, i) for i in _sampled_indices(s.N, s.K, count, seed))
         policy_desc = f"sample(count={count}, seed={seed})"
     else:
@@ -272,16 +262,11 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
     more than DEMAND_CAP demands are refused; a scheme whose cache size
     is not 1 raises PreconditionError.
     """
-    space = s.N**s.K
-    if space > DEMAND_CAP:
-        raise ValueError(
-            f"{s.N}**{s.K} = {space} demands exceed cap {DEMAND_CAP}; "
-            "the unit-cache identities are checked on every demand"
-        )
+    demands = demands_iter(s.N, s.K)
     if memory_of(s) != 1:
         raise PreconditionError(f"identities require cache size 1, scheme has M={memory_of(s)}")
     kernel = _RankKernel(s)
-    for d in demands_iter(s.N, s.K):
+    for d in demands:
         if d.uniform:
             continue
         X = s.delivery_matrix(d)
@@ -316,12 +301,6 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
     """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got {samples}")
-    space = s.N**s.K
-    if space > DEMAND_CAP:
-        raise ValueError(
-            f"{s.N}**{s.K} = {space} demands exceed cap {DEMAND_CAP}; "
-            "use sampled verification instead of an exhaustive sweep"
-        )
     X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
     if max(Xd.rows for Xd in X.values()) != s.B:
         raise PreconditionError("identities require unit rate")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from securecache.cli import _json_text, load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import FAMILIES, build_otp, build_scheme, build_theorem2
-from securecache.scheme_model import DemandVector, LinearScheme, memory_of, randomness_of
+from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, memory_of, randomness_of
 
 
 def _construct(tmp_path, label, N, K, t=None, name="scheme.json"):
@@ -423,6 +423,19 @@ def test_verify_refuses_sample_misuse(tmp_path, capsys, extra, message):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_verify_refuses_a_sample_count_past_the_cap(tmp_path, capsys):
+    # otp (2, 40) has 2**40 demands, so the sampler would draw every one
+    # of the DEMAND_CAP + 1 requested indices.
+    path = _construct(tmp_path, "otp", 2, 40)
+    capsys.readouterr()
+    count = DEMAND_CAP + 1
+    rc = main(["verify", "--scheme", str(path), "--demands", "sample", "--count", str(count), "--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: sample count {count} exceeds cap {DEMAND_CAP}\n"
     assert captured.out == ""
 
 

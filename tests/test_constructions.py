@@ -18,7 +18,6 @@ from securecache.constructions import (
     build_theorem1,
     build_theorem2,
     build_theorem3,
-    share_rows_global,
 )
 from securecache.ff_linalg import FieldMatrix, rank, zero_columns
 from securecache.scheme_model import (
@@ -313,6 +312,20 @@ def test_tradeoff_family_corner_values():
     assert (memory_of(s), worst_case_rate(s)) == (Fraction(5, 2), Fraction(3, 2))
 
 
+def _share_rows(s, n):
+    """File n's share rows over theorem3 scheme s's layout, one per label of build_shares.
+
+    The generator's unit block goes on file n's columns and its
+    Vandermonde block on the keys S_n^1..S_n^m; all else is zero.
+    """
+    shares = build_shares(s.params["K"], s.params["t"])
+    g = shares.generator.data
+    rows = np.zeros((shares.n_shares, s.layout.total), dtype=np.int64)
+    rows[:, list(s.layout.file_columns(n))] = g[:, : shares.units]
+    rows[:, [s.layout.key_column(f"S_{n}^{i + 1}") for i in range(shares.key_units)]] = g[:, shares.units :]
+    return rows
+
+
 def _loop_theorem3_delivery(s):
     """theorem3's broadcast rule as a Python loop of row additions, the reference.
 
@@ -324,10 +337,8 @@ def _loop_theorem3_delivery(s):
     q, layout, total = s.field.q, s.layout, s.layout.total
     cross = tuple(itertools.combinations(range(1, K + 1), t + 1))
     cross_name = {V: "S_{" + ",".join(str(u) for u in V) + "}" for V in cross}
-    labels = s.shares.labels
-    share_cache = {
-        (n, L): row for n in range(1, N + 1) for L, row in zip(labels, share_rows_global(s, n, labels).data)
-    }
+    labels = build_shares(K, t).labels
+    share_cache = {(n, L): row for n in range(1, N + 1) for L, row in zip(labels, _share_rows(s, n))}
     head = tuple(range(1, t + 2))
 
     def delivery(d: DemandVector) -> FieldMatrix:
@@ -370,20 +381,29 @@ def test_theorem3_broadcasts_match_the_loop_reference():
 
 
 def test_share_rows_global_match_generator():
-    s = build_theorem3(2, 4, 2)
-    sys = s.shares
-    m = share_rows_global(s, 2, sys.labels)
-    assert m.rows == sys.n_shares
-    # File columns carry the unit block, own keys the Vandermonde block,
-    # all other columns stay zero.
-    file_cols = list(s.layout.file_columns(2))
-    key_cols = [s.layout.key_column(f"S_2^{i+1}") for i in range(sys.key_units)]
-    other = [
-        c for c in range(s.layout.total) if c not in file_cols and c not in key_cols
-    ]
-    assert np.array_equal(m.data[:, file_cols], sys.generator.data[:, : sys.units])
-    assert np.array_equal(m.data[:, key_cols], sys.generator.data[:, sys.units :])
-    assert not m.data[:, other].any()
+    # Users k <= t + 1 cache their shares in the clear: per file n, the
+    # shares whose labels hold k, in label order, before any key row.
+    # Between them, users 1..t+1 hold every label.
+    N, K, t = 2, 4, 2
+    s = build_theorem3(N, K, t)
+    sys = build_shares(K, t)
+    seen = set()
+    for k in range(1, t + 2):
+        held = [i for i, L in enumerate(sys.labels) if k in L]
+        seen.update(held)
+        for n in range(1, N + 1):
+            m = s.cache[k - 1].data[(n - 1) * len(held) : n * len(held)]
+            # File columns carry the unit block, own keys the Vandermonde
+            # block, all other columns stay zero.
+            file_cols = list(s.layout.file_columns(n))
+            key_cols = [s.layout.key_column(f"S_{n}^{i+1}") for i in range(sys.key_units)]
+            other = [
+                c for c in range(s.layout.total) if c not in file_cols and c not in key_cols
+            ]
+            assert np.array_equal(m[:, file_cols], sys.generator.data[held, : sys.units])
+            assert np.array_equal(m[:, key_cols], sys.generator.data[held, sys.units :])
+            assert not m[:, other].any()
+    assert seen == set(range(sys.n_shares))
 
 
 def test_cache_only_observations_leak_nothing():

@@ -293,12 +293,20 @@ def test_entropy_image_size_invariant():
 
 
 def test_share_variable_entropy():
+    # Entropies of theorem3 (2, 3, 1)'s shares, by counting the distinct
+    # images of its share generator over all q**cols inputs.
     s = build_theorem3(2, 3, 1)
-    labels = s.shares.labels
-    assert brute_entropy(s, [VariableRef(kind="shares", index=1, labels=labels[:1])]) == 1
+    sys = build_shares(3, 1)
+    G = sys.generator
+    assert (G.q, sys.units) == (s.field.q, s.B)
+    inputs = np.array(list(itertools.product(range(G.q), repeat=G.cols)), dtype=np.int64)
+
+    def images(rows):
+        return len({tuple(image) for image in inputs @ G.data[rows].T % G.q})
+
+    assert images([0]) == G.q
     # All shares of one file carry the file and the masking key.
-    full = brute_entropy(s, [VariableRef(kind="shares", index=1, labels=labels)])
-    assert full == s.B + s.shares.key_units
+    assert images(list(range(sys.n_shares))) == G.q ** (s.B + sys.key_units)
 
 
 def test_enumeration_cap_reports_required_size():

@@ -12,6 +12,7 @@ from securecache.constructions import (
     build_theorem3,
 )
 from securecache.scheme_model import (
+    DEMAND_CAP,
     DemandVector,
     VariableLayout,
     demand_from_index,
@@ -112,9 +113,18 @@ def test_pad_scheme_accounting():
 
 
 def test_rate_cap_rejects_exhaustive_sweep():
-    s = build_theorem1(8)
+    # 2**21 demands are past the cap.
+    s = build_theorem1(21)
     with pytest.raises(ValueError, match="sample"):
-        worst_case_rate(s, cap=100)
+        worst_case_rate(s)
+
+
+def test_demands_iter_refuses_past_the_cap():
+    # The cap is checked at the call, before any demand is drawn.
+    assert 10**6 == DEMAND_CAP
+    assert next(demands_iter(10, 6)).entries == (1,) * 6
+    with pytest.raises(ValueError, match=r"^2\*\*20 = 1048576 demands exceed cap 1000000; .*sample"):
+        demands_iter(2, 20)
 
 
 def test_uniform_demand_costs_one_file():

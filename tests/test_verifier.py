@@ -15,6 +15,7 @@ from securecache.constructions import (
 from securecache import verifier
 from securecache.ff_linalg import FieldMatrix, PrimeField, in_rowspace, rank, stack, zero_columns
 from securecache.scheme_model import (
+    DEMAND_CAP,
     DemandVector,
     LinearScheme,
     VariableLayout,
@@ -36,17 +37,17 @@ def _records(s):
 
 def test_correctness_ranks_two_file_scheme():
     records = _records(build_theorem1(3))
-    c1 = records[(1, 1, 2), 1].correctness
-    assert (c1.passed, c1.rank_full, c1.rank_masked_requested, c1.file_units) == (True, 3, 2, 1)
-    c3 = records[(1, 1, 2), 3].correctness
-    assert (c3.passed, c3.rank_full, c3.rank_masked_requested) == (True, 3, 2)
+    c1 = records[(1, 1, 2), 1]
+    assert (c1.correct, c1.rank_full, c1.rank_masked_requested, c1.file_units) == (True, 3, 2, 1)
+    c3 = records[(1, 1, 2), 3]
+    assert (c3.correct, c3.rank_full, c3.rank_masked_requested) == (True, 3, 2)
 
 
 def test_security_ranks_two_file_scheme():
     records = _records(build_theorem1(3))
     for k in (1, 2, 3):
-        chk = records[(1, 1, 2), k].security
-        assert chk.passed and chk.rank_full == chk.rank_masked_others == 3
+        chk = records[(1, 1, 2), k]
+        assert chk.secure and chk.rank_full == chk.rank_masked_others == 3
 
 
 def test_degenerate_scheme_fails_correctness():
@@ -60,8 +61,8 @@ def test_degenerate_scheme_fails_correctness():
         delivery=lambda d: empty,
         label="degenerate",
     )
-    chk = _records(s)[(1, 2), 1].correctness
-    assert not chk.passed
+    chk = _records(s)[(1, 2), 1]
+    assert not chk.correct
     assert (chk.rank_full, chk.rank_masked_requested, chk.file_units) == (0, 0, 1)
 
 
@@ -83,8 +84,8 @@ def _leaky_pad_scheme():
 
 def test_leaky_scheme_fails_security_by_one_unit():
     s = _leaky_pad_scheme()
-    chk = _records(s)[(1, 1), 1].security
-    assert not chk.passed
+    chk = _records(s)[(1, 1), 1]
+    assert not chk.secure
     assert chk.rank_full - chk.rank_masked_others == s.B
 
 
@@ -104,9 +105,18 @@ def test_verify_all_passes_all_families():
 
 
 def test_verify_all_cap():
-    s = build_otp(4, 6)
+    # 2**20 demands are past the cap.
+    s = build_otp(2, 20)
     with pytest.raises(ValueError, match="sample"):
-        verify_all(s, cap=1000)
+        verify_all(s)
+
+
+def test_verify_all_refuses_a_sample_count_past_the_cap():
+    # Refused before any index is drawn: 2**40 demands would let the
+    # sampler ask for DEMAND_CAP + 1 of them.
+    s = build_otp(2, 40)
+    with pytest.raises(ValueError, match=f"^sample count {DEMAND_CAP + 1} exceeds cap {DEMAND_CAP}$"):
+        verify_all(s, policy="sample", count=DEMAND_CAP + 1, seed=0)
 
 
 def test_verify_all_sample_is_deterministic_and_covers_uniform():
@@ -168,7 +178,7 @@ def test_correctness_rank_form_matches_decodability():
                     in_rowspace(G, np.eye(s.layout.total, dtype=np.int64)[col]) is not None
                     for col in s.layout.file_columns(d[k])
                 )
-                assert decodable == records[d.entries, k].correctness.passed, (s.label, d, k)
+                assert decodable == records[d.entries, k].correct, (s.label, d, k)
 
 
 def test_decode_recovers_ground_truth():
@@ -350,11 +360,11 @@ def test_rank_triples_match_stack_elimination():
         for rec in report.records:
             d = DemandVector(rec.demand)
             r_full, r_req, r_oth = _stack_ranks(s, d, rec.user)
-            got = (rec.correctness.rank_full, rec.correctness.rank_masked_requested, rec.security.rank_masked_others)
+            got = (rec.rank_full, rec.rank_masked_requested, rec.rank_masked_others)
             assert got == (r_full, r_req, r_oth), (s.label, rec.demand, rec.user)
-            assert rec.security.rank_full == r_full
-            assert rec.correctness.passed == (r_full == r_req + s.B)
-            assert rec.security.passed == (r_full == r_oth)
+            assert rec.file_units == s.B
+            assert rec.correct == (r_full == r_req + s.B)
+            assert rec.secure == (r_full == r_oth)
         assert report.passed == (s not in tampered), s.label
 
 
