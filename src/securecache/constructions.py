@@ -352,8 +352,9 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     keys[np.arange(1, len(cross)), [layout.key_column(cross_name[V]) for V in cross[1:]]] = t + 1
 
     def coded(d: DemandVector) -> FieldMatrix:
+        # Sums of checked share rows; delivery_matrix still checks q and the width.
         files = np.array(d.entries)[members] - 1
-        return FieldMatrix(q, keys + share_rows[files, labels].sum(axis=1))
+        return FieldMatrix._trusted(q, (keys + share_rows[files, labels].sum(axis=1)) % q)
 
     return _member(
         "theorem3", {"N": N, "K": K, "t": t}, q, layout, cache_list, coded,

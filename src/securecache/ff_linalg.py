@@ -2,15 +2,16 @@
 
 Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, row-space membership, column masking,
-ranks of row blocks relative to a cached reduced row echelon basis, and
-the ranks of a whole stack of small matrices by one batched elimination.
-All arithmetic is exact integer arithmetic; there are no tolerances
-anywhere.  Small eliminations (at most SMALL_ROWS rows and SMALL_ENTRIES
-entries) run row by row on Python integers, which cannot overflow;
-everything else runs in numpy int64.  A row of products of residues sums
-at most cols terms below q**2, so matrices are refused unless
-q**2 * cols < 2**63, which keeps the int64 paths and the residual
-operator products of residual_rank exact.
+ranks of row blocks relative to cached reduced row echelon bases (one
+product serves several bases side by side), and the ranks of a whole
+stack of small matrices by one batched elimination.  All arithmetic is
+exact integer arithmetic; there are no tolerances anywhere.  Small
+inputs (at most SMALL_ROWS rows and SMALL_ENTRIES entries) run on
+Python integers, which cannot overflow: eliminations row by row, rank
+by a pivot count that stops at full row rank.  The rest runs in numpy
+int64, and matrices are refused unless q**2 * cols < 2**63, which keeps
+it and the residual products exact: a row of products of residues sums
+at most cols terms below q**2.
 """
 
 from __future__ import annotations
@@ -180,22 +181,22 @@ def zero_columns(m: FieldMatrix, cols: Iterable[int]) -> FieldMatrix:
     return FieldMatrix(m.q, arr)
 
 
-# Inputs at most this many rows and entries are eliminated row by row on
+# Inputs of at most this many rows and entries are eliminated and ranked on
 # Python integers; numpy's per-call overhead dominates a column loop there.
 SMALL_ROWS = 12
 SMALL_ENTRIES = 256
 
 
-def _eliminate(
-    arr: NDArray, q: int, reduced: bool, build: bool = True
-) -> tuple[NDArray | None, list[int]]:
+def _small(rows: int, cols: int) -> bool:
+    return rows <= SMALL_ROWS and rows * cols <= SMALL_ENTRIES
+
+
+def _eliminate(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
     """Gaussian elimination mod q on a copy of arr.
 
     Returns an echelon form of arr with pivot rows normalized to 1 and
     zero rows last, and its pivot column list.  With reduced=True the
-    entries above pivots are cleared as well, giving the RREF.  With
-    build=False a caller that needs only the pivots may get None in
-    place of the echelon form.  The
+    entries above pivots are cleared as well, giving the RREF.  The
     pivot columns of any echelon form of arr are the columns of arr
     outside the span of the columns before them, and the RREF of a
     matrix is unique; so both depend on arr alone, not on the order in
@@ -203,15 +204,12 @@ def _eliminate(
     integers, larger ones column by column in numpy, and callers get the
     same pivots, and with reduced=True the same matrix, either way.
     """
-    rows, cols = arr.shape
-    if rows <= SMALL_ROWS and rows * cols <= SMALL_ENTRIES:
-        return _eliminate_rows(arr, q, reduced, build)
+    if _small(*arr.shape):
+        return _eliminate_rows(arr, q, reduced)
     return _eliminate_columns(arr, q, reduced)
 
 
-def _eliminate_rows(
-    arr: NDArray, q: int, reduced: bool, build: bool = True
-) -> tuple[NDArray | None, list[int]]:
+def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
     """_eliminate in Python integers, one input row at a time.
 
     Each row is reduced by the pivot rows found so far, in the order
@@ -219,10 +217,8 @@ def _eliminate_rows(
     the earlier ones, so the remainder ends zero at every pivot column.
     A nonzero remainder is scaled to 1 at its first nonzero column and
     becomes a pivot row; with reduced=True that column is also cleared
-    from the earlier pivot rows.  With build=False the pivot rows are
-    not copied into an array, and None is returned in its place.
+    from the earlier pivot rows.
     """
-    rows, cols = arr.shape
     found: list[tuple[int, list[int]]] = []
     for row in arr.tolist():
         for c, prow in found:
@@ -243,12 +239,39 @@ def _eliminate_rows(
                     found[i] = (c, [(x - f * y) % q for x, y in zip(prow, row)])
         found.append((lead, row))
     found.sort()
-    if not build:
-        return None, [c for c, _ in found]
-    work = np.zeros((rows, cols), dtype=np.int64)
+    work = np.zeros(arr.shape, dtype=np.int64)
     if found:
         work[: len(found)] = np.array([prow for _, prow in found], dtype=np.int64)
     return work, [c for c, _ in found]
+
+
+def _rank_rows(arr: NDArray, q: int) -> int:
+    """Rank of a small arr mod q: its pivot count, on Python integers.
+
+    Column by column, the first row still unused with a nonzero entry p
+    there becomes a pivot row, and each other unused row with entry f
+    there becomes p times itself minus f times the pivot row (p is
+    invertible, so the row space is kept), on the columns to the right
+    only, the ones still to be read.  Once no row is left unused the
+    rank is known and the remaining columns are skipped.
+    """
+    rest, r = arr.tolist(), 0
+    for c in range(arr.shape[1]):
+        for i, row in enumerate(rest):
+            if row[c]:
+                break
+        else:
+            continue
+        pivot = rest.pop(i)
+        r += 1
+        if not rest:
+            break
+        p, tail = pivot[c], pivot[c + 1:]
+        for row in rest:
+            f = row[c]
+            if f:
+                row[c + 1:] = [(p * x - f * y) % q for x, y in zip(row[c + 1:], tail)]
+    return r
 
 
 def _eliminate_columns(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
@@ -290,10 +313,9 @@ def _eliminate_columns(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, li
 
 def rank(m: FieldMatrix) -> int:
     """Rank of m over its prime field."""
-    if m.rows == 0:
-        return 0
-    _, pivots = _eliminate(m.data, m.q, reduced=False, build=False)
-    return len(pivots)
+    if _small(*m.data.shape):
+        return _rank_rows(m.data, m.q)
+    return len(_eliminate_columns(m.data, m.q, reduced=False)[1])
 
 
 def _inverses(x: NDArray, q: int) -> NDArray:
@@ -373,10 +395,6 @@ class RowBasis(NamedTuple):
     dim: int
     op: NDArray
 
-    @property
-    def cols(self) -> int:
-        return self.op.shape[0]
-
 
 def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
     """RREF basis of the row space of m restricted to the columns keep.
@@ -397,26 +415,30 @@ def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
     return RowBasis(m.q, len(piv), op)
 
 
-def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
-    """How much the rows of x add to the rank of the basis's row space.
+def residual_ranks(q: int, op: NDArray, cuts: Sequence[int], x: FieldMatrix) -> list[int]:
+    """How much the rows of x add to the row space of each of several bases.
 
-    With Z the matrix the basis was built from, this is
-    rank([Z; x]) - rank(Z) on the basis's columns.  Subtracting from
-    each row of x its pivot entries times the basis rows leaves a
-    residual that is zero on the pivot columns and spans, together with
-    the basis, the same space as before; since the basis is the
-    identity on the pivots, the residual's rank is the increment.  The
-    residual on the free columns is x @ op, one int64 product: each
-    entry sums x.cols products of residues, each below q**2, and x
-    passed FieldMatrix's guard q**2 * x.cols < 2**63, so it is exact.
+    op holds the bases' residual operators over GF(q) side by side, the
+    i-th in columns cuts[i]:cuts[i + 1].  With Z the matrix a basis was
+    built from, its entry is rank([Z; x]) - rank(Z) on its columns: x
+    minus its pivot entries times the basis rows, which is x @ op on the
+    free columns and zero on the pivots, spans with the basis what x
+    did and is independent of the basis, which is the identity on the
+    pivots.  The one int64 product x @ op is exact: each entry sums x.cols
+    products of residues below q**2, and x passed FieldMatrix's guard
+    q**2 * x.cols < 2**63.  A basis without free columns adds nothing.
     """
-    if x.q != basis.q or x.cols != basis.cols:
-        raise ValueError(
-            f"{x!r} does not match a basis over GF({basis.q}) with {basis.cols} columns"
-        )
-    if basis.op.shape[1] == 0:
-        return 0
-    return rank(FieldMatrix._trusted(basis.q, x.data @ basis.op % basis.q))
+    if x.q != q or x.cols != op.shape[0]:
+        raise ValueError(f"{x!r} does not match a basis over GF({q}) with {op.shape[0]} columns")
+    res = x.data @ op % q
+    return [
+        rank(FieldMatrix._trusted(q, res[:, lo:hi])) if lo < hi else 0 for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
+    """residual_ranks for one basis: rank([Z; x]) - rank(Z) on its columns."""
+    return residual_ranks(basis.q, basis.op, (0, basis.op.shape[1]), x)[0]
 
 
 def in_rowspace(

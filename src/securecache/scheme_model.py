@@ -87,7 +87,7 @@ class DemandVector:
         if len(self.entries) == 0:
             raise ValueError("demand vector must not be empty")
         for d in self.entries:
-            if not isinstance(d, int) or d < 1:
+            if type(d) is not int or d < 1:
                 raise ValueError(f"demands are 1-indexed positive ints, got {d!r}")
 
     @property
@@ -206,7 +206,4 @@ def randomness_of(s: LinearScheme) -> Rational:
 
 def worst_case_rate(s: LinearScheme) -> Rational:
     """Worst-case broadcast rate R in file units, over all N**K demands (at most DEMAND_CAP)."""
-    worst = Fraction(0)
-    for d in demands_iter(s.N, s.K):
-        worst = max(worst, Fraction(s.delivery_matrix(d).rows, s.B))
-    return worst
+    return Fraction(max(s.delivery_matrix(d).rows for d in demands_iter(s.N, s.K)), s.B)

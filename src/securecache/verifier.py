@@ -22,7 +22,8 @@ stack is [masked Z; masked X], and one basis of user k's masked cache
 serves every demand with the same requested file d_k.  Each cache is thus
 eliminated at most 1 + 2N times per scheme (all columns, and per file
 without it and with only it and the keys), and each check eliminates
-only the residual of the broadcast rows.
+only the residual of the broadcast rows: one product of X with the
+residual operators of its three bases, kept side by side.
 
 The unit-cache and unit-rate identities (check_lemma1_lemma2,
 check_lemma3_lemma4) rank stacks holding a file selector W_a, which is
@@ -46,7 +47,9 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .ff_linalg import FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, row_basis, stack
+from .ff_linalg import (
+    FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, residual_ranks, row_basis, stack
+)
 from .scheme_model import (
     DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
 )
@@ -161,6 +164,7 @@ class _RankKernel:
             self._keep[("without", n)] = [c for c in range(layout.total) if c not in own]
             self._keep[("only", n)] = [*own, *keys]
         self._bases: dict[tuple[int, tuple[str, int] | None], RowBasis] = {}
+        self._views: dict[tuple[int, int], tuple[list[int], NDArray, list[int]]] = {}
 
     def basis(self, k: int, view: tuple[str, int] | None = None) -> RowBasis:
         b = self._bases.get((k, view))
@@ -175,14 +179,15 @@ class _RankKernel:
 
     def record(self, d: DemandVector, k: int, X: FieldMatrix) -> CheckRecord:
         """Both rank identities for user k under demand d with broadcast X."""
-        return CheckRecord(
-            demand=d.entries,
-            user=k,
-            rank_full=self.rank(k, X),
-            rank_masked_requested=self.rank(k, X, ("without", d[k])),
-            rank_masked_others=self.rank(k, X, ("only", d[k])),
-            file_units=self.s.B,
-        )
+        a = d[k]
+        views = self._views.get((k, a))
+        if views is None:
+            bases = [self.basis(k, view) for view in (None, ("without", a), ("only", a))]
+            cuts = np.cumsum([0] + [b.op.shape[1] for b in bases]).tolist()
+            views = self._views[k, a] = ([b.dim for b in bases], np.hstack([b.op for b in bases]), cuts)
+        dims, op, cuts = views
+        full, without, only = residual_ranks(self.s.field.q, op, cuts, X)
+        return CheckRecord(d.entries, k, dims[0] + full, dims[1] + without, dims[2] + only, self.s.B)
 
 
 def _sampled_indices(N: int, K: int, count: int, seed: int) -> list[int]:

@@ -372,16 +372,33 @@ def _sympy_rref(q, m):
 @example(case=(5, np.array([[0, 0, 1], [0, 2, 4], [3, 1, 0]])), reduced=True)
 @example(case=(7, np.zeros((13, 2), dtype=np.int64)), reduced=False)
 @example(case=(1000000007, np.array([[1000000006, 2], [1, 1000000005], [3, 4]])), reduced=True)
+# rank stops once every row is a pivot row: here after column 2 of 7.
+@example(case=(5, np.array([[1, 0, 0, 2, 4, 1, 3], [3, 2, 0, 0, 1, 4, 4], [0, 4, 1, 1, 0, 2, 3]])), reduced=False)
+# Rank 4 of 6 rows (the first and third are combinations of the others), and rank 0:
+# no early stop.
+@example(
+    case=(7, np.array([
+        [1, 2, 1, 0, 2, 0, 1, 1, 0, 6, 2, 2, 3],
+        [0, 0, 0, 0, 0, 3, 1, 2, 0, 4, 1, 0, 6],
+        [2, 4, 4, 1, 1, 3, 3, 3, 3, 3, 1, 6, 4],
+        [1, 2, 0, 3, 0, 0, 1, 5, 6, 0, 2, 4, 1],
+        [0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1, 2, 3],
+        [0, 0, 1, 4, 2, 0, 0, 3, 1, 6, 0, 5, 2],
+    ])),
+    reduced=False,
+)
+@example(case=(3, np.zeros((4, 5), dtype=np.int64)), reduced=False)
 def test_elimination_paths_agree_with_each_other_and_sympy(case, reduced):
     q, m = case
     before = m.copy()
     by_rows, piv_rows = _eliminate_rows(m, q, reduced)
     by_cols, piv_cols = _eliminate_columns(m, q, reduced)
-    # rank asks for the pivots only; they are the same without the array.
-    assert _eliminate_rows(m, q, reduced, build=False) == (None, piv_rows)
+    # rank counts pivots by its own elimination within the size limits.
+    got_rank = rank(FieldMatrix(q, m))
     assert np.array_equal(m, before)
     want, want_piv = _sympy_rref(q, m)
     assert piv_rows == piv_cols == want_piv
+    assert got_rank == len(want_piv)
     for work in (by_rows, by_cols):
         assert work.dtype == np.int64 and work.shape == m.shape
         # Echelon form either way: pivot rows are 1 at their pivot, zero
@@ -396,13 +413,20 @@ def test_elimination_paths_agree_with_each_other_and_sympy(case, reduced):
 
 def test_eliminate_picks_the_row_path_within_the_size_limits(monkeypatch):
     calls = []
-    monkeypatch.setattr(ff_linalg, "_eliminate_rows", lambda a, q, r, b: calls.append(("rows", a.shape)))
-    monkeypatch.setattr(ff_linalg, "_eliminate_columns", lambda a, q, r: calls.append(("columns", a.shape)))
+    monkeypatch.setattr(ff_linalg, "_eliminate_rows", lambda a, q, r: calls.append(("rows", a.shape)))
+    monkeypatch.setattr(ff_linalg, "_rank_rows", lambda a, q: calls.append(("rows", a.shape)) or 0)
+    monkeypatch.setattr(
+        ff_linalg, "_eliminate_columns", lambda a, q, reduced: calls.append(("columns", a.shape)) or (None, [])
+    )
     shapes = [(0, 3), (12, 21), (1, 256), (13, 2), (12, 22), (1, 257)]
     for shape in shapes:
         ff_linalg._eliminate(np.zeros(shape, dtype=np.int64), 3, False)
     assert ff_linalg.SMALL_ROWS == 12 and ff_linalg.SMALL_ENTRIES == 256
     assert [path for path, _ in calls] == ["rows"] * 3 + ["columns"] * 3
+    calls.clear()
+    for shape in [(12, 21), (1, 256), (13, 2), (1, 257)]:
+        rank(FieldMatrix.zeros(3, *shape))
+    assert calls == [("rows", (12, 21)), ("rows", (1, 256)), ("columns", (13, 2)), ("columns", (1, 257))]
 
 
 def test_in_rowspace_validates_target_shape():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from securecache.constructions import (
@@ -63,6 +64,13 @@ def test_demand_vector():
         DemandVector((0, 1))
     with pytest.raises(IndexError):
         d[4]
+
+
+def test_demand_vector_takes_exact_ints_only():
+    # A bool is an int subclass, and a report would write it as true.
+    for entries in ((True, 2, 1), (1, False), (1, np.int64(2)), (1.0, 2)):
+        with pytest.raises(ValueError, match="positive ints"):
+            DemandVector(entries)
 
 
 def test_demands_iter_lexicographic():

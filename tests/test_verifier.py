@@ -1,6 +1,7 @@
 """Verifier tests: rank identities, decoding, and simulation."""
 
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from securecache.constructions import (
     build_theorem2,
     build_theorem3,
 )
-from securecache import verifier
+from securecache import ff_linalg, verifier
+from securecache.entropy_oracle import VariableRef, brute_entropy
 from securecache.ff_linalg import FieldMatrix, PrimeField, in_rowspace, rank, stack, zero_columns
 from securecache.scheme_model import (
     DEMAND_CAP,
@@ -380,6 +382,83 @@ def test_verify_all_eliminates_each_cache_at_most_1_plus_2n_times(monkeypatch):
     s = build_theorem3(3, 4, 2)
     assert verify_all(s).passed
     assert len(calls) == s.K * (1 + 2 * s.N)
+
+
+def test_views_without_free_columns_make_no_rank_call(monkeypatch):
+    # User 1 caches every column, so each of its bases has no free column.
+    base = build_otp(2, 2)
+    s = LinearScheme(
+        field=base.field,
+        layout=base.layout,
+        K=base.K,
+        cache=(FieldMatrix(2, np.eye(base.layout.total, dtype=np.int64)), base.cache[1]),
+        delivery=base.delivery,
+        label="all-seeing",
+    )
+    calls = []
+    real = ff_linalg.rank
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    # The kernel ranks through ff_linalg.residual_ranks; count under both names.
+    monkeypatch.setattr(ff_linalg, "rank", counting)
+    monkeypatch.setattr(verifier, "rank", counting)
+    report = verify_all(s)
+    assert len(calls) == 3 * s.N**s.K  # user 2's checks only
+    for rec in report.records:
+        if rec.user == 1:
+            got = (rec.rank_full, rec.rank_masked_requested, rec.rank_masked_others)
+            assert got == _stack_ranks(s, DemandVector(rec.demand), 1)
+
+
+def _mutant(s, rng):
+    """Copy of s with one random cache or broadcast entry changed to another value."""
+    q = s.field.q
+    cache, delivery = s.cache, s.delivery
+    mutate_cache = rng.random() < 0.5
+    if mutate_cache:
+        k = rng.randrange(s.K)
+        data = s.cache[k].data.copy()
+    else:
+        d0 = DemandVector(tuple(rng.randrange(1, s.N + 1) for _ in range(s.K)))
+        data = s.delivery_matrix(d0).data.copy()
+    r, c = rng.randrange(data.shape[0]), rng.randrange(data.shape[1])
+    data[r, c] = (data[r, c] + rng.randrange(1, q)) % q
+    changed = FieldMatrix(q, data)
+    if mutate_cache:
+        cache = (*cache[:k], changed, *cache[k + 1:])
+    else:
+        delivery = lambda d: changed if d == d0 else s.delivery(d)  # noqa: E731
+    return LinearScheme(
+        field=s.field, layout=s.layout, K=s.K, cache=cache, delivery=delivery, label=s.label
+    )
+
+
+def test_verdicts_match_enumerated_entropies_on_mutants():
+    # 20 single-entry mutants per family; brute_entropy never calls rank.
+    rng = random.Random(0)
+    families = [
+        build_otp(2, 2), build_otp(2, 3), build_theorem1(3),
+        build_theorem2(2, 3), build_theorem2(3, 2), build_theorem3(2, 3, 1),
+    ]
+    seen = set()
+    for base in families:
+        verdicts = set()
+        for _ in range(20):
+            s = _mutant(base, rng)
+            for rec in verify_all(s).records:
+                d = DemandVector(rec.demand)
+                observed = (VariableRef.of_cache(rec.user), VariableRef.of_delivery(d))
+                others = tuple(VariableRef.of_file(n) for n in range(1, s.N + 1) if n != d[rec.user])
+                h = brute_entropy(s, observed)
+                assert rec.correct == (brute_entropy(s, (*observed, VariableRef.of_file(d[rec.user]))) == h)
+                assert rec.secure == (brute_entropy(s, observed + others) == h + brute_entropy(s, others))
+                verdicts.add(rec.ok)
+                seen.add((rec.correct, rec.secure))
+        assert verdicts == {True, False}, base.label
+    assert {(False, True), (True, False), (False, False)} <= seen
 
 
 def test_decode_validates_user():
