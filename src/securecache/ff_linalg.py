@@ -5,13 +5,13 @@ first-nonzero pivoting, rank, row-space membership, column masking,
 ranks of row blocks relative to cached reduced row echelon bases (one
 product serves several bases side by side), and the ranks of a whole
 stack of small matrices by one batched elimination.  All arithmetic is
-exact integer arithmetic; there are no tolerances anywhere.  Small
-inputs (at most SMALL_ROWS rows and SMALL_ENTRIES entries) run on
-Python integers, which cannot overflow: eliminations row by row, rank
-by a pivot count that stops at full row rank.  The rest runs in numpy
-int64, and matrices are refused unless q**2 * cols < 2**63, which keeps
-it and the residual products exact: a row of products of residues sums
-at most cols terms below q**2.
+exact integer arithmetic; there are no tolerances anywhere.  A single
+matrix is eliminated on Python integers, which cannot overflow: its
+RREF row by row, its rank by a pivot count that stops at full row rank.
+Residual products, matrix-vector products and the batched ranks run in
+numpy int64, and matrices are refused unless q**2 * cols < 2**63, which
+keeps them exact: a row of products of residues sums at most cols terms
+below q**2.
 """
 
 from __future__ import annotations
@@ -181,43 +181,18 @@ def zero_columns(m: FieldMatrix, cols: Iterable[int]) -> FieldMatrix:
     return FieldMatrix(m.q, arr)
 
 
-# Inputs of at most this many rows and entries are eliminated and ranked on
-# Python integers; numpy's per-call overhead dominates a column loop there.
-SMALL_ROWS = 12
-SMALL_ENTRIES = 256
+def _rref(arr: NDArray, q: int) -> tuple[NDArray, list[int]]:
+    """RREF of arr mod q and its pivot columns, on Python integers.
 
-
-def _small(rows: int, cols: int) -> bool:
-    return rows <= SMALL_ROWS and rows * cols <= SMALL_ENTRIES
-
-
-def _eliminate(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
-    """Gaussian elimination mod q on a copy of arr.
-
-    Returns an echelon form of arr with pivot rows normalized to 1 and
-    zero rows last, and its pivot column list.  With reduced=True the
-    entries above pivots are cleared as well, giving the RREF.  The
-    pivot columns of any echelon form of arr are the columns of arr
-    outside the span of the columns before them, and the RREF of a
-    matrix is unique; so both depend on arr alone, not on the order in
-    which rows are eliminated.  Small inputs go row by row on Python
-    integers, larger ones column by column in numpy, and callers get the
-    same pivots, and with reduced=True the same matrix, either way.
-    """
-    if _small(*arr.shape):
-        return _eliminate_rows(arr, q, reduced)
-    return _eliminate_columns(arr, q, reduced)
-
-
-def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
-    """_eliminate in Python integers, one input row at a time.
-
-    Each row is reduced by the pivot rows found so far, in the order
-    they were found: each of those is 1 at its pivot column and zero at
-    the earlier ones, so the remainder ends zero at every pivot column.
-    A nonzero remainder is scaled to 1 at its first nonzero column and
-    becomes a pivot row; with reduced=True that column is also cleared
-    from the earlier pivot rows.
+    The result has arr's shape, with the pivot rows first in pivot
+    order and zero rows last.  Rows are taken one at a time and reduced
+    by the pivot rows found so far, in the order they were found: each
+    of those is 1 at its pivot column and zero at the earlier ones, so
+    the remainder ends zero at every pivot column.  A nonzero remainder
+    is scaled to 1 at its first nonzero column, that column is cleared
+    from the earlier pivot rows, and it becomes a pivot row.  The RREF
+    of a matrix is unique, so the result depends on arr alone, not on
+    the order in which rows are taken.
     """
     found: list[tuple[int, list[int]]] = []
     for row in arr.tolist():
@@ -232,11 +207,10 @@ def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[
             continue
         inv = pow(row[lead], -1, q)
         row = [x * inv % q for x in row]
-        if reduced:
-            for i, (c, prow) in enumerate(found):
-                f = prow[lead]
-                if f:
-                    found[i] = (c, [(x - f * y) % q for x, y in zip(prow, row)])
+        for i, (c, prow) in enumerate(found):
+            f = prow[lead]
+            if f:
+                found[i] = (c, [(x - f * y) % q for x, y in zip(prow, row)])
         found.append((lead, row))
     found.sort()
     work = np.zeros(arr.shape, dtype=np.int64)
@@ -245,8 +219,8 @@ def _eliminate_rows(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[
     return work, [c for c, _ in found]
 
 
-def _rank_rows(arr: NDArray, q: int) -> int:
-    """Rank of a small arr mod q: its pivot count, on Python integers.
+def rank(m: FieldMatrix) -> int:
+    """Rank of m over its prime field: its pivot count, on Python integers.
 
     Column by column, the first row still unused with a nonzero entry p
     there becomes a pivot row, and each other unused row with entry f
@@ -255,8 +229,8 @@ def _rank_rows(arr: NDArray, q: int) -> int:
     only, the ones still to be read.  Once no row is left unused the
     rank is known and the remaining columns are skipped.
     """
-    rest, r = arr.tolist(), 0
-    for c in range(arr.shape[1]):
+    q, rest, r = m.q, m.data.tolist(), 0
+    for c in range(m.cols):
         for i, row in enumerate(rest):
             if row[c]:
                 break
@@ -272,50 +246,6 @@ def _rank_rows(arr: NDArray, q: int) -> int:
             if f:
                 row[c + 1:] = [(p * x - f * y) % q for x, y in zip(row[c + 1:], tail)]
     return r
-
-
-def _eliminate_columns(arr: NDArray, q: int, reduced: bool) -> tuple[NDArray, list[int]]:
-    """_eliminate in numpy, one column at a time.
-
-    Pivots are chosen as the first nonzero entry scanning down each
-    column; with reduced=True the entries above the pivots are cleared
-    once all pivots are found.
-    """
-    work = arr.copy()
-    rows, cols = work.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(work[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        inv = pow(int(work[r, c]), -1, q)
-        work[r] = (work[r] * inv) % q
-        below = work[r + 1:, c]
-        mask = below != 0
-        if mask.any():
-            work[r + 1:][mask] = (work[r + 1:][mask] - np.outer(below[mask], work[r])) % q
-        pivots.append(c)
-        r += 1
-    if reduced:
-        for i, c in enumerate(pivots):
-            above = work[:i, c]
-            mask = above != 0
-            if mask.any():
-                work[:i][mask] = (work[:i][mask] - np.outer(above[mask], work[i])) % q
-    return work, pivots
-
-
-def rank(m: FieldMatrix) -> int:
-    """Rank of m over its prime field."""
-    if _small(*m.data.shape):
-        return _rank_rows(m.data, m.q)
-    return len(_eliminate_columns(m.data, m.q, reduced=False)[1])
 
 
 def _inverses(x: NDArray, q: int) -> NDArray:
@@ -406,7 +336,7 @@ def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
     keep_idx = np.arange(m.cols) if keep is None else np.asarray(keep, dtype=np.intp)
     if ((keep_idx < 0) | (keep_idx >= m.cols)).any() or len(set(keep_idx.tolist())) != keep_idx.size:
         raise IndexError(f"columns {keep_idx.tolist()} out of range or repeated for {m.cols} columns")
-    work, piv = _eliminate(m.data[:, keep_idx], m.q, reduced=True)
+    work, piv = _rref(m.data[:, keep_idx], m.q)
     free = np.ones(keep_idx.size, dtype=bool)
     free[piv] = False
     op = np.zeros((m.cols, keep_idx.size - len(piv)), dtype=np.int64)
@@ -476,7 +406,7 @@ def in_rowspace(
         coeffs = [None if row.any() else np.zeros(0, dtype=np.int64) for row in targets]
     else:
         aug = np.hstack([m.data.T, targets.T])
-        work, pivots = _eliminate(aug, m.q, reduced=True)
+        work, pivots = _rref(aug, m.q)
         basis = [c for c in pivots if c < m.rows]
         r = len(basis)
         solvable = ~work[r:, m.rows:].any(axis=0)

@@ -64,7 +64,10 @@ def test_oracle_values_never_consult_rank(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle value consulted the rank machinery")
 
-    monkeypatch.setattr(ff_linalg, "_eliminate", refuse)
+    # Every elimination entry point: the RREF behind row_basis and
+    # in_rowspace, rank, and ranks under both of its bindings.
+    monkeypatch.setattr(ff_linalg, "_rref", refuse)
+    monkeypatch.setattr(ff_linalg, "rank", refuse)
     monkeypatch.setattr(ff_linalg, "ranks", refuse)
     monkeypatch.setattr(entropy_oracle, "ranks", refuse)
     assert brute_entropy(s1, [VariableRef.of_cache(k) for k in (1, 2, 3)] + [VariableRef.of_file(1)]) == 4

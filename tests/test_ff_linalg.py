@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from sympy import GF, isprime, prevprime
 from sympy.polys.matrices import DomainMatrix
 
-from securecache import ff_linalg
-from securecache.constructions import build_theorem1
+from securecache.constructions import build_theorem1, build_theorem3
 from securecache.ff_linalg import (
     FieldMatrix,
-    _eliminate_columns,
-    _eliminate_rows,
+    _rref,
     PrimeField,
     in_rowspace,
     is_prime,
@@ -216,6 +214,16 @@ def _sympy_rank(q, rows, cols):
     return DomainMatrix([[gf(int(x)) for x in row] for row in rows], (len(rows), cols), gf).rank()
 
 
+def _sympy_rref(q, m):
+    """RREF and pivots over GF(q) by sympy, entries as residues in [0, q)."""
+    rows, cols = m.shape
+    if rows == 0:
+        return m.copy(), []
+    gf = GF(q)
+    ref, pivots = DomainMatrix([[gf(int(x)) for x in row] for row in m.tolist()], (rows, cols), gf).rref()
+    return np.array([[int(x) % q for x in row] for row in ref.to_list()], dtype=np.int64), list(pivots)
+
+
 def _edge_prime(cols):
     """The largest prime q with q**2 * cols < 2**63, the most FieldMatrix admits."""
     return prevprime(isqrt((2**63 - 1) // cols) + 1)
@@ -282,12 +290,11 @@ def test_row_basis_and_residual_rank_validate():
 
 
 def _in_rowspace_one_target(m, target):
-    """Reference: in_rowspace as one column-ordered elimination of [m.T | target] per target."""
+    """Reference: in_rowspace for one target, from sympy's RREF of [m.T | target]."""
     t = np.asarray(target, dtype=np.int64) % m.q
     if m.rows == 0:
         return np.zeros(0, dtype=np.int64) if not t.any() else None
-    aug = np.hstack([m.data.T, t[:, None]])
-    work, pivots = _eliminate_columns(aug, m.q, reduced=True)
+    work, pivots = _sympy_rref(m.q, np.hstack([m.data.T, t[:, None]]))
     if m.rows in pivots:
         return None
     coeff = np.zeros(m.rows, dtype=np.int64)
@@ -335,10 +342,10 @@ def test_in_rowspace_stack_matches_one_target_at_a_time(q, rows, cols, kinds, da
 
 @st.composite
 def elimination_inputs(draw):
-    """(q, matrix): dense, sparse 0/1-heavy or low-rank, on both sides of the size limits.
+    """(q, matrix): dense, sparse 0/1-heavy or low-rank.
 
-    The large prime gets at most 8 columns, the most the int64 column
-    path is exact for.
+    The large prime gets at most 8 columns, within FieldMatrix's guard
+    q**2 * cols < 2**63, which rank's input must pass.
     """
     q = draw(st.sampled_from([2, 3, 5, 7, 11, 1000000007]))
     rows = draw(st.integers(0, 20))
@@ -356,24 +363,25 @@ def elimination_inputs(draw):
     return q, np.array(m, dtype=np.int64).reshape(rows, cols)
 
 
-def _sympy_rref(q, m):
-    """RREF and pivots over GF(q) by sympy, entries as residues in [0, q)."""
-    rows, cols = m.shape
-    if rows == 0:
-        return m.copy(), []
-    gf = GF(q)
-    ref, pivots = DomainMatrix([[gf(int(x)) for x in row] for row in m.tolist()], (rows, cols), gf).rref()
-    return np.array([[int(x) % q for x in row] for row in ref.to_list()], dtype=np.int64), list(pivots)
+def _check_rref_and_rank(q, m):
+    before = m.copy()
+    work, pivots = _rref(m, q)
+    got_rank = rank(FieldMatrix(q, m))
+    assert np.array_equal(m, before)
+    want, want_piv = _sympy_rref(q, m)
+    assert work.dtype == np.int64 and np.array_equal(work, want)
+    assert pivots == want_piv
+    assert got_rank == len(want_piv)
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=elimination_inputs(), reduced=st.booleans())
-@example(case=(3, np.array([[1, 2, 0], [2, 1, 1], [0, 0, 2], [1, 2, 1]])), reduced=True)
-@example(case=(5, np.array([[0, 0, 1], [0, 2, 4], [3, 1, 0]])), reduced=True)
-@example(case=(7, np.zeros((13, 2), dtype=np.int64)), reduced=False)
-@example(case=(1000000007, np.array([[1000000006, 2], [1, 1000000005], [3, 4]])), reduced=True)
+@given(case=elimination_inputs())
+@example(case=(3, np.array([[1, 2, 0], [2, 1, 1], [0, 0, 2], [1, 2, 1]])))
+@example(case=(5, np.array([[0, 0, 1], [0, 2, 4], [3, 1, 0]])))
+@example(case=(7, np.zeros((13, 2), dtype=np.int64)))
+@example(case=(1000000007, np.array([[1000000006, 2], [1, 1000000005], [3, 4]])))
 # rank stops once every row is a pivot row: here after column 2 of 7.
-@example(case=(5, np.array([[1, 0, 0, 2, 4, 1, 3], [3, 2, 0, 0, 1, 4, 4], [0, 4, 1, 1, 0, 2, 3]])), reduced=False)
+@example(case=(5, np.array([[1, 0, 0, 2, 4, 1, 3], [3, 2, 0, 0, 1, 4, 4], [0, 4, 1, 1, 0, 2, 3]])))
 # Rank 4 of 6 rows (the first and third are combinations of the others), and rank 0:
 # no early stop.
 @example(
@@ -385,48 +393,26 @@ def _sympy_rref(q, m):
         [0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1, 2, 3],
         [0, 0, 1, 4, 2, 0, 0, 3, 1, 6, 0, 5, 2],
     ])),
-    reduced=False,
 )
-@example(case=(3, np.zeros((4, 5), dtype=np.int64)), reduced=False)
-def test_elimination_paths_agree_with_each_other_and_sympy(case, reduced):
-    q, m = case
-    before = m.copy()
-    by_rows, piv_rows = _eliminate_rows(m, q, reduced)
-    by_cols, piv_cols = _eliminate_columns(m, q, reduced)
-    # rank counts pivots by its own elimination within the size limits.
-    got_rank = rank(FieldMatrix(q, m))
-    assert np.array_equal(m, before)
-    want, want_piv = _sympy_rref(q, m)
-    assert piv_rows == piv_cols == want_piv
-    assert got_rank == len(want_piv)
-    for work in (by_rows, by_cols):
-        assert work.dtype == np.int64 and work.shape == m.shape
-        # Echelon form either way: pivot rows are 1 at their pivot, zero
-        # before it, and the remaining rows are zero.
-        for i, c in enumerate(want_piv):
-            assert work[i, c] == 1 and not work[i, :c].any()
-        assert not work[len(want_piv):].any()
-    if reduced:
-        assert np.array_equal(by_rows, by_cols)
-        assert np.array_equal(by_rows, want)
+@example(case=(3, np.zeros((4, 5), dtype=np.int64)))
+def test_rref_and_rank_against_sympy(case):
+    _check_rref_and_rank(*case)
 
 
-def test_eliminate_picks_the_row_path_within_the_size_limits(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ff_linalg, "_eliminate_rows", lambda a, q, r: calls.append(("rows", a.shape)))
-    monkeypatch.setattr(ff_linalg, "_rank_rows", lambda a, q: calls.append(("rows", a.shape)) or 0)
-    monkeypatch.setattr(
-        ff_linalg, "_eliminate_columns", lambda a, q, reduced: calls.append(("columns", a.shape)) or (None, [])
-    )
-    shapes = [(0, 3), (12, 21), (1, 256), (13, 2), (12, 22), (1, 257)]
-    for shape in shapes:
-        ff_linalg._eliminate(np.zeros(shape, dtype=np.int64), 3, False)
-    assert ff_linalg.SMALL_ROWS == 12 and ff_linalg.SMALL_ENTRIES == 256
-    assert [path for path, _ in calls] == ["rows"] * 3 + ["columns"] * 3
-    calls.clear()
-    for shape in [(12, 21), (1, 256), (13, 2), (1, 257)]:
-        rank(FieldMatrix.zeros(3, *shape))
-    assert calls == [("rows", (12, 21)), ("rows", (1, 256)), ("columns", (13, 2)), ("columns", (1, 257))]
+def test_rref_and_rank_against_sympy_at_the_largest_verified_shapes():
+    # The caches of theorem3 (2, 7, 2) and (3, 5, 2) (26 x 77 and 17 x 40),
+    # the 35 x 51 residual of a (2, 7, 2) broadcast against user 1's
+    # cache basis, and [G.T | units] for that user's 61-row observation.
+    s = build_theorem3(2, 7, 2)
+    for Z in (*build_theorem3(3, 5, 2).cache, *s.cache):
+        _check_rref_and_rank(Z.q, Z.data)
+    q, d = s.field.q, DemandVector((1, 2, 1, 2, 1, 2, 1))
+    residual = s.delivery_matrix(d).data @ row_basis(s.cache[0]).op % q
+    assert residual.shape == (35, 51)
+    _check_rref_and_rank(q, residual)
+    G = observed_matrix(s, d, 1)
+    assert G.rows == 61
+    _check_rref_and_rank(q, np.hstack([G.data.T, s.layout.file_selector(q, 1).data.T]))
 
 
 def test_in_rowspace_validates_target_shape():
