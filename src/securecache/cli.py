@@ -14,16 +14,35 @@ count.  numpy reads a JSON true or false among integers as 1 or 0, so
 the entries' types are also scanned for bools, but only when the
 decoded document text holds `true` or `false`, the only ways JSON
 writes a boolean.  The argument parser is built once per process.
+
+Each document is parsed once per content.  After a document loads, the
+loader writes a sidecar next to it, `<name>.securecache`: one JSON
+header line (a layout tag, the SHA-256 of the document's bytes, the
+array's shape and the document with each matrix replaced by its row
+count), then the checked array of all the matrices' rows as
+little-endian int64.  A later load of bytes with that SHA-256 reads the
+array back instead of the JSON lists, and runs every other check on it
+again: the family member, q, B, key names, delivery mode, demand set,
+row width and range.  A sidecar that is missing, unreadable, truncated,
+of another layout or key, or failing a check is ignored, and replaced
+once the document itself loads.  Only a load that succeeded writes one,
+through a temporary file and os.replace; a sidecar that cannot be
+written is skipped silently.  Sidecars are safe to delete.  Like
+__pycache__, a sidecar is trusted to hold what its key says: whoever can
+write it can also rewrite the document next to it.
 """
 
 from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -45,6 +64,8 @@ from .scheme_model import (
 from .verifier import PreconditionError, check_lemma1_lemma2, check_lemma3_lemma4, simulate, verify_all
 
 FORMAT_VERSION = 1
+SIDECAR_SUFFIX = ".securecache"
+SIDECAR_LAYOUT = "securecache sidecar 1: a JSON header line, then the rows as little-endian int64"
 EXPLICIT_DELIVERY_LIMIT = 256
 
 
@@ -174,20 +195,18 @@ def _shape_problem(m: object, total: int) -> str | None:
 
 
 def _read_matrices(
-    q: int, total: int, matrices: list, name: Callable[[int], str], scan_bools: bool
-) -> list[FieldMatrix]:
-    """Every matrix of a document, converted and checked as one array.
+    total: int, matrices: list, name: Callable[[int], str], scan_bools: bool
+) -> tuple[np.ndarray, list[int]]:
+    """The rows of a document's matrices as one integer array, and its row cuts.
 
     Each of matrices, as decoded from JSON, must be a non-empty list of
-    rows of total integers in [0, q).  The rows of all of them become one
-    int64 array, checked once and cut back into one FieldMatrix per
-    matrix.  numpy reads a true or false among integers as 1 or 0, so
-    scan_bools asks for a scan of the entries' types; without it no entry
-    may be a bool.  Anything else raises ValueError naming the first
-    matrix at fault, name(i) being the name of matrices[i].
+    rows of total integers.  The rows of all of them become one array;
+    ends[i] is the row that ends matrices[i].  numpy reads a true or false
+    among integers as 1 or 0, so scan_bools asks for a scan of the
+    entries' types; without it no entry may be a bool.  Anything else
+    raises ValueError naming the first matrix at fault, name(i) being the
+    name of matrices[i].  The range [0, q) is checked by the caller.
     """
-    if q * q * total >= 1 << 63:
-        raise ValueError(f"modulus {q} is too large for exact int64 products over {total} columns")
 
     def shape_error(i: int, problem: str) -> ValueError:
         return ValueError(f"{name(i)} must be a non-empty list of rows of {total} entries each; {problem}")
@@ -222,13 +241,12 @@ def _read_matrices(
         )
     if scan_bools and bool in set(map(type, itertools.chain.from_iterable(rows))):
         fail("a JSON true or false as an entry", lambda row: bool in set(map(type, row)))
-    if arr.min() < 0 or arr.max() >= q:
-        fail(f"an entry outside [0, {q})", lambda row: not all(0 <= x < q for x in row))
-    arr = arr.astype(np.int64, copy=False)
-    return [FieldMatrix._trusted(q, arr[a:b]) for a, b in zip([0, *ends], ends)]
+    return arr.astype(np.int64, copy=False), ends
 
 
-def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
+def document_to_scheme(
+    doc: dict, rows: np.ndarray | None = None, scan_bools: bool = True
+) -> tuple[LinearScheme, np.ndarray]:
     """Rebuild a scheme from a document, checked against its family member.
 
     The label and params must name a member of constructions.FAMILIES,
@@ -239,11 +257,17 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
     mode the member's broadcast rule is used.  Every cache and explicit
     broadcast must be a non-empty list of rows of the layout's width,
     with integer entries in [0, q): an out-of-range entry is refused, not
-    reduced.  All of them are read as one array (see _read_matrices).
-    load_scheme passes scan_bools=False when the document text holds
-    neither `true` nor `false`, since then no entry can be a JSON boolean
-    and the per-entry type scan is skipped.  Anything else raises
-    ValueError.
+    reduced.  Anything else raises ValueError.
+
+    The matrices come from one of two sources.  With rows None, doc is a
+    decoded document and its matrices are read from its lists as one
+    array (see _read_matrices); load_scheme passes scan_bools=False when
+    the document text holds neither `true` nor `false`, since then no
+    entry can be a JSON boolean.  Otherwise doc is a document's head, as
+    a sidecar holds it: each matrix is replaced by its row count, and
+    rows holds those rows in order.  Only the step from lists to an array
+    is skipped; every other check runs on both.  Returns the scheme and
+    the array of all its matrices' rows, caches first.
     """
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != FORMAT_VERSION:
@@ -269,15 +293,19 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
     documented = doc["cache"]
     if type(documented) is not list or len(documented) != K:
         raise ValueError(f"cache must be a list of {K} matrices, one per user")
-    first = documented[0] if documented else None
-    if type(first) is list and first and type(first[0]) is list and len(first[0]) < N:
-        raise ValueError(f"cache of user 1 has rows of {len(first[0])} entries, fewer than N={N} files")
+    # The width of each cache's first row, None for a cache that has none.
+    if rows is not None:
+        widths = [rows.shape[1]] * K
+    else:
+        widths = [len(m[0]) if type(m) is list and m and type(m[0]) is list else None for m in documented]
+    if widths and widths[0] is not None and widths[0] < N:
+        raise ValueError(f"cache of user 1 has rows of {widths[0]} entries, fewer than N={N} files")
     if params not in family.members(N, K):
         raise ValueError(no_member)
     # Any cache's first row will do here: a malformed cache of user 1 is
     # reported, with the layout's width, once the member is built.
     files = N * family.units(**params)
-    widest = max((len(m[0]) for m in documented if type(m) is list and m and type(m[0]) is list), default=0)
+    widest = max((w for w in widths if w is not None), default=0)
     if widest < files:
         raise ValueError(
             f"the caches' first rows hold at most {widest} entries, "
@@ -311,7 +339,21 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
     def name(i: int) -> str:
         return f"cache of user {i + 1}" if i < K else f"broadcast for demand {list(demands[i - K])}"
 
-    matrices = _read_matrices(member.field.q, member.layout.total, documented, name, scan_bools)
+    q, total = member.field.q, member.layout.total
+    if q * q * total >= 1 << 63:
+        raise ValueError(f"modulus {q} is too large for exact int64 products over {total} columns")
+    if rows is None:
+        rows, ends = _read_matrices(total, documented, name, scan_bools)
+    else:
+        if not all(type(n) is int and n > 0 for n in documented) or sum(documented) != len(rows):
+            raise ValueError(f"the matrices' row counts do not cut {len(rows)} rows")
+        ends = list(itertools.accumulate(documented))
+        if rows.shape[1] != total:
+            raise ValueError(f"rows have {rows.shape[1]} entries, not the layout's {total}")
+    if rows.min() < 0 or rows.max() >= q:
+        i = int(np.argmax(((rows < 0) | (rows >= q)).any(axis=1)))
+        raise ValueError(f"{name(bisect.bisect_right(ends, i))} has an entry outside [0, {q})")
+    matrices = [FieldMatrix._trusted(q, rows[a:b]) for a, b in zip([0, *ends], ends)]
     delivery = member.delivery
     if mode == "explicit":
         table = dict(zip(demands, matrices[K:]))
@@ -319,7 +361,7 @@ def document_to_scheme(doc: dict, scan_bools: bool = True) -> LinearScheme:
         def delivery(d: DemandVector) -> FieldMatrix:
             return table[d.entries]
 
-    return replace(member, cache=tuple(matrices[:K]), delivery=delivery)
+    return replace(member, cache=tuple(matrices[:K]), delivery=delivery), rows
 
 
 def write_scheme(s: LinearScheme, path: Path) -> dict:
@@ -329,12 +371,81 @@ def write_scheme(s: LinearScheme, path: Path) -> dict:
     return doc
 
 
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+def _head(doc: dict) -> dict:
+    """A loaded document with each matrix replaced by its row count."""
+    head = {**doc, "cache": [len(m) for m in doc["cache"]]}
+    delivery = doc["delivery"]
+    if delivery["mode"] == "explicit":
+        entries = [{**e, "rows": len(e["rows"])} for e in delivery["entries"]]
+        head["delivery"] = {**delivery, "entries": entries}
+    return head
+
+
+def _read_sidecar(path: Path, key: str) -> tuple[dict, np.ndarray] | None:
+    """The head and rows the sidecar of path holds for the bytes hashing to key, or None."""
+    try:
+        data = _sidecar_path(path).read_bytes()
+        start = data.index(b"\n") + 1
+        header = json.loads(data[:start])
+        if header["layout"] != SIDECAR_LAYOUT or header["sha256"] != key:
+            return None
+        rows = np.frombuffer(data, "<i8", offset=start).reshape(header["shape"])
+        return (header["head"], rows) if rows.ndim == 2 else None
+    # A missing, unreadable, truncated or garbled sidecar is not used.
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return None
+
+
+def _write_sidecar(path: Path, key: str, head: dict, rows: np.ndarray) -> None:
+    """Write the sidecar of path, atomically; a sidecar that cannot be written is skipped."""
+    sidecar = _sidecar_path(path)
+    tmp = None
+    try:
+        header = json.dumps({"layout": SIDECAR_LAYOUT, "sha256": key, "shape": rows.shape, "head": head})
+        # Padding to a multiple of 8 bytes keeps the int64 rows aligned.
+        header += " " * (-(len(header) + 1) % 8) + "\n"
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=SIDECAR_SUFFIX, dir=sidecar.parent)
+        with os.fdopen(fd, "wb") as f:
+            f.write(header.encode())
+            f.write(rows.astype("<i8", copy=False))
+        os.replace(tmp, sidecar)
+    # RecursionError: a head nested about as deeply as json.loads allows.
+    except (OSError, RecursionError):
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def load_scheme(path: Path) -> LinearScheme:
+    """The scheme of the document at path, from its sidecar when that holds these bytes."""
+    # Imported here, not with the module: hashlib loads OpenSSL's libcrypto,
+    # about 3.4 MB of resident memory that only a document load needs.
+    import hashlib
+
+    data = path.read_bytes()
+    key = hashlib.sha256(data).hexdigest()
+    cached = _read_sidecar(path, key)
+    if cached is not None:
+        try:
+            return document_to_scheme(*cached)[0]
+        # A sidecar whose head or rows fail a check is replaced below.
+        except (ValueError, KeyError, TypeError):
+            pass
     # JSON is UTF-8 (RFC 8259), and json.loads reads a CR LF as whitespace,
     # so the bytes need no newline translation.
-    text = path.read_bytes().decode("utf-8")
+    text = data.decode("utf-8")
+    del data
+    doc = json.loads(text)
     # JSON writes a boolean only as one of these literals.
-    return document_to_scheme(json.loads(text), scan_bools="true" in text or "false" in text)
+    scan_bools = "true" in text or "false" in text
+    del text  # freed before the lists become an array, to lower peak memory
+    scheme, rows = document_to_scheme(doc, None, scan_bools)
+    _write_sidecar(path, key, _head(doc), rows)
+    return scheme
 
 
 def _cannot_write(path: Path, e: OSError) -> int:
@@ -347,8 +458,9 @@ def _load_or_report(path: str) -> LinearScheme | None:
     """The scheme at path, or None once the reason it cannot be loaded is printed."""
     try:
         return load_scheme(Path(path))
-    # KeyError: a missing field; TypeError: a field of the wrong JSON kind.
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    # KeyError: a missing field; TypeError: a field of the wrong JSON kind;
+    # RecursionError: JSON nested deeper than the parser follows.
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         print(f"error: cannot load scheme: {e}", file=sys.stderr)
         return None
 

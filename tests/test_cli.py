@@ -3,8 +3,10 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from securecache import cli
 from securecache.cli import _json_text, load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import FAMILIES, build_otp, build_scheme, build_theorem2
-from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, memory_of, randomness_of
+from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, randomness_of
 
 
 def _construct(tmp_path, label, N, K, t=None, name="scheme.json"):
@@ -197,6 +200,23 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, case):
     assert captured.err.startswith("error: cannot load scheme: ")
     assert MALFORMED_MESSAGES.get(case, "") in captured.err
     assert captured.out == ""
+    # A document that fails to load leaves no sidecar.
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"a":' * 50_000 + "1" + "}" * 50_000],
+    ids=["arrays", "objects"],
+)
+def test_verify_refuses_a_deeply_nested_document(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["verify", "--scheme", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load scheme: maximum recursion depth exceeded")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 _DELETE = object()  # a mutation that deletes the key or list item
@@ -365,6 +385,107 @@ def test_load_refuses_a_utf16_copy(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot load scheme: 'utf-8' codec can't decode")
     assert captured.out == ""
+
+
+def _sidecar(path):
+    return path.with_name(path.name + ".securecache")
+
+
+def _verify_run(path, capsys):
+    """verify --report on path: exit code, stdout, stderr and report bytes."""
+    report = path.with_name("report.json")
+    capsys.readouterr()
+    rc = main(["verify", "--scheme", str(path), "--report", str(report)])
+    return rc, capsys.readouterr(), report.read_bytes()
+
+
+def _assert_same_scheme(a, b):
+    assert a.cache == b.cache
+    for d in demands_iter(a.N, a.K):
+        assert a.delivery_matrix(d) == b.delivery_matrix(d)
+
+
+def _refuse_lists(*args):
+    raise AssertionError("a document was converted from JSON lists although its sidecar holds its rows")
+
+
+@pytest.mark.parametrize(
+    ("label", "N", "K", "t"),
+    [("otp", 2, 3, None), ("theorem1", 2, 4, None), ("theorem2", 3, 3, None), ("theorem3", 3, 3, 1), ("otp", 2, 9, None)],
+)
+def test_a_sidecar_load_equals_a_parse(tmp_path, capsys, monkeypatch, label, N, K, t):
+    path = _construct(tmp_path, label, N, K, t)
+    parsed = load_scheme(path)
+    assert _sidecar(path).exists()
+    _sidecar(path).unlink()
+    parsed_run = _verify_run(path, capsys)
+    assert parsed_run[0] == 0
+    monkeypatch.setattr(cli, "_read_matrices", _refuse_lists)
+    _assert_same_scheme(load_scheme(path), parsed)
+    assert _verify_run(path, capsys) == parsed_run
+
+
+def test_a_stale_sidecar_is_never_used(tmp_path, capsys):
+    # The zeroed row keeps the document's size and its modification time:
+    # only its bytes tell the two apart.
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    assert main(["verify", "--scheme", str(path)]) == 0
+    before, stat = path.read_bytes(), path.stat()
+    doc = json.loads(before)
+    entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [1, 1, 1])
+    entry["rows"][0] = [0] * len(entry["rows"][0])
+    path.write_text(_json_text(doc))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == len(before) and path.stat().st_mtime_ns == stat.st_mtime_ns
+    rc, captured, report = _verify_run(path, capsys)
+    assert rc == 1
+    assert captured.out.startswith("FAIL theorem3: 27 demands, 81 (demand, user) checks, 3 failures\n")
+    failures = json.loads(report)["failures"]
+    assert [(f["demand"], f["user"], f["correct"]) for f in failures] == [([1, 1, 1], k, False) for k in (1, 2, 3)]
+
+
+# Each edit spoils the sidecar of the theorem3 (3, 3, 1) document, whose q is 3.
+BAD_SIDECARS = {
+    "wrong key": lambda data, key: data.replace(key.encode(), b"0" * len(key)),
+    "truncated body": lambda data, key: data[: len(data) - 12],
+    "entry equal to q": lambda data, key: data[:-8] + (3).to_bytes(8, "little"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+def test_a_bad_sidecar_is_ignored_and_rewritten(tmp_path, case):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    parsed = load_scheme(path)
+    good = _sidecar(path).read_bytes()
+    bad = BAD_SIDECARS[case](good, hashlib.sha256(path.read_bytes()).hexdigest())
+    assert bad != good
+    _sidecar(path).write_bytes(bad)
+    _assert_same_scheme(load_scheme(path), parsed)
+    assert _sidecar(path).read_bytes() == good
+
+
+def _no_space(*args):
+    raise OSError(28, "No space left on device")
+
+
+def _too_deep(*args, **kwargs):
+    # What json.dumps raises on a head nested about as deeply as json.loads
+    # allows, since the writer runs a few frames deeper than the parser.
+    raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+
+@pytest.mark.parametrize(("where", "failure"), [("os.replace", _no_space), ("json.dumps", _too_deep)])
+def test_a_sidecar_that_cannot_be_written_is_skipped(tmp_path, capsys, monkeypatch, where, failure):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    module, name = where.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, failure)
+    capsys.readouterr()
+    assert main(["verify", "--scheme", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PASS theorem3: 27 demands, 81 (demand, user) checks, 0 failures\n"
+    assert captured.err == ""
+    # Neither the sidecar nor its temporary file is left behind.
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_verify_missing_file(tmp_path, capsys):
