@@ -4,7 +4,11 @@ Schemes travel as JSON documents carrying the field, layout, cache
 matrices, and either an explicit demand-to-broadcast table (small
 demand spaces) or a marker that the broadcast rule is re-derived from
 the scheme label and parameters.  Exit codes: 0 all checks passed,
-1 a mathematical check failed, 2 usage or input error.
+1 a mathematical check failed (verify, oracle, simulate), 2 usage or
+input error.  main() alone returns 2: a command refuses what it cannot
+do by raising ValueError (a document that cannot be loaded, an output
+that cannot be written, an unknown check, a cap or a bad parameter),
+and main() prints its message as one `error:` line on stderr.
 
 A document's matrices, its K caches and every explicit broadcast, are
 read in one pass: their rows are gathered into one list, converted by
@@ -26,10 +30,10 @@ again: the family member, q, B, key names, delivery mode, demand set,
 row width and range.  A sidecar that is missing, unreadable, truncated,
 of another layout or key, or failing a check is ignored, and replaced
 once the document itself loads.  Only a load that succeeded writes one,
-through a temporary file and os.replace; a sidecar that cannot be
-written is skipped silently.  Sidecars are safe to delete.  Like
-__pycache__, a sidecar is trusted to hold what its key says: whoever can
-write it can also rewrite the document next to it.
+through a temporary file and os.replace, with the document's permission
+bits; a sidecar that cannot be written is skipped silently.  Sidecars
+are safe to delete.  Like __pycache__, a sidecar is trusted to hold what
+its key says: whoever can write it can also rewrite the document.
 """
 
 from __future__ import annotations
@@ -41,13 +45,14 @@ import functools
 import itertools
 import json
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -412,6 +417,8 @@ def _write_sidecar(path: Path, key: str, head: dict, rows: np.ndarray) -> None:
         with os.fdopen(fd, "wb") as f:
             f.write(header.encode())
             f.write(rows.astype("<i8", copy=False))
+        # mkstemp makes the file 0600: whoever can read the document may read its sidecar.
+        shutil.copymode(path, tmp)
         os.replace(tmp, sidecar)
     # RecursionError: a head nested about as deeply as json.loads allows.
     except (OSError, RecursionError):
@@ -448,21 +455,23 @@ def load_scheme(path: Path) -> LinearScheme:
     return scheme
 
 
-def _cannot_write(path: Path, e: OSError) -> int:
-    """Report an output file that cannot be written; an input error, exit 2."""
-    print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
-    return 2
-
-
-def _load_or_report(path: str) -> LinearScheme | None:
-    """The scheme at path, or None once the reason it cannot be loaded is printed."""
+def _load(path: str) -> LinearScheme:
+    """The scheme at path; one that cannot be loaded raises ValueError saying why."""
     try:
         return load_scheme(Path(path))
     # KeyError: a missing field; TypeError: a field of the wrong JSON kind;
     # RecursionError: JSON nested deeper than the parser follows.
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
-        print(f"error: cannot load scheme: {e}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot load scheme: {e}") from e
+
+
+@contextlib.contextmanager
+def _writing(path: str | Path) -> Iterator[Path]:
+    """Yield path as a Path; an OSError of the block is re-raised as ValueError naming it."""
+    try:
+        yield Path(path)
+    except OSError as e:
+        raise ValueError(f"cannot write {Path(path)}: {e.strerror or e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +480,9 @@ def _load_or_report(path: str) -> LinearScheme | None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        s = build_scheme(args.scheme, args.N, args.K, args.t)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    try:
+    s = build_scheme(args.scheme, args.N, args.K, args.t)
+    with _writing(args.out) as out:
         doc = write_scheme(s, out)
-    except OSError as e:
-        return _cannot_write(out, e)
     t_part = f" t={s.params['t']}" if "t" in s.params else ""
     M, R, L = (Fraction(*doc["metadata"][k]) for k in "MRL")
     print(f"{s.label} N={s.N} K={s.K}{t_part}: q={s.field.q} B={s.B} M={M} R={R} L={L} -> {out}")
@@ -488,19 +490,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    s = _load_or_report(args.scheme)
-    if s is None:
-        return 2
-    try:
-        report = verify_all(s, policy=args.demands, count=args.count, seed=args.seed)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    s = _load(args.scheme)
+    report = verify_all(s, policy=args.demands, count=args.count, seed=args.seed)
     if args.report:
-        try:
-            Path(args.report).write_text(_json_text(report.as_dict()))
-        except OSError as e:
-            return _cannot_write(Path(args.report), e)
+        with _writing(args.report) as path:
+            path.write_text(_json_text(report.as_dict()))
     failures = report.failures()
     verdict = "PASS" if report.passed else "FAIL"
     print(
@@ -516,72 +510,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    s = _load_or_report(args.scheme)
-    if s is None:
-        return 2
+    s = _load(args.scheme)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in ("entropy", "lemmas", "sharing")]
     if unknown or not wanted:
-        print(f"error: unknown checks {unknown}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown checks {unknown}")
     ok = True
-    # A check that cannot run on this scheme (an enumeration or demand
-    # cap, a cache shape it needs) raises ValueError: an input error.
-    try:
-        for check in wanted:
-            if check == "entropy":
-                # Pair subsets over a small demand set keep CLI runs interactive;
-                # the test suite drives the same check harder.
-                good = check_rank_agreement(
-                    s, subset_size_cap=2, max_enum=args.max_enum, max_deliveries=8
-                )
-                print(f"entropy agreement: {'PASS' if good else 'FAIL'}")
-                ok = ok and good
-            elif check == "lemmas":
-                ran = 0
-                if memory_of(s) == 1:
-                    good = check_lemma1_lemma2(s)
-                    print(f"unit-cache identities: {'PASS' if good else 'FAIL'}")
-                    ok, ran = ok and good, ran + 1
-                # The unit-rate check reads its precondition off the broadcasts
-                # it builds, so each is built once.
+    for check in wanted:
+        if check == "entropy":
+            # Pair subsets over a small demand set keep CLI runs interactive;
+            # the test suite drives the same check harder.
+            good = check_rank_agreement(s, subset_size_cap=2, max_enum=args.max_enum, max_deliveries=8)
+            print(f"entropy agreement: {'PASS' if good else 'FAIL'}")
+            ok = ok and good
+        elif check == "lemmas":
+            ran = 0
+            for kind, lemma in (("unit-cache", check_lemma1_lemma2), ("unit-rate", check_lemma3_lemma4)):
                 try:
-                    good = check_lemma3_lemma4(s)
+                    good = lemma(s)
                 except PreconditionError:
-                    pass
-                else:
-                    print(f"unit-rate identities: {'PASS' if good else 'FAIL'}")
-                    ok, ran = ok and good, ran + 1
-                if ran == 0:
-                    print(
-                        "error: lemma checks apply to unit cache size or unit rate schemes only",
-                        file=sys.stderr,
-                    )
-                    return 2
-            elif check == "sharing":
-                if "t" not in s.params:
-                    print("error: scheme carries no share system", file=sys.stderr)
-                    return 2
-                good = check_secret_sharing(s.K, s.params["t"])
-                print(f"share threshold: {'PASS' if good else 'FAIL'}")
-                ok = ok and good
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+                    continue
+                print(f"{kind} identities: {'PASS' if good else 'FAIL'}")
+                ok, ran = ok and good, ran + 1
+            if not ran:
+                raise ValueError("lemma checks apply to unit cache size or unit rate schemes only")
+        elif check == "sharing":
+            if "t" not in s.params:
+                raise ValueError("scheme carries no share system")
+            good = check_secret_sharing(s.K, s.params["t"])
+            print(f"share threshold: {'PASS' if good else 'FAIL'}")
+            ok = ok and good
     return 0 if ok else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    s = _load_or_report(args.scheme)
-    if s is None:
-        return 2
-    try:
-        entries = tuple(int(x) for x in args.demand.split(","))
-        d = DemandVector(entries)
-        result = simulate(s, d, args.seed)
-    except (ValueError, IndexError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    s = _load(args.scheme)
+    d = DemandVector(tuple(int(x) for x in args.demand.split(",")))
+    result = simulate(s, d, args.seed)
     if result.passed:
         print(f"PASS demand {list(d.entries)} seed {args.seed}: all {s.K} users decoded")
         return 0
@@ -592,21 +557,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_tradeoff(args: argparse.Namespace) -> int:
     from .tradeoff import emit_curves
 
-    try:
-        data = emit_curves(args.N, args.K, args.grid)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    data = emit_curves(args.N, args.K, args.grid)
     out = Path(args.out)
     vertex_path = out.with_suffix(".vertices.json")
     for path, text in (
         (out, data.csv_text(include_prior=args.include_prior)),
         (vertex_path, _json_text(data.vertices_dict())),
     ):
-        try:
+        with _writing(path):
             path.write_text(text)
-        except OSError as e:
-            return _cannot_write(path, e)
     env = ", ".join(f"({p.M}, {p.R})" for p in data.envelope.vertices)
     print(f"N={args.N} K={args.K}: envelope vertices {env}")
     print(f"curves -> {out}, vertices -> {vertex_path}")
@@ -667,8 +626,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code, or 2 once a refusal is printed."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

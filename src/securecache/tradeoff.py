@@ -236,7 +236,7 @@ class TradeoffDataset:
     constraints: tuple[ConverseConstraint, ...]
     rows: tuple[TradeoffRow, ...]
 
-    def csv_text(self, include_prior: bool = True) -> str:
+    def csv_text(self, *, include_prior: bool) -> str:
         cols = ["M_num", "M_den", "M_float", "R_ach_float"]
         if include_prior:
             cols.append("R_prior_float")

@@ -474,7 +474,9 @@ def _too_deep(*args, **kwargs):
     raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
 
 
-@pytest.mark.parametrize(("where", "failure"), [("os.replace", _no_space), ("json.dumps", _too_deep)])
+@pytest.mark.parametrize(
+    ("where", "failure"), [("os.replace", _no_space), ("json.dumps", _too_deep), ("shutil.copymode", _no_space)]
+)
 def test_a_sidecar_that_cannot_be_written_is_skipped(tmp_path, capsys, monkeypatch, where, failure):
     path = _construct(tmp_path, "theorem3", 3, 3, t=1)
     module, name = where.split(".")
@@ -486,6 +488,14 @@ def test_a_sidecar_that_cannot_be_written_is_skipped(tmp_path, capsys, monkeypat
     assert captured.err == ""
     # Neither the sidecar nor its temporary file is left behind.
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+def test_a_sidecar_takes_the_documents_mode(tmp_path, mode):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    path.chmod(mode)
+    load_scheme(path)
+    assert _sidecar(path).stat().st_mode & 0o777 == mode
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -560,6 +570,118 @@ def test_verify_refuses_a_sample_count_past_the_cap(tmp_path, capsys):
     assert captured.out == ""
 
 
+# The documents the refusals below read, by file name.
+REFUSAL_DOCUMENTS = {
+    "t3.json": ("theorem3", 2, 3, 1),
+    "t331.json": ("theorem3", 3, 3, 1),
+    "t2.json": ("theorem2", 3, 3, None),
+    "otp.json": ("otp", 2, 2, None),
+    "otp33.json": ("otp", 3, 3, None),
+}
+
+# Every way a command refuses: argv, then its one stderr line less the
+# "error: " prefix.  {dir} is the directory that holds REFUSAL_DOCUMENTS,
+# and v99.json, a copy of otp.json of format_version 99.
+REFUSALS = {
+    "construct theorem1 off its members": (
+        "construct --scheme theorem1 --N 3 --K 3 --out {dir}/x.json",
+        "theorem1 has no member {{'N': 3, 'K': 3}}; its members at this N, K: []",
+    ),
+    "construct theorem3 without t": (
+        "construct --scheme theorem3 --N 2 --K 4 --out {dir}/x.json",
+        "theorem3 has no member {{'N': 2, 'K': 4}}; its members at this N, K: "
+        "[{{'N': 2, 'K': 4, 't': 1}}, {{'N': 2, 'K': 4, 't': 2}}]",
+    ),
+    "construct into a missing directory": (
+        "construct --scheme otp --N 2 --K 2 --out {dir}/missing-dir/o.json",
+        "cannot write {dir}/missing-dir/o.json: No such file or directory",
+    ),
+    "verify an unknown format_version": (
+        "verify --scheme {dir}/v99.json",
+        "cannot load scheme: unsupported format_version 99, expected 1",
+    ),
+    "verify a report into a missing directory": (
+        "verify --scheme {dir}/t3.json --report {dir}/missing-dir/r.json",
+        "cannot write {dir}/missing-dir/r.json: No such file or directory",
+    ),
+    "verify a sample of 0": (
+        "verify --scheme {dir}/t3.json --demands sample --count 0 --seed 1",
+        "sample count must be at least 1, got 0",
+    ),
+    "verify a sample without count and seed": (
+        "verify --scheme {dir}/t3.json --demands sample",
+        "policy='sample' needs count and seed",
+    ),
+    "oracle entropy,bogus": (
+        "oracle --scheme {dir}/otp.json --checks entropy,bogus",
+        "unknown checks ['bogus']",
+    ),
+    "oracle no checks": ("oracle --scheme {dir}/otp.json --checks ,", "unknown checks []"),
+    "oracle sharing on otp": (
+        "oracle --scheme {dir}/otp33.json --checks sharing",
+        "scheme carries no share system",
+    ),
+    "oracle lemmas on theorem3": (
+        "oracle --scheme {dir}/t331.json --checks lemmas",
+        "lemma checks apply to unit cache size or unit rate schemes only",
+    ),
+    "oracle entropy past --max-enum": (
+        "oracle --scheme {dir}/t2.json --checks entropy --max-enum 10",
+        "brute-force enumeration needs 2**7 = 128 input vectors, over the cap of 10",
+    ),
+    "simulate demand x": (
+        "simulate --scheme {dir}/t3.json --demand x",
+        "invalid literal for int() with base 10: 'x'",
+    ),
+    "simulate demand 0,1,1": (
+        "simulate --scheme {dir}/t3.json --demand 0,1,1",
+        "demands are 1-indexed positive ints, got 0",
+    ),
+    "simulate demand 1,3,1": (
+        "simulate --scheme {dir}/t3.json --demand 1,3,1",
+        "demand 3 out of range [1, 2]",
+    ),
+    "simulate demand 1,2": (
+        "simulate --scheme {dir}/t3.json --demand 1,2",
+        "demand has 2 entries for 3 users",
+    ),
+    "tradeoff N 1": (
+        "tradeoff --N 1 --K 3 --out {dir}/c.csv",
+        "need N >= 2 and K >= 2, got N=1, K=3",
+    ),
+    "tradeoff grid 1": (
+        "tradeoff --N 2 --K 4 --grid 1 --out {dir}/c.csv",
+        "need at least 2 grid samples, got 1",
+    ),
+    "tradeoff into a missing directory": (
+        "tradeoff --N 2 --K 3 --out {dir}/missing-dir/c.csv",
+        "cannot write {dir}/missing-dir/c.csv: No such file or directory",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def refusal_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("refusals")
+    for name, (label, N, K, t) in REFUSAL_DOCUMENTS.items():
+        write_scheme(build_scheme(label, N, K, t), d / name)
+    doc = json.loads((d / "otp.json").read_text())
+    (d / "v99.json").write_text(json.dumps({**doc, "format_version": 99}))
+    return d
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_each_refusal_is_one_error_line_and_exit_2(refusal_dir, capsys, case):
+    argv, message = REFUSALS[case]
+    documents = {p for p in refusal_dir.iterdir() if p.suffix != ".securecache"}
+    capsys.readouterr()
+    rc = main([a.format(dir=refusal_dir) for a in argv.split()])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", f"error: {message.format(dir=refusal_dir)}\n")
+    # A refused command writes no output file.
+    assert {p for p in refusal_dir.iterdir() if p.suffix != ".securecache"} == documents
+
+
 def test_oracle_entropy_and_sharing(tmp_path, capsys):
     path = _construct(tmp_path, "theorem3", 2, 3, t=1)
     rc = main(["oracle", "--scheme", str(path), "--checks", "entropy,sharing"])
@@ -611,34 +733,6 @@ def test_oracle_lemmas_past_the_demand_cap(tmp_path, capsys):
         assert captured.out == ""
 
 
-def test_oracle_lemmas_need_a_precondition(tmp_path, capsys):
-    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
-    rc = main(["oracle", "--scheme", str(path), "--checks", "lemmas"])
-    assert rc == 2
-    assert "unit cache size or unit rate" in capsys.readouterr().err
-
-
-def test_oracle_sharing_needs_share_system(tmp_path, capsys):
-    path = _construct(tmp_path, "otp", 3, 3)
-    rc = main(["oracle", "--scheme", str(path), "--checks", "sharing"])
-    assert rc == 2
-    assert "no share system" in capsys.readouterr().err
-
-
-def test_oracle_rejects_unknown_check(tmp_path, capsys):
-    path = _construct(tmp_path, "otp", 2, 2)
-    rc = main(["oracle", "--scheme", str(path), "--checks", "entropy,bogus"])
-    assert rc == 2
-    assert "unknown checks" in capsys.readouterr().err
-
-
-def test_oracle_enumeration_cap(tmp_path, capsys):
-    path = _construct(tmp_path, "theorem2", 3, 3)
-    rc = main(["oracle", "--scheme", str(path), "--checks", "entropy", "--max-enum", "10"])
-    assert rc == 2
-    assert "over the cap" in capsys.readouterr().err
-
-
 def test_simulate(tmp_path, capsys):
     path = _construct(tmp_path, "theorem1", 2, 4)
     rc = main(["simulate", "--scheme", str(path), "--demand", "1,2,2,1", "--seed", "11"])
@@ -669,12 +763,6 @@ def test_tradeoff_prior_column_and_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert a.with_suffix(".vertices.json").read_bytes() == b.with_suffix(".vertices.json").read_bytes()
     assert a.read_text().splitlines()[0] == "M_num,M_den,M_float,R_ach_float,R_prior_float,R_lb_float"
-
-
-def test_tradeoff_rejects_bad_grid(tmp_path, capsys):
-    rc = main(["tradeoff", "--N", "2", "--K", "4", "--grid", "1", "--out", str(tmp_path / "c.csv")])
-    assert rc == 2
-    assert "grid samples" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
