@@ -2,21 +2,20 @@
 
 Entropies of collections of files, caches and broadcasts are measured
 by enumerating every assignment of the input vector, pushing each
-through their matrices, and tallying the image.  Only the essential
-columns are walked: dropping zero and repeated columns scales every
-tally by one power of q (see _essential_columns).  Each image is coded
-as a base-q integer and the codes are counted exactly.  A rank-agreement
-block's collections are grouped by essential width: where the width
-leaves at most _Enumerator.BLOCK inputs, a whole group's images are one
-batched product, and each collection's sorted codes are checked for
-uniformity by where their boundaries fall (see _sorted_units).  Wider
-collections are walked block by block: the inputs that share their
-leading digits form a block, and by linearity its images are one table,
-the images of all trailing digit patterns, plus the block's shift, the
-image of the leading digits, reduced mod q.  For linear maps of uniform
-inputs the image must be uniform and its size a power of q, so every
-entropy is an exact integer count of units; the oracle raises rather
-than round.  No oracle value is computed with rank or elimination:
+through their matrices, and counting the distinct images.  Only the
+essential columns are enumerated: dropping zero and repeated columns
+scales every image's count of inputs by one power of q (see
+_essential_columns).  Each image is coded exactly, as base-q integers
+of its rows, and each map's codes of all its inputs are sorted.  One
+argument then decides every entropy (see _sorted_units): the image of a
+map with d distinct codes is uniform, of size a power of q, exactly
+when d is a power of q and the sorted codes fall into d runs of
+q**n / d equal codes.  For linear maps of uniform inputs the image must
+be uniform and its size a power of q, so every entropy is an exact
+integer count of units; the oracle raises rather than round.  A
+rank-agreement block's collections are grouped by essential width, and
+each group's codes are built together, a chunk of maps at a time (see
+_Enumerator).  No oracle value is computed with rank or elimination:
 agreement of these counts with matrix ranks is the cross-check that
 keeps the rank-based verifier honest.
 """
@@ -26,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +41,10 @@ from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands
 # oracle-agree pass, 1024 added about 2-3 MB of peak RSS and 4096 about
 # 11-12 MB, while 256 ran as fast as 64 or 1024.
 RANK_BLOCK = 256
+
+# check_secret_sharing ranks all subsets of up to this many shares, else this many seeded draws.
+SHARING_EXHAUSTIVE_LIMIT = 30
+SHARING_SAMPLES = 1000
 
 
 class EnumerationCapError(ValueError):
@@ -142,30 +146,22 @@ def _digit_rows(q: int, k: int) -> NDArray:
 
 
 class _Enumerator:
-    """Exact image tallies over all q**n input vectors, for a stack of maps.
+    """Exact image sizes over all q**n input vectors, for a stack of maps.
+
+    Images are coded as base-q Horner integers of their rows: a code fits
+    one int64 for up to `group` rows (q**group < 2**62), and codes of that
+    many rows are equal exactly when the images are.  More rows are coded
+    in groups, and images compared as the raw bytes of their group codes.
+    A zero padding row adds 0 to every code and changes no count.
 
     An input is split into its first hi digits and its last lo digits,
     lo being the most with q**lo <= BLOCK, but at least one if n > 0.
-    Images are coded as base-q Horner integers of their rows: a code
-    fits one int64 for up to `group` rows (q**group < 2**62), and codes
-    of that many rows are equal exactly when the images are.
-
-    Small widths, hi = 0 and at most `group` rows: low_digits holds
-    every input, so the images of a whole stack of maps are one product
-    low_digits @ G^T % q per map, coded in one more.  A zero padding row
-    adds 0 to every code and changes no tally.  The stack is coded CHUNK
-    image entries at a time, each map's codes are sorted, and
-    _sorted_units reads every map's entropy off its sorted codes.
-
-    Otherwise each map is walked block by block: for a map G the low
-    digits' images form one table and the high digits' images one shift
-    per block; by linearity the block of inputs sharing their high
-    digits maps to (table + shift) % q.  The codes are tallied exactly:
-    into one counter per possible code when there are at most as many
-    of those as inputs, by sorting all codes otherwise.  Where q**rows
-    would reach 2**62, the rows are coded in groups and the group codes
-    compared as raw bytes.  The oracle builds one enumerator per
-    essential width n (see _essential_columns), not per layout width.
+    The low digits' images form one table and the high digits' images
+    one shift per block; by linearity the block of inputs sharing their
+    high digits maps to (table + shift) % q.  A stack is coded about
+    CHUNK image entries at a time, each map's codes are sorted in place,
+    and _sorted_units reads every entropy off them.  The oracle builds
+    one enumerator per essential width n (see _essential_columns).
     """
 
     BLOCK = 1 << 12
@@ -198,96 +194,65 @@ class _Enumerator:
         C, m = stacks.shape[:2]
         if m == 0:
             return np.zeros(C, dtype=np.int64)
-        if self.hi or m > self.group:
-            return np.array([_tally_units(self.q, self.image_tally(G)) for G in stacks], dtype=np.int64)
-        powers = self.powers[self.group - m :]
         step = max(1, self.CHUNK // (self.count * m))
-        units = []
-        for a in range(0, C, step):
-            images = self.low_digits @ stacks[a : a + step].transpose(0, 2, 1) % self.q
-            units.append(_sorted_units(self.q, np.sort(images @ powers, axis=1)))
-        return np.concatenate(units)
+        chunks = range(0, C, step)
+        return np.concatenate([_sorted_units(self.q, self._codes(stacks[a : a + step])) for a in chunks])
 
-    def image_tally(self, G: NDArray) -> NDArray:
-        """How many inputs map to each image under the row map G, one entry per image."""
-        q, m = self.q, G.shape[0]
-        blocks = self._block_codes(G)
-        if m <= self.group and q**m <= self.count:
-            tally = np.zeros(q**m, dtype=np.int64)
-            for codes in blocks:
-                np.add.at(tally, codes[:, 0], 1)
-            return tally[tally > 0]
-        codes = np.concatenate(list(blocks))
-        if m > self.group:
-            codes = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))
-        return np.unique(codes.ravel(), return_counts=True)[1]
-
-    def _block_codes(self, G: NDArray) -> Iterator[NDArray]:
-        """Codes of the images of each block of inputs, in input order."""
-        q = self.q
-        table = self.low_digits @ G[:, self.hi :].T % q
-        yield self._encode(table)
+    def _codes(self, stacks: NDArray) -> NDArray:
+        """(c, q**n) codes of each map's images of all inputs, each row sorted in place."""
+        q, (c, m) = self.q, stacks.shape[:2]
+        width = len(self.low_digits)
+        codes = np.empty((c, self.count, -(-m // self.group)), dtype=np.int64)
+        table = self.low_digits @ stacks[:, :, self.hi :].transpose(0, 2, 1) % q
         # The first block's shift is zero; the others are stored minus q
         # so that table + shift lies in [-q, q - 2] and adding q back
         # where it is negative reduces it mod q without a division.
-        shifts = self.high_digits[1:] @ G[:, : self.hi].T % q - q
-        for shift in shifts:
-            images = table + shift
-            images += (images >> 63) & q
-            yield self._encode(images)
-
-    def _encode(self, images: NDArray) -> NDArray:
-        """Base-q Horner codes of each image row, one column per group of rows."""
-        m = images.shape[1]
-        codes = np.empty((len(images), -(-m // self.group)), dtype=np.int64)
-        for j, a in enumerate(range(0, m, self.group)):
-            group = images[:, a : a + self.group]
-            codes[:, j] = group @ self.powers[self.group - group.shape[1] :]
+        shifts = self.high_digits[1:] @ stacks[:, :, : self.hi].transpose(0, 2, 1) % q - q
+        for b in range(len(self.high_digits)):
+            images = table
+            if b:
+                images = table + shifts[:, b - 1, None]
+                images += (images >> 63) & q
+            block = codes[:, b * width : (b + 1) * width]
+            for j, a in enumerate(range(0, m, self.group)):
+                group = images[:, :, a : a + self.group]
+                block[:, :, j] = group @ self.powers[self.group - group.shape[2] :]
+        if codes.shape[2] > 1:
+            codes = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[2])))
+        codes = codes.reshape(c, self.count)
+        codes.sort(axis=1)
         return codes
-
-
-def _tally_units(q: int, counts: NDArray) -> int:
-    """Exact log_q of the image size from its tallies, with uniformity enforced."""
-    if counts.min() != counts.max():
-        raise OracleInvariantError(
-            f"non-uniform image for a linear map: tallies {sorted(set(counts.tolist()))}"
-        )
-    image_size = len(counts)
-    value, size = 0, 1
-    while size < image_size:
-        size *= q
-        value += 1
-    if size != image_size:
-        raise OracleInvariantError(f"image size {image_size} is not a power of {q}")
-    return value
 
 
 def _sorted_units(q: int, codes: NDArray) -> NDArray:
     """Exact log_q of each row's count of distinct codes, with uniformity enforced.
 
     codes is (C, T), each row the sorted image codes of all T = q**n
-    inputs of one map.  A row with d distinct codes splits at d - 1
-    boundaries, the positions p in [1, T) where codes[p] != codes[p - 1],
-    and each code's tally is the gap between consecutive boundaries,
-    0 and T included.  The image is uniform exactly when every gap is
-    T / d, that is when d divides T and the boundaries are the d - 1
-    multiples of T / d; q being prime, d divides q**n exactly when d is
-    a power of q.  Both tests are exact integer comparisons.
+    inputs of one map.  A row with d distinct codes changes value at
+    d - 1 positions.  Its image is uniform exactly when every code's
+    tally is T / d, which needs d to divide T; q being prime, d divides
+    q**n exactly when d is a power of q.  Then the row is uniform exactly
+    when each of its d runs of T / d places holds one code: a sorted run
+    does exactly when its first and last codes are equal, and d runs of
+    one code each, with d distinct codes in all, hold a different code
+    each.  Both tests are exact comparisons.
     """
     T = codes.shape[1]
     edges = codes[:, 1:] != codes[:, :-1]
     sizes = edges.sum(axis=1) + 1
     units = np.full(len(sizes), -1, dtype=np.int64)
+    uniform = np.ones(len(sizes), dtype=bool)
     value, size = 0, 1
     while size <= T:
-        units[sizes == size] = value
+        rows, run = sizes == size, T // size
+        if rows.any():
+            units[rows] = value
+            uniform[rows] = (codes[rows, ::run] == codes[rows, run - 1 :: run]).all(axis=1)
         value, size = value + 1, size * q
     if (units < 0).any():
         raise OracleInvariantError(f"image size {sizes[units < 0][0]} is not a power of {q}")
-    expected = np.arange(1, T) % (T // sizes)[:, None] == 0
-    bad = (edges != expected).any(axis=1)
-    if bad.any():
-        cuts = np.flatnonzero(edges[bad.argmax()]) + 1
+    if not uniform.all():
+        cuts = np.flatnonzero(edges[uniform.argmin()]) + 1
         tallies = np.diff(np.concatenate([[0], cuts, [T]]))
         raise OracleInvariantError(
             f"non-uniform image for a linear map: tallies {sorted(set(tallies.tolist()))}"
@@ -295,16 +260,14 @@ def _sorted_units(q: int, codes: NDArray) -> NDArray:
     return units
 
 
-def brute_entropy(
-    s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = 10**7
-) -> int:
+def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = 10**7) -> int:
     """Entropy of a variable collection, in units, by full enumeration.
 
-    Refuses politely when q**total exceeds max_enum.  Otherwise walks
-    the q**n' inputs of the stacked matrices' n' essential columns (see
-    _essential_columns) and checks that the image is uniform with size
-    an exact power of q, raising OracleInvariantError if not.  Returns
-    that exact logarithm; rank is never consulted.
+    Refuses politely when q**total exceeds max_enum.  Otherwise codes
+    the images of all q**n' inputs of the stacked matrices' n' essential
+    columns (see _essential_columns) and checks that the image is uniform
+    with size an exact power of q, raising OracleInvariantError if not.
+    Returns that exact logarithm; rank is never consulted.
     """
     q = s.field.q
     n = s.layout.total
@@ -324,15 +287,12 @@ def _bounded_deliveries(s: LinearScheme, max_deliveries: int) -> list[DemandVect
     if space <= max_deliveries:
         return list(demands_iter(s.N, s.K))
     spacing = max(max_deliveries - 1, 1)
-    idxs = sorted({round(i * (space - 1) / spacing) for i in range(max_deliveries)})
+    idxs = sorted({round(Fraction(i * (space - 1), spacing)) for i in range(max_deliveries)})
     return [demand_from_index(s.N, s.K, i) for i in idxs]
 
 
 def check_rank_agreement(
-    s: LinearScheme,
-    subset_size_cap: int,
-    max_enum: int = 10**7,
-    max_deliveries: int = 32,
+    s: LinearScheme, subset_size_cap: int, max_enum: int = 10**7, max_deliveries: int = 32
 ) -> bool:
     """Brute-force entropy equals rank for every small variable collection.
 
@@ -382,37 +342,29 @@ def check_rank_agreement(
     return True
 
 
-def check_secret_sharing(
-    K: int,
-    t: int,
-    exhaustive_limit: int = 30,
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> bool:
+def check_secret_sharing(K: int, t: int) -> bool:
     """Threshold properties of the share expansion for (K, t).
 
     Every set of comb(K-1, t-1) shares must reveal nothing about the
     file (rank unchanged by masking the file columns), and all shares
     together must recover every file unit (the file columns add all B
     units to the rank of the key columns).  Subsets are checked
-    exhaustively up to exhaustive_limit shares, by seeded sample
-    beyond that.  They are drawn lazily and ranked RANK_BLOCK at a time
+    exhaustively up to SHARING_EXHAUSTIVE_LIMIT shares, by
+    SHARING_SAMPLES seeded draws beyond that.  They are drawn lazily and ranked RANK_BLOCK at a time
     by batched elimination, each next to its restriction to the key
     columns, which has the rank of its file-masked copy.
     """
-    if sample_count < 1:
-        raise ValueError(f"need sample_count >= 1, got {sample_count}")
     sys = build_shares(K, t)
     G = sys.generator
     B, m = sys.units, sys.key_units
     (r_all,), (r_keys,) = ranks(sys.q, G.data[None]), ranks(sys.q, G.data[None, :, B:])
     if r_all - r_keys != B:
         return False
-    if sys.n_shares <= exhaustive_limit:
+    if sys.n_shares <= SHARING_EXHAUSTIVE_LIMIT:
         subsets: Iterator[tuple[int, ...]] = itertools.combinations(range(sys.n_shares), m)
     else:
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(sys.n_shares), m))) for _ in range(sample_count))
+        rng = random.Random(0)
+        subsets = (tuple(sorted(rng.sample(range(sys.n_shares), m))) for _ in range(SHARING_SAMPLES))
     while block := list(itertools.islice(subsets, RANK_BLOCK)):
         subs = G.data[np.array(block)]
         if not np.array_equal(ranks(sys.q, subs), ranks(sys.q, subs[:, :, B:])):

@@ -55,6 +55,10 @@ from .scheme_model import (
 )
 
 
+# Seeded re-draws of each user's class representatives in check_lemma3_lemma4.
+LEMMA_SAMPLES = 10
+
+
 class PreconditionError(ValueError):
     """The scheme lacks what a lemma check needs: unit cache size or unit rate."""
 
@@ -286,7 +290,7 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
     )
 
 
-def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bool:
+def check_lemma3_lemma4(s: LinearScheme) -> bool:
     """Joint-entropy identities specific to unit broadcast rate.
 
     With every broadcast one unit, fixing a user's request to file a
@@ -294,7 +298,7 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
     function of the file and the user's cache; and a foreign file,
     one whole class, plus one representative from each other class
     are mutually independent.  Representatives are the
-    lexicographically least demands, plus seeded random re-draws.
+    lexicographically least demands, plus LEMMA_SAMPLES seeded re-draws.
     By the file-selector reduction, each broadcast adds no rank to the
     user's cache without the requested file's columns, and the
     representatives add their full rank to the class, also without a
@@ -304,8 +308,6 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
     demands are refused, and the unit-rate precondition is read off
     them: a scheme without it raises PreconditionError.
     """
-    if samples < 0:
-        raise ValueError(f"need samples >= 0, got {samples}")
     X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
     if max(Xd.rows for Xd in X.values()) != s.B:
         raise PreconditionError("identities require unit rate")
@@ -314,7 +316,7 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
         if any(residual_rank(kernel.basis(u, ("without", d[u])), Xd) for u in range(1, s.K + 1)):
             return False
     files = range(1, s.N + 1)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for u in range(1, s.K + 1):
         classes = {a: [Xd for d, Xd in X.items() if d[u] == a] for a in files}
         bases = {
@@ -324,7 +326,7 @@ def check_lemma3_lemma4(s: LinearScheme, samples: int = 10, seed: int = 0) -> bo
             if b != a
         }
         choices = [[0] * s.N]
-        choices += [[rng.randrange(len(classes[a])) for a in files] for _ in range(samples)]
+        choices += [[rng.randrange(len(classes[a])) for a in files] for _ in range(LEMMA_SAMPLES)]
         for choice in choices:
             reps = {a: classes[a][i] for a, i in zip(files, choice)}
             rep_rank = {a: rank(R) for a, R in reps.items()}

@@ -36,7 +36,7 @@ from securecache.entropy_oracle import (
 )
 from securecache.ff_linalg import rank
 from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, worst_case_rate
-from securecache.verifier import check_lemma1_lemma2, check_lemma3_lemma4
+from securecache.verifier import LEMMA_SAMPLES, check_lemma1_lemma2, check_lemma3_lemma4
 
 
 def test_single_file_entropy_is_unit_count():
@@ -99,6 +99,13 @@ def _random_map(q, rows, cols):
     return q, np.random.default_rng(rows * cols).integers(0, q, (rows, cols))
 
 
+def _second_group_map(q, rows, cols):
+    """A random map whose first Horner group of rows is zero, so only later rows tell images apart."""
+    q, G = _random_map(q, rows, cols)
+    G[: _Enumerator(q, 0).group] = 0
+    return q, G
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=linear_maps())
 @example(case=(3, np.zeros((0, 4), dtype=np.int64)))
@@ -107,6 +114,10 @@ def _random_map(q, rows, cols):
 # 3**45 >= 2**62: images are coded in two groups of rows and compared as bytes.
 @example(case=_random_map(3, 45, 5))
 @example(case=_random_map(2, 70, 4))
+# Two groups of rows on 2**14 inputs, built block by block.
+@example(case=_random_map(2, 70, 14))
+@example(case=_second_group_map(2, 70, 14))
+@example(case=_second_group_map(3, 45, 5))
 def test_enumerator_matches_plain_enumeration(case):
     q, G = case
     enum = _Enumerator(q, G.shape[1])
@@ -117,7 +128,12 @@ def test_enumerator_matches_plain_enumeration(case):
     assert q**value == len(images)
     assert enum.entropy_units(G[None]).tolist() == [value]
     if G.shape[0]:
-        assert sorted(enum.image_tally(G).tolist()) == sorted(images.values())
+        assert sorted(_code_counts(enum, G).values()) == sorted(images.values())
+
+
+def _code_counts(enum, G):
+    """How many inputs the enumerator codes to each image code of the map G."""
+    return Counter(enum._codes(G[None])[0].tolist())
 
 
 @st.composite
@@ -174,8 +190,8 @@ def test_essential_columns_scale_every_tally(case):
         full_enum, enum = _Enumerator(q, n), _Enumerator(q, width)
         assert full_enum.entropy_units(G[None]).tolist() == enum.entropy_units(reduced[None]).tolist()
         if len(G):
-            full = sorted(full_enum.image_tally(G).tolist())
-            assert full == sorted(q ** (n - width) * c for c in enum.image_tally(reduced).tolist())
+            scaled = {code: q ** (n - width) * c for code, c in _code_counts(enum, reduced).items()}
+            assert _code_counts(full_enum, G) == scaled
 
 
 def test_image_codes_stay_below_2_to_62():
@@ -186,16 +202,21 @@ def test_image_codes_stay_below_2_to_62():
         assert enum.powers.tolist() == [q**i for i in range(enum.group - 1, -1, -1)]
 
 
-# 3**8 inputs are past _Enumerator.BLOCK, so these maps are walked and tallied.
+# 3**8 inputs are past _Enumerator.BLOCK, so these maps' codes are built
+# block by block; the patched codes are sorted, as _codes returns them.
 def test_non_uniform_tally_is_refused(monkeypatch):
-    monkeypatch.setattr(_Enumerator, "image_tally", lambda self, G: np.array([3, 1, 3]))
-    with pytest.raises(OracleInvariantError, match="non-uniform"):
+    # Three codes, a power of 3, tallied 3**8 - 2, 1 and 1.
+    codes = np.zeros((1, 3**8), dtype=np.int64)
+    codes[0, -2:] = [1, 2]
+    monkeypatch.setattr(_Enumerator, "_codes", lambda self, stacks: codes)
+    with pytest.raises(OracleInvariantError, match=r"non-uniform image for a linear map: tallies \[1, 6559\]"):
         _Enumerator(3, 8).entropy_units(np.eye(8, dtype=np.int64)[None])
 
 
 def test_non_power_image_size_is_refused(monkeypatch):
-    monkeypatch.setattr(_Enumerator, "image_tally", lambda self, G: np.array([1, 1]))
-    with pytest.raises(OracleInvariantError, match="not a power of 3"):
+    codes = np.sort(np.arange(3**8, dtype=np.int64) % 2)[None]
+    monkeypatch.setattr(_Enumerator, "_codes", lambda self, stacks: codes)
+    with pytest.raises(OracleInvariantError, match="image size 2 is not a power of 3"):
         _Enumerator(3, 8).entropy_units(np.eye(8, dtype=np.int64)[None])
 
 
@@ -229,7 +250,7 @@ def map_stacks(draw):
     """(q, mats, stack): 1-6 low-rank maps of mixed row counts, zero-padded into one (C, R, n) stack.
 
     Widths run past _Enumerator.BLOCK for each q (2**13, 3**8, 5**6 inputs),
-    so both the sorted-code tally and the block walk are drawn.
+    so codes built from one table and block by block are both drawn.
     """
     q = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(0, {2: 13, 3: 8, 5: 6}[q]))
@@ -243,9 +264,9 @@ def map_stacks(draw):
     return q, mats, _padded(mats, n, draw(st.integers(0, 3)))
 
 
-def _walk_units(q, G):
-    """The entropy of one map by the per-map block walk."""
-    return entropy_oracle._tally_units(q, _Enumerator(q, G.shape[1]).image_tally(G)) if len(G) else 0
+def _alone_units(q, G):
+    """The entropy of one map, enumerated on its own, without padding rows."""
+    return _Enumerator(q, G.shape[1]).entropy_units(G[None]).item()
 
 
 def _map_stack_case(q, rows_each, n, extra_rows, seed=0):
@@ -256,7 +277,7 @@ def _map_stack_case(q, rows_each, n, extra_rows, seed=0):
 
 @settings(max_examples=120, deadline=None)
 @given(case=map_stacks())
-# More zero-padded rows than one Horner group holds (61 for q = 2): walked.
+# More zero-padded rows than one Horner group holds (61 for q = 2): compared as bytes.
 @example(case=_map_stack_case(2, [3, 0, 5], 6, 60))
 @example(case=_map_stack_case(3, [40, 2], 4, 0))
 # Many maps of one width, coded in several chunks.
@@ -265,7 +286,7 @@ def _map_stack_case(q, rows_each, n, extra_rows, seed=0):
 def test_stacked_entropies_match_the_walk_and_sympy(case):
     q, mats, stack = case
     units = _Enumerator(q, stack.shape[2]).entropy_units(stack).tolist()
-    assert units == [_walk_units(q, G) for G in mats]
+    assert units == [_alone_units(q, G) for G in mats]
     assert units == [_sympy_rank(q, G.tolist(), stack.shape[2]) for G in mats]
 
 
@@ -339,6 +360,14 @@ def test_bounded_deliveries_cover_endpoints():
     assert few[-1].entries == (3, 3, 3)
 
 
+def test_bounded_deliveries_reach_the_last_of_2_to_54_demands():
+    # Past 2**53 demands, float spacing would round the last index up to N**K.
+    few = _bounded_deliveries(build_otp(2, 54), 8)
+    assert len(few) == 8
+    assert few[0].entries == (1,) * 54
+    assert few[-1].entries == (2,) * 54
+
+
 def test_bounded_deliveries_single_and_invalid():
     s = build_otp(3, 3)
     one = _bounded_deliveries(s, 1)
@@ -364,8 +393,8 @@ def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
     # Each scheme at cap 2 has 1 + 13 + 78 collections, one block; the
     # comparison rank of collection 40 alone is raised by one.  On
     # theorem1 (3) it has essential width 3 and 31 others share it, so
-    # it is tallied in a stack; on theorem3 (2, 3, 1) its 3**8 inputs are
-    # past _Enumerator.BLOCK, so it is walked on its own.
+    # it is enumerated in a stack; on theorem3 (2, 3, 1) its 3**8 inputs
+    # are past _Enumerator.BLOCK, so its codes are built block by block.
     true_ranks = ff_linalg.ranks
     for s, small in ((build_theorem1(3), True), (build_theorem3(2, 3, 1), False)):
         seen, widths = [], []
@@ -399,7 +428,7 @@ def test_lemma1_lemma2_requires_unit_cache():
 
 def test_lemma3_lemma4_on_unit_rate_schemes():
     assert check_lemma3_lemma4(build_theorem2(2, 3))
-    assert check_lemma3_lemma4(build_theorem2(3, 3), samples=5, seed=1)
+    assert check_lemma3_lemma4(build_theorem2(3, 3))
 
 
 def test_lemma3_lemma4_requires_unit_rate():
@@ -418,14 +447,8 @@ def test_lemma3_lemma4_builds_each_delivery_matrix_once(monkeypatch):
     monkeypatch.setattr(LinearScheme, "delivery_matrix", counted)
     for N, K in ((2, 3), (3, 3)):
         calls.clear()
-        assert check_lemma3_lemma4(build_theorem2(N, K), samples=2)
+        assert check_lemma3_lemma4(build_theorem2(N, K))
         assert len(calls) == N**K and len(set(calls)) == N**K
-
-
-def test_lemma3_lemma4_refuses_negative_samples():
-    for samples in (-1, -3):
-        with pytest.raises(ValueError, match=f"got {samples}"):
-            check_lemma3_lemma4(build_theorem2(2, 3), samples=samples)
 
 
 def _rank_of(s, refs):
@@ -458,12 +481,12 @@ def _reference_lemma1_lemma2(s):
     return True
 
 
-def _reference_lemma3_lemma4(s, samples=10, seed=0):
+def _reference_lemma3_lemma4(s):
     """The unit-rate identities as entropies, each collection ranked from scratch."""
     if worst_case_rate(s) != 1:
         raise ValueError("identities require unit rate")
     all_demands = list(demands_iter(s.N, s.K))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for user in range(1, s.K + 1):
         classes = {
             a: [d for d in all_demands if d[user] == a] for a in range(1, s.N + 1)
@@ -478,7 +501,7 @@ def _reference_lemma3_lemma4(s, samples=10, seed=0):
             if _rank_of(s, [fv, zv]) != _rank_of(s, [fv, zv] + class_refs[a]):
                 return False
         rep_choices = [{a: 0 for a in classes}]
-        for _ in range(samples):
+        for _ in range(LEMMA_SAMPLES):
             rep_choices.append({a: rng.randrange(len(classes[a])) for a in classes})
         for choice in rep_choices:
             reps = {a: VariableRef.of_delivery(classes[a][choice[a]]) for a in classes}
@@ -598,7 +621,8 @@ def test_secret_sharing_exhaustive_cases():
 
 def test_secret_sharing_sampled_path():
     # comb(7, 3) = 35 shares is past the exhaustive limit.
-    assert check_secret_sharing(7, 3, sample_count=200)
+    assert build_shares(7, 3).n_shares > entropy_oracle.SHARING_EXHAUSTIVE_LIMIT
+    assert check_secret_sharing(7, 3)
 
 
 def test_secret_sharing_catches_a_leaking_share(monkeypatch):
@@ -624,12 +648,6 @@ def test_secret_sharing_catches_an_unrecoverable_unit(monkeypatch):
     lossy = dataclasses.replace(honest, generator=ff_linalg.FieldMatrix(honest.q, gen))
     monkeypatch.setattr(entropy_oracle, "build_shares", lambda K, t: lossy)
     assert not check_secret_sharing(4, 2)
-
-
-def test_secret_sharing_refuses_non_positive_sample_count():
-    for count in (0, -2):
-        with pytest.raises(ValueError, match=f"got {count}"):
-            check_secret_sharing(7, 3, sample_count=count)
 
 
 def test_oracle_imports_no_rank_routine_but_ranks():
