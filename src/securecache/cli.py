@@ -57,7 +57,7 @@ from typing import Callable, Iterator, NoReturn
 import numpy as np
 
 from .constructions import FAMILIES, build_scheme
-from .entropy_oracle import check_rank_agreement, check_secret_sharing
+from .entropy_oracle import MAX_ENUM, check_rank_agreement, check_secret_sharing
 from .ff_linalg import FieldMatrix
 from .scheme_model import (
     DemandVector,
@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force entropy checks against the rank machinery")
     p.add_argument("--scheme", required=True, help="scheme JSON path")
     p.add_argument("--checks", required=True, help="comma list of entropy,lemmas,sharing")
-    p.add_argument("--max-enum", type=int, default=10**7, dest="max_enum")
+    p.add_argument("--max-enum", type=int, default=MAX_ENUM, dest="max_enum")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="end-to-end decode on random symbols")

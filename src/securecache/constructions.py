@@ -426,14 +426,32 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+# Members whose caches could hold more entries than this, about 800 MB of
+# int64, are refused before anything is built.
+MAX_CACHE_ENTRIES = 10**8
+
+
 def _check_member(label: str, **params: int) -> Family:
-    """The family of label, once params are checked to name one of its members."""
+    """The family of label, once params are checked to name one of its members of buildable size.
+
+    The size bound is K caches of M*B rows over N*B + N*L*B columns, from
+    the declared (M, R, L) and B: no family has more key columns than
+    N*L*B, so it is at least the entries the member's caches hold.
+    """
     family = FAMILIES.get(label)
     if family is None:
         raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
     members = family.members(params["N"], params["K"])
     if params not in members:
         raise ValueError(f"{label} has no member {params}; its members at this N, K: {members}")
+    M, _, L = family.mrl(**params)
+    B, N = family.units(**params), params["N"]
+    entries = params["K"] * M * B * (N * B + N * L * B)
+    if entries > MAX_CACHE_ENTRIES:
+        raise ValueError(
+            f"{label} {params} would cache up to {int(entries)} entries, "
+            f"over the limit of {MAX_CACHE_ENTRIES}"
+        )
     return family
 
 

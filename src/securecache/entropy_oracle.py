@@ -42,6 +42,12 @@ from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands
 # 11-12 MB, while 256 ran as fast as 64 or 1024.
 RANK_BLOCK = 256
 
+# The most input vectors brute_entropy and check_rank_agreement enumerate,
+# and the ceiling on the max_enum a caller may set: each walked map holds
+# one code per input, so a larger cap could exhaust memory instead of
+# refusing.
+MAX_ENUM = 10**7
+
 # check_secret_sharing ranks all subsets of up to this many shares, else this many seeded draws.
 SHARING_EXHAUSTIVE_LIMIT = 30
 SHARING_SAMPLES = 1000
@@ -260,10 +266,19 @@ def _sorted_units(q: int, codes: NDArray) -> NDArray:
     return units
 
 
-def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = 10**7) -> int:
+def _check_cap(q: int, n: int, max_enum: int) -> None:
+    """Refuse a max_enum above MAX_ENUM, then q**n inputs above max_enum."""
+    if max_enum > MAX_ENUM:
+        raise ValueError(f"max_enum {max_enum} exceeds the ceiling of {MAX_ENUM}")
+    if q**n > max_enum:
+        raise EnumerationCapError(q, n, q**n, max_enum)
+
+
+def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = MAX_ENUM) -> int:
     """Entropy of a variable collection, in units, by full enumeration.
 
-    Refuses politely when q**total exceeds max_enum.  Otherwise codes
+    Refuses politely when q**total exceeds max_enum, and refuses a
+    max_enum above MAX_ENUM.  Otherwise codes
     the images of all q**n' inputs of the stacked matrices' n' essential
     columns (see _essential_columns) and checks that the image is uniform
     with size an exact power of q, raising OracleInvariantError if not.
@@ -271,9 +286,7 @@ def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = 
     """
     q = s.field.q
     n = s.layout.total
-    required = q**n
-    if required > max_enum:
-        raise EnumerationCapError(q, n, required, max_enum)
+    _check_cap(q, n, max_enum)
     G = stacked_matrix(s, refs)
     kept, (width,) = _essential_columns(G.data[None])
     return int(_Enumerator(q, width).entropy_units(kept[:, :, :width])[0])
@@ -292,7 +305,7 @@ def _bounded_deliveries(s: LinearScheme, max_deliveries: int) -> list[DemandVect
 
 
 def check_rank_agreement(
-    s: LinearScheme, subset_size_cap: int, max_enum: int = 10**7, max_deliveries: int = 32
+    s: LinearScheme, subset_size_cap: int, max_enum: int = MAX_ENUM, max_deliveries: int = 32
 ) -> bool:
     """Brute-force entropy equals rank for every small variable collection.
 
@@ -312,9 +325,7 @@ def check_rank_agreement(
         raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
     q = s.field.q
     n = s.layout.total
-    required = q**n
-    if required > max_enum:
-        raise EnumerationCapError(q, n, required, max_enum)
+    _check_cap(q, n, max_enum)
     universe: list[VariableRef] = (
         [VariableRef.of_file(i) for i in range(1, s.N + 1)]
         + [VariableRef.of_cache(k) for k in range(1, s.K + 1)]

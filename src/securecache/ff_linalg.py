@@ -3,11 +3,13 @@
 Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, row-space membership, column masking,
 ranks of row blocks relative to cached reduced row echelon bases (one
-product serves several bases side by side), and the ranks of a whole
-stack of small matrices by one batched elimination.  All arithmetic is
-exact integer arithmetic; there are no tolerances anywhere.  A single
-matrix is eliminated on Python integers, which cannot overflow: its
-RREF row by row, its rank by a pivot count that stops at full row rank.
+elimination in a column order yields the bases of all its prefixes, and
+one product serves several bases side by side), and the ranks of a
+whole stack of small matrices by one batched elimination.  All
+arithmetic is exact integer arithmetic; there are no tolerances
+anywhere.  A single matrix is eliminated on Python integers, which
+cannot overflow: its RREF row by row, each row update running only from
+the pivot on, and its rank by a pivot count that stops at full row rank.
 Residual products, matrix-vector products and the batched ranks run in
 numpy int64, and matrices are refused unless q**2 * cols < 2**63, which
 keeps them exact: a row of products of residues sums at most cols terms
@@ -190,32 +192,38 @@ def _rref(arr: NDArray, q: int) -> tuple[NDArray, list[int]]:
     of those is 1 at its pivot column and zero at the earlier ones, so
     the remainder ends zero at every pivot column.  A nonzero remainder
     is scaled to 1 at its first nonzero column, that column is cleared
-    from the earlier pivot rows, and it becomes a pivot row.  The RREF
-    of a matrix is unique, so the result depends on arr alone, not on
-    the order in which rows are taken.
+    from the earlier pivot rows, and it becomes a pivot row.  A pivot
+    row is zero left of its pivot, and stays so, because every row it
+    is later reduced by has its pivot further right; so each pivot row
+    is kept as its tail from the pivot on, and each row update, whether
+    it reduces an incoming row or clears a new pivot column from an
+    earlier pivot row, touches only the columns from the pivot on.  The
+    RREF of a matrix is unique, so the result depends on arr alone, not
+    on the order in which rows are taken.
     """
     found: list[tuple[int, list[int]]] = []
     for row in arr.tolist():
-        for c, prow in found:
+        for c, tail in found:
             f = row[c]
             if f:
-                row = [(x - f * y) % q for x, y in zip(row, prow)]
+                row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
         for lead, x in enumerate(row):
             if x:
                 break
         else:
             continue
         inv = pow(row[lead], -1, q)
-        row = [x * inv % q for x in row]
-        for i, (c, prow) in enumerate(found):
-            f = prow[lead]
-            if f:
-                found[i] = (c, [(x - f * y) % q for x, y in zip(prow, row)])
-        found.append((lead, row))
+        new = [x * inv % q for x in row[lead:]]
+        for c, tail in found:
+            j = lead - c
+            if j > 0 and tail[j]:
+                f = tail[j]
+                tail[j:] = [(x - f * y) % q for x, y in zip(tail[j:], new)]
+        found.append((lead, new))
     found.sort()
     work = np.zeros(arr.shape, dtype=np.int64)
     if found:
-        work[: len(found)] = np.array([prow for _, prow in found], dtype=np.int64)
+        work[: len(found)] = np.array([[0] * c + tail for c, tail in found], dtype=np.int64)
     return work, [c for c, _ in found]
 
 
@@ -326,23 +334,45 @@ class RowBasis(NamedTuple):
     op: NDArray
 
 
+def row_bases(m: FieldMatrix, order: Sequence[int], ends: Sequence[int]) -> list[RowBasis]:
+    """RREF bases of the row space of m on the prefixes order[:e] of a column order, one per e in ends.
+
+    One elimination serves every prefix: the RREF of m[:, order].  Its
+    rows with pivot among the first e columns come first, and on those
+    columns they are the RREF of m[:, order[:e]]: the other rows are
+    zero there, so the kept rows span the row space of m[:, order[:e]],
+    and they keep the RREF's leading ones and zeros above and below
+    them.  Restricting to a prefix has the same ranks as zeroing every
+    other column with zero_columns.  A column may appear in order once
+    only, and each e lies in [0, len(order)].
+    """
+    idx = np.asarray(order, dtype=np.intp)
+    if ((idx < 0) | (idx >= m.cols)).any() or len(set(idx.tolist())) != idx.size:
+        raise IndexError(f"columns {idx.tolist()} out of range or repeated for {m.cols} columns")
+    for e in ends:
+        if not 0 <= e <= idx.size:
+            raise IndexError(f"prefix length {e} out of range [0, {idx.size}]")
+    work, piv = _rref(m.data[:, idx], m.q)
+    bases = []
+    for e in ends:
+        r = sum(c < e for c in piv)
+        free = np.ones(e, dtype=bool)
+        free[piv[:r]] = False
+        op = np.zeros((m.cols, e - r), dtype=np.int64)
+        op[idx[:e][free], np.arange(e - r)] = 1
+        op[idx[piv[:r]]] = -work[:r, :e][:, free] % m.q
+        bases.append(RowBasis(m.q, r, op))
+    return bases
+
+
 def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
     """RREF basis of the row space of m restricted to the columns keep.
 
-    Restricting to keep has the same ranks as zeroing every other column
-    with zero_columns; keep=None keeps all columns, and a column may be
-    kept once only.
+    row_bases with the one prefix keep; keep=None keeps all columns, and
+    a column may be kept once only.
     """
-    keep_idx = np.arange(m.cols) if keep is None else np.asarray(keep, dtype=np.intp)
-    if ((keep_idx < 0) | (keep_idx >= m.cols)).any() or len(set(keep_idx.tolist())) != keep_idx.size:
-        raise IndexError(f"columns {keep_idx.tolist()} out of range or repeated for {m.cols} columns")
-    work, piv = _rref(m.data[:, keep_idx], m.q)
-    free = np.ones(keep_idx.size, dtype=bool)
-    free[piv] = False
-    op = np.zeros((m.cols, keep_idx.size - len(piv)), dtype=np.int64)
-    op[keep_idx[free], np.arange(op.shape[1])] = 1
-    op[keep_idx[piv]] = -work[: len(piv)][:, free] % m.q
-    return RowBasis(m.q, len(piv), op)
+    keep = range(m.cols) if keep is None else keep
+    return row_bases(m, keep, [len(keep)])[0]
 
 
 def residual_ranks(q: int, op: NDArray, cuts: Sequence[int], x: FieldMatrix) -> list[int]:

@@ -19,11 +19,14 @@ because the residual rows differ from X by combinations of E's rows
 and vanish on P, where E is the identity.  Zeroing a set of columns
 acts on each row separately, so it commutes with stacking: the masked
 stack is [masked Z; masked X], and one basis of user k's masked cache
-serves every demand with the same requested file d_k.  Each cache is thus
-eliminated at most 1 + 2N times per scheme (all columns, and per file
-without it and with only it and the keys), and each check eliminates
-only the residual of the broadcast rows: one product of X with the
-residual operators of its three bases, kept side by side.
+serves every demand with the same requested file d_k.  Masking keeps a
+set of columns, and the views a check needs (all columns, without a
+file, and only a file and the keys) are prefixes of N column orders,
+one per file; the RREF of Z in one order holds the RREF of every
+prefix of it.  Each cache is thus eliminated at most N times per
+scheme, and each check eliminates only the residual of the broadcast
+rows: one product of X with the residual operators of its three bases,
+kept side by side.
 
 The unit-cache and unit-rate identities (check_lemma1_lemma2,
 check_lemma3_lemma4) rank stacks holding a file selector W_a, which is
@@ -48,7 +51,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ff_linalg import (
-    FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, residual_ranks, row_basis, stack
+    FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, residual_ranks, row_basis, row_bases, stack
 )
 from .scheme_model import (
     DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
@@ -151,30 +154,47 @@ def observed_matrix(s: LinearScheme, d: DemandVector, k: int) -> FieldMatrix:
 
 
 class _RankKernel:
-    """Ranks of [Z_k; X] for one scheme, reusing a basis of each Z_k.
+    """Ranks of [Z_k; X] for one scheme, reusing bases of each Z_k.
 
-    A basis is built on first use per (user, view) and kept: view None
-    keeps all columns, ("without", n) drops file n's columns and
-    ("only", n) keeps file n's and the key columns.
+    View None keeps all columns, ("without", n) drops file n's columns
+    and ("only", n) keeps file n's and the key columns.  Each view is a
+    prefix of one of N column orders: order a is [F_a, keys, F_{a+1},
+    ..., F_N, F_1, ..., F_{a-1}], whose prefixes are ("only", a),
+    ("without", a - 1) (file N for a = 1) and None.  On first use of
+    any of them, one elimination of Z_k in order a builds all three
+    bases (row_bases) and keeps them.
     """
 
     def __init__(self, s: LinearScheme) -> None:
         self.s = s
         layout = s.layout
         keys = [layout.key_column(name) for name in layout.key_names]
-        self._keep: dict[tuple[str, int], list[int]] = {}
-        for n in range(1, s.N + 1):
-            own = layout.file_columns(n)
-            self._keep[("without", n)] = [c for c in range(layout.total) if c not in own]
-            self._keep[("only", n)] = [*own, *keys]
+        files = [list(layout.file_columns(n)) for n in range(1, s.N + 1)]
+        # Per view: the column order that builds it, that order's views
+        # and their prefix lengths.
+        self._order: dict[tuple[str, int] | None, tuple[list[int], tuple, tuple[int, ...]]] = {}
+        for a in range(1, s.N + 1):
+            order = [*files[a - 1], *keys, *itertools.chain(*files[a:], *files[: a - 1])]
+            prev = a - 1 or s.N
+            views = (("only", a), ("without", prev), None)
+            ends = (len(files[a - 1]) + len(keys), layout.total - len(files[prev - 1]), layout.total)
+            for view in views:
+                self._order.setdefault(view, (order, views, ends))
         self._bases: dict[tuple[int, tuple[str, int] | None], RowBasis] = {}
         self._views: dict[tuple[int, int], tuple[list[int], NDArray, list[int]]] = {}
+
+    def columns(self, view: tuple[str, int]) -> list[int]:
+        """The columns view keeps."""
+        order, views, ends = self._order[view]
+        return order[: ends[views.index(view)]]
 
     def basis(self, k: int, view: tuple[str, int] | None = None) -> RowBasis:
         b = self._bases.get((k, view))
         if b is None:
-            keep = None if view is None else self._keep[view]
-            b = self._bases[(k, view)] = row_basis(self.s.cache[k - 1], keep)
+            order, views, ends = self._order[view]
+            for v, built in zip(views, row_bases(self.s.cache[k - 1], order, ends)):
+                self._bases.setdefault((k, v), built)
+            b = self._bases[k, view]
         return b
 
     def rank(self, k: int, X: FieldMatrix, view: tuple[str, int] | None = None) -> int:
@@ -186,7 +206,9 @@ class _RankKernel:
         a = d[k]
         views = self._views.get((k, a))
         if views is None:
-            bases = [self.basis(k, view) for view in (None, ("without", a), ("only", a))]
+            # ("only", a) first: its order also builds view None.
+            only = self.basis(k, ("only", a))
+            bases = [self.basis(k), self.basis(k, ("without", a)), only]
             cuts = np.cumsum([0] + [b.op.shape[1] for b in bases]).tolist()
             views = self._views[k, a] = ([b.dim for b in bases], np.hstack([b.op for b in bases]), cuts)
         dims, op, cuts = views
@@ -279,13 +301,13 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
         if d.uniform:
             continue
         X = s.delivery_matrix(d)
-        r_X = {a: row_basis(X, kernel._keep[("without", a)]).dim for a in set(d)}
+        r_X = {a: row_basis(X, kernel.columns(("without", a))).dim for a in set(d)}
         if any(kernel.rank(k, X, ("without", d[k])) != r_X[d[k]] for k in range(1, s.K + 1)):
             return False
     caches = stack(s.cache)
     cache_rank_sum = sum(kernel.basis(k).dim for k in range(1, s.K + 1))
     return all(
-        row_basis(caches, kernel._keep[("without", n)]).dim == cache_rank_sum
+        row_basis(caches, kernel.columns(("without", n))).dim == cache_rank_sum
         for n in range(1, s.N + 1)
     )
 
@@ -320,7 +342,7 @@ def check_lemma3_lemma4(s: LinearScheme) -> bool:
     for u in range(1, s.K + 1):
         classes = {a: [Xd for d, Xd in X.items() if d[u] == a] for a in files}
         bases = {
-            (a, b): row_basis(stack(classes[a]), None if b is None else kernel._keep[("without", b)])
+            (a, b): row_basis(stack(classes[a]), None if b is None else kernel.columns(("without", b)))
             for a in files
             for b in (None, *files)
             if b != a

@@ -592,6 +592,16 @@ REFUSALS = {
         "theorem3 has no member {{'N': 2, 'K': 4}}; its members at this N, K: "
         "[{{'N': 2, 'K': 4, 't': 1}}, {{'N': 2, 'K': 4, 't': 2}}]",
     ),
+    "construct theorem3 (2, 22, 11), over the cache size limit": (
+        "construct --scheme theorem3 --N 2 --K 22 --t 11 --out {dir}/x.json",
+        "theorem3 {{'N': 2, 'K': 22, 't': 11}} would cache up to 62950680296504 entries, "
+        "over the limit of 100000000",
+    ),
+    "construct theorem3 (2, 40, 20), over the cache size limit": (
+        "construct --scheme theorem3 --N 2 --K 40 --t 20 --out {dir}/x.json",
+        "theorem3 {{'N': 2, 'K': 40, 't': 20}} would cache up to 4451818776073593766670400 entries, "
+        "over the limit of 100000000",
+    ),
     "construct into a missing directory": (
         "construct --scheme otp --N 2 --K 2 --out {dir}/missing-dir/o.json",
         "cannot write {dir}/missing-dir/o.json: No such file or directory",
@@ -628,6 +638,10 @@ REFUSALS = {
     "oracle entropy past --max-enum": (
         "oracle --scheme {dir}/t2.json --checks entropy --max-enum 10",
         "brute-force enumeration needs 2**7 = 128 input vectors, over the cap of 10",
+    ),
+    "oracle entropy past the --max-enum ceiling": (
+        "oracle --scheme {dir}/t2.json --checks entropy --max-enum 10000001",
+        "max_enum 10000001 exceeds the ceiling of 10000000",
     ),
     "simulate demand x": (
         "simulate --scheme {dir}/t3.json --demand x",

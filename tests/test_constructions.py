@@ -1,6 +1,7 @@
 """Construction tests: exact cache and broadcast matrices of each family."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
@@ -447,6 +448,9 @@ def test_family_declares_what_its_members_measure(label):
                 measured = (memory_of(s), worst_case_rate(s), randomness_of(s))
                 assert family.mrl(**params) == measured, params
                 assert family.units(**params) == s.B, params
+                # The size bound _check_member refuses on covers the caches.
+                M, _, L = measured
+                assert sum(Z.data.size for Z in s.cache) <= K * M * s.B * (N * s.B + N * L * s.B)
                 built += 1
     assert built > 0
 
@@ -460,3 +464,11 @@ def test_builder_validation():
         build_theorem3(2, 2, 1)
     with pytest.raises(ValueError):
         build_theorem3(2, 4, 3)
+
+
+@pytest.mark.parametrize("K, t", [(22, 11), (40, 20)])
+def test_oversized_members_are_refused_before_anything_is_built(K, t):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over the limit of 100000000"):
+        build_scheme("theorem3", 2, K, t)
+    assert time.perf_counter() - start < 1

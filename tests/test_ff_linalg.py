@@ -20,6 +20,7 @@ from securecache.ff_linalg import (
     ranks,
     residual_rank,
     row_basis,
+    row_bases,
     smallest_prime_at_least,
     stack,
     zero_columns,
@@ -272,6 +273,40 @@ def test_residual_rank_against_sympy(case):
     assert residual_rank(basis, X) == want_both - want_z
 
 
+@st.composite
+def prefix_cases(draw):
+    """(q, cols, z, x, order, ends): a matrix, rows to reduce, a column order and prefix lengths."""
+    cols = draw(st.integers(1, 7))
+    q = draw(st.sampled_from([2, 3, 5, 7, 1000000007, _edge_prime(cols)]))
+    entries = st.integers(0, q - 1)
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    z = draw(st.lists(row, min_size=0, max_size=5))
+    x = draw(st.lists(row, min_size=0, max_size=5))
+    # Rows in the row space of z, whose residuals must all vanish.
+    for coef in draw(st.lists(st.lists(entries, min_size=len(z), max_size=len(z)), max_size=2)):
+        x.append([sum(a * r[c] for a, r in zip(coef, z)) % q for c in range(cols)])
+    order = draw(st.permutations(range(cols)))[: draw(st.integers(0, cols))]
+    ends = draw(st.lists(st.integers(0, len(order)), min_size=1, max_size=4))
+    return q, cols, z, x, order, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=prefix_cases())
+def test_row_bases_against_sympy(case):
+    q, cols, z, x, order, ends = case
+    Z = FieldMatrix(q, np.array(z, dtype=np.int64).reshape(len(z), cols))
+    X = FieldMatrix(q, np.array(x, dtype=np.int64).reshape(len(x), cols))
+    bases = row_bases(Z, order, ends)
+    assert len(bases) == len(ends)
+    for e, basis in zip(ends, bases):
+        kept = order[:e]
+        sub = lambda rows: [[row[c] for c in kept] for row in rows]
+        want_z = _sympy_rank(q, sub(z), e) if e else 0
+        want_both = _sympy_rank(q, sub(z + x), e) if e else 0
+        assert basis.dim == want_z
+        assert residual_rank(basis, X) == want_both - want_z
+
+
 def test_row_basis_and_residual_rank_validate():
     m = _identity(3, 3)
     with pytest.raises(IndexError):
@@ -280,6 +315,8 @@ def test_row_basis_and_residual_rank_validate():
         row_basis(m, [-1])
     with pytest.raises(IndexError, match="repeated"):
         row_basis(m, [1, 1])
+    with pytest.raises(IndexError, match="prefix length"):
+        row_bases(m, [0, 1], [3])
     basis = row_basis(m, [0, 1])
     with pytest.raises(ValueError):
         residual_rank(basis, _identity(5, 3))

@@ -370,18 +370,20 @@ def test_rank_triples_match_stack_elimination():
         assert report.passed == (s not in tampered), s.label
 
 
-def test_verify_all_eliminates_each_cache_at_most_1_plus_2n_times(monkeypatch):
+@pytest.mark.parametrize("params", [(3, 4, 2), (2, 4, 1)], ids=str)
+def test_verify_all_eliminates_each_cache_once_per_file(monkeypatch, params):
+    # One elimination per (user, file) column order serves all three views.
+    s = build_theorem3(*params)
     calls = []
-    real = verifier.row_basis
+    real = ff_linalg._rref
 
-    def counting(m, keep=None):
-        calls.append(m)
-        return real(m, keep)
+    def counting(arr, q):
+        calls.append(arr.shape)
+        return real(arr, q)
 
-    monkeypatch.setattr(verifier, "row_basis", counting)
-    s = build_theorem3(3, 4, 2)
+    monkeypatch.setattr(ff_linalg, "_rref", counting)
     assert verify_all(s).passed
-    assert len(calls) == s.K * (1 + 2 * s.N)
+    assert len(calls) == s.K * s.N
 
 
 def test_views_without_free_columns_make_no_rank_call(monkeypatch):
