@@ -8,12 +8,15 @@ one product serves several bases side by side), and the ranks of a
 whole stack of small matrices by one batched elimination.  All
 arithmetic is exact integer arithmetic; there are no tolerances
 anywhere.  A single matrix is eliminated on Python integers, which
-cannot overflow: its RREF row by row, each row update running only from
-the pivot on, and its rank by a pivot count that stops at full row rank.
-Residual products, matrix-vector products and the batched ranks run in
-numpy int64, and matrices are refused unless q**2 * cols < 2**63, which
-keeps them exact: a row of products of residues sums at most cols terms
-below q**2.
+cannot overflow.  Its RREF comes from sparse_rref, which keeps each row
+as a map of its nonzero entries, so that its cost follows those entries
+and not the shape: an echelon pass reduces each incoming row at its
+leading column only, then a back-substitution pass clears the other
+pivot columns, last pivot first.  Its rank comes from a dense pivot
+count that stops at full row rank.  Residual products, matrix-vector
+products and the batched ranks run in numpy int64, and matrices are
+refused unless q**2 * cols < 2**63, which keeps them exact: a row of
+products of residues sums at most cols terms below q**2.
 """
 
 from __future__ import annotations
@@ -183,48 +186,86 @@ def zero_columns(m: FieldMatrix, cols: Iterable[int]) -> FieldMatrix:
     return FieldMatrix(m.q, arr)
 
 
+def _subtract(row: dict[int, int], f: int, pivot: dict[int, int], q: int) -> None:
+    """row -= f * pivot mod q, in place, deleting the entries that cancel."""
+    for j, y in pivot.items():
+        x = (row.get(j, 0) - f * y) % q
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def sparse_rref(arr: NDArray, q: int, width: int, start: int) -> dict[int, dict[int, int]]:
+    """Reduced row echelon rows of arr mod q on its first width columns, as sparse maps.
+
+    Returns one pivot row per pivot column c < width, keyed by c: a
+    {column: value} map of its nonzero entries, all right of c, without
+    the leading 1 at c.  Columns from width on ride along and never
+    hold a pivot.  Entries of arr must lie in [0, q).
+
+    An echelon pass takes the rows of arr in order and reduces each only
+    at its leading column, while a pivot row found earlier leads there;
+    that pivot row is zero left of its lead, so the lead moves right.  A
+    row that then leads at a new column c < width is scaled to 1 there
+    and becomes the pivot row at c, and a row with no nonzero left
+    before column width is dropped.  So a row is dropped exactly when,
+    on the first width columns, it is a combination of the rows before
+    it, and each pivot row is a combination of the rows kept.  A
+    back-substitution pass then takes the pivot rows led at start or
+    right of it, from the last lead to the first, and clears from each
+    its entries at other pivot columns with the pivot rows there: those
+    lie right of its lead, so they have been cleared already, and
+    subtracting them brings in no pivot column.  With start = 0 the
+    pivot rows are the nonzero rows of the RREF of arr[:, :width],
+    extended to the other columns by the same row operations.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(arr.shape[0])]
+    at, cols = arr.nonzero()
+    for r, c, x in zip(at.tolist(), cols.tolist(), arr[at, cols].tolist()):
+        rows[r][c] = x
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            if c >= width:
+                break
+            f = row.pop(c)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(f, -1, q)
+                pivots[c] = {j: x * inv % q for j, x in row.items()}
+                break
+            _subtract(row, f, pivot, q)
+    for c in sorted((c for c in pivots if c >= start), reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j in pivots]:
+            _subtract(row, row.pop(j), pivots[j], q)
+    return pivots
+
+
 def _rref(arr: NDArray, q: int) -> tuple[NDArray, list[int]]:
-    """RREF of arr mod q and its pivot columns, on Python integers.
+    """RREF of arr mod q and its pivot columns: sparse_rref on all its columns, made dense.
 
     The result has arr's shape, with the pivot rows first in pivot
-    order and zero rows last.  Rows are taken one at a time and reduced
-    by the pivot rows found so far, in the order they were found: each
-    of those is 1 at its pivot column and zero at the earlier ones, so
-    the remainder ends zero at every pivot column.  A nonzero remainder
-    is scaled to 1 at its first nonzero column, that column is cleared
-    from the earlier pivot rows, and it becomes a pivot row.  A pivot
-    row is zero left of its pivot, and stays so, because every row it
-    is later reduced by has its pivot further right; so each pivot row
-    is kept as its tail from the pivot on, and each row update, whether
-    it reduces an incoming row or clears a new pivot column from an
-    earlier pivot row, touches only the columns from the pivot on.  The
-    RREF of a matrix is unique, so the result depends on arr alone, not
-    on the order in which rows are taken.
+    order and zero rows last.  The RREF of a matrix is unique, so it is
+    the same whatever order the rows are reduced in.
     """
-    found: list[tuple[int, list[int]]] = []
-    for row in arr.tolist():
-        for c, tail in found:
-            f = row[c]
-            if f:
-                row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
-        for lead, x in enumerate(row):
-            if x:
-                break
-        else:
-            continue
-        inv = pow(row[lead], -1, q)
-        new = [x * inv % q for x in row[lead:]]
-        for c, tail in found:
-            j = lead - c
-            if j > 0 and tail[j]:
-                f = tail[j]
-                tail[j:] = [(x - f * y) % q for x, y in zip(tail[j:], new)]
-        found.append((lead, new))
-    found.sort()
+    pivots = sparse_rref(arr, q, arr.shape[1], 0)
+    leads = sorted(pivots)
     work = np.zeros(arr.shape, dtype=np.int64)
-    if found:
-        work[: len(found)] = np.array([[0] * c + tail for c, tail in found], dtype=np.int64)
-    return work, [c for c, _ in found]
+    at: list[int] = []
+    cols: list[int] = []
+    vals: list[int] = []
+    for i, c in enumerate(leads):
+        row = pivots[c]
+        at += [i] * (len(row) + 1)
+        cols.append(c)
+        cols += row
+        vals.append(1)
+        vals += row.values()
+    work[at, cols] = vals
+    return work, leads
 
 
 def rank(m: FieldMatrix) -> int:

@@ -37,7 +37,13 @@ the identity on file a's columns and zero elsewhere, so
 turns each into ranks of masked stacks, computed on the same kernel.
 
 decode and simulate exercise the same schemes on concrete symbol
-vectors, which keeps the rank checks honest.
+vectors, which keeps the rank checks honest.  decode reads each
+requested unit off one sparse_rref of the observations beside their
+symbols, the file's columns last: the symbol entry of the row led at
+the unit.  A row that depends on the rows before it is dropped, so even
+for inconsistent symbols, such as a corrupted broadcast, the value is
+the one combination of the kept rows that gives the unit, the same as
+in_rowspace's coefficients times the symbols.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ff_linalg import (
-    FieldMatrix, RowBasis, in_rowspace, rank, residual_rank, residual_ranks, row_basis, row_bases, stack
+    FieldMatrix, RowBasis, rank, residual_rank, residual_ranks, row_basis, row_bases, sparse_rref, stack
 )
 from .scheme_model import (
     DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
@@ -376,13 +382,28 @@ def decode(
 
     cache_symbols and delivery_symbols are the images of the hidden
     input vector under the cache and broadcast matrices.  All requested
-    units are solved for with one elimination of the observed matrix.
-    Raises NotDecodableError, listing every unit that is not a linear
-    combination of the observations, when there is one.
+    units are read off one sparse_rref of [G | y], the observed matrix G
+    beside its symbols y, with G's columns in the order: every column
+    outside file d_k, then file d_k's B columns.  The symbol column
+    never holds a pivot, and only the rows led in file d_k's columns
+    are back-substituted; they are zero left of their lead, so they are
+    the RREF of the part of the row space that lies within the file's
+    columns.  Unit u is a combination of the observations exactly when
+    the row led at u is zero on the file's other columns, and its value
+    is then that row's symbol entry.  Raises NotDecodableError, listing
+    every unit that is not, when there is one.
+
+    The values are those of the coefficients in_rowspace finds for the
+    file selector times the symbols, even when the symbols are not
+    consistent: the echelon pass drops a row exactly when it depends on
+    the rows before it, so every row read off combines the same rows
+    in_rowspace gives nonzero coefficients, and over those independent
+    rows the combination that gives unit u is unique.
     """
     G = observed_matrix(s, d, k)
-    cache_syms = np.asarray(cache_symbols, dtype=np.int64) % s.field.q
-    deliv_syms = np.asarray(delivery_symbols, dtype=np.int64) % s.field.q
+    q = s.field.q
+    cache_syms = np.asarray(cache_symbols, dtype=np.int64) % q
+    deliv_syms = np.asarray(delivery_symbols, dtype=np.int64) % q
     if cache_syms.shape != (s.cache[k - 1].rows,):
         raise ValueError(
             f"{cache_syms.shape} cache symbols for {s.cache[k - 1].rows} cache rows"
@@ -392,14 +413,19 @@ def decode(
             f"{deliv_syms.shape} delivery symbols for {G.rows - s.cache[k - 1].rows} broadcast rows"
         )
     observed = np.concatenate([cache_syms, deliv_syms])
-    coeffs = in_rowspace(G, s.layout.file_selector(s.field.q, d[k]).data)
-    missing = [i + 1 for i, c in enumerate(coeffs) if c is None]
+    n = s.layout.total
+    units = s.layout.file_columns(d[k])
+    order = [c for c in range(n) if c not in units] + list(units)
+    first = n - len(units)
+    pivots = sparse_rref(np.column_stack([G.data[:, order], observed]), q, n, first)
+    rows = [pivots.get(c) for c in range(first, n)]
+    missing = [u + 1 for u, row in enumerate(rows) if row is None or any(j < n for j in row)]
     if missing:
         raise NotDecodableError(
             f"unit {missing[0]} of file {d[k]} is not decodable by user {k} under demand {d.entries}",
             missing,
         )
-    return np.stack(coeffs) @ observed % s.field.q
+    return np.array([row.get(n, 0) for row in rows], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -379,15 +379,18 @@ def test_in_rowspace_stack_matches_one_target_at_a_time(q, rows, cols, kinds, da
 
 @st.composite
 def elimination_inputs(draw):
-    """(q, matrix): dense, sparse 0/1-heavy or low-rank.
+    """(q, matrix): dense, sparse 0/1-heavy, low-rank, or 5-30% nonzero with repeated rows.
 
-    The large prime gets at most 8 columns, within FieldMatrix's guard
+    The last kind mixes duplicated rows, combinations of two rows and
+    all-zero rows among its rows, so that entries cancel to nothing and
+    rows drop out of the sparse elimination often.  The large
+    prime gets at most 8 columns, within FieldMatrix's guard
     q**2 * cols < 2**63, which rank's input must pass.
     """
     q = draw(st.sampled_from([2, 3, 5, 7, 11, 1000000007]))
     rows = draw(st.integers(0, 20))
     cols = draw(st.integers(1, 8 if q > 11 else 30))
-    kind = draw(st.sampled_from(["dense", "sparse", "low_rank"]))
+    kind = draw(st.sampled_from(["dense", "sparse", "low_rank", "sparse_repeats"]))
     dense = st.integers(0, q - 1)
     entries = st.sampled_from([0, 0, 0, 1, q - 1]) if kind == "sparse" else dense
     row = st.lists(entries, min_size=cols, max_size=cols)
@@ -395,9 +398,22 @@ def elimination_inputs(draw):
         base = draw(st.lists(row, min_size=0, max_size=3))
         weights = draw(st.lists(st.lists(dense, min_size=len(base), max_size=len(base)), min_size=rows, max_size=rows))
         m = [[sum(w * b[c] for w, b in zip(ws, base)) % q for c in range(cols)] for ws in weights]
+    elif kind == "sparse_repeats":
+        percent = draw(st.integers(5, 30))
+        cell = st.tuples(st.integers(0, 99), st.integers(1, q - 1)).map(lambda t: t[1] if t[0] < percent else 0)
+        m = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), max_size=rows))
+        for extra in draw(st.lists(st.sampled_from(["duplicate", "combination", "zero"]), max_size=8)):
+            if extra == "zero" or not m:
+                new = [0] * cols
+            elif extra == "duplicate":
+                new = list(draw(st.sampled_from(m)))
+            else:
+                a, b, f, g = draw(st.sampled_from(m)), draw(st.sampled_from(m)), draw(dense), draw(dense)
+                new = [(f * x + g * y) % q for x, y in zip(a, b)]
+            m.insert(draw(st.integers(0, len(m))), new)
     else:
         m = draw(st.lists(row, min_size=rows, max_size=rows))
-    return q, np.array(m, dtype=np.int64).reshape(rows, cols)
+    return q, np.array(m, dtype=np.int64).reshape(len(m), cols)
 
 
 def _check_rref_and_rank(q, m):

@@ -238,6 +238,68 @@ def test_decode_names_every_undecodable_unit():
         )
 
 
+def _decode_by_transposed_solve(s, d, k, cache_symbols, delivery_symbols):
+    """Reference decode: in_rowspace's coefficients for the file selector, times the symbols.
+
+    Returns the values, or the NotDecodableError decode should raise.
+    """
+    q = s.field.q
+    coeffs = in_rowspace(observed_matrix(s, d, k), s.layout.file_selector(q, d[k]).data)
+    missing = [i + 1 for i, c in enumerate(coeffs) if c is None]
+    if missing:
+        return NotDecodableError(
+            f"unit {missing[0]} of file {d[k]} is not decodable by user {k} under demand {d.entries}",
+            missing,
+        )
+    return np.stack(coeffs) @ np.concatenate([cache_symbols, delivery_symbols]) % q
+
+
+def test_decode_matches_the_transposed_solve():
+    # Consistent symbols, one corrupted broadcast symbol and random cache
+    # symbols, on every family and on broadcasts with rows dropped or
+    # repeated.  The inconsistent cases pin which combination of the
+    # symbols is read, and a corrupted repeated row, which depends on the
+    # rows before it, must not be read at all.
+    rng = random.Random(24)
+    members = [
+        build_otp(2, 3), build_theorem1(4), build_theorem2(3, 3), build_theorem3(2, 4, 1),
+        build_theorem3(3, 3, 1), build_theorem3(4, 4, 2), build_theorem3(3, 5, 2), build_theorem3(2, 7, 2),
+    ]
+    cases = failures = 0
+    for s in members:
+        q = s.field.q
+        all_demands = list(demands_iter(s.N, s.K))
+        for d in [all_demands[0], *rng.sample(all_demands[1:], min(3, len(all_demands) - 1))]:
+            X = s.delivery_matrix(d).data
+            keeps = [list(range(X.shape[0]))]
+            keeps += [sorted(rng.choices(range(X.shape[0]), k=rng.randrange(X.shape[0] + 3))) for _ in range(2)]
+            for keep in keeps:
+                dropped = replace(s, delivery=lambda _, rows=X[keep]: FieldMatrix(q, rows))
+                hidden = np.array([rng.randrange(q) for _ in range(s.layout.total)], dtype=np.int64)
+                broadcast = dropped.delivery_matrix(d).apply(hidden)
+                for k in range(1, s.K + 1):
+                    cache = s.cache[k - 1].apply(hidden)
+                    symbol_cases = [(cache, broadcast)]
+                    if len(keep):
+                        corrupt = broadcast.copy()
+                        corrupt[rng.randrange(len(keep))] += rng.randrange(1, q)
+                        symbol_cases.append((cache, corrupt % q))
+                    symbol_cases.append((np.array([rng.randrange(q) for _ in cache], dtype=np.int64), broadcast))
+                    for cache_symbols, delivery_symbols in symbol_cases:
+                        want = _decode_by_transposed_solve(dropped, d, k, cache_symbols, delivery_symbols)
+                        cases += 1
+                        if isinstance(want, NotDecodableError):
+                            failures += 1
+                            with pytest.raises(NotDecodableError) as info:
+                                decode(dropped, d, k, cache_symbols, delivery_symbols)
+                            assert info.value.units == want.units, (s.label, d, k, keep)
+                            assert str(info.value) == str(want)
+                        else:
+                            got = decode(dropped, d, k, cache_symbols, delivery_symbols)
+                            assert got.dtype == np.int64 and np.array_equal(got, want), (s.label, d, k, keep)
+    assert 0 < failures < cases
+
+
 # simulate(s, d, seed=0, corrupt_unit=u).failed_users for u = None and each
 # broadcast row, every demand, frozen from the one-target-at-a-time decoder.
 FROZEN_FAILED_USERS = {
@@ -439,17 +501,21 @@ def _mutant(s, rng):
 
 
 def test_verdicts_match_enumerated_entropies_on_mutants():
-    # 20 single-entry mutants per family; brute_entropy never calls rank.
+    # 20 single-entry mutants per family; brute_entropy never calls rank,
+    # and decode, a third referee for correctness, eliminates the
+    # observations with their symbols instead of ranking them.
     rng = random.Random(0)
     families = [
         build_otp(2, 2), build_otp(2, 3), build_theorem1(3),
         build_theorem2(2, 3), build_theorem2(3, 2), build_theorem3(2, 3, 1),
     ]
+    hidden_rng = np.random.default_rng(0)
     seen = set()
     for base in families:
         verdicts = set()
         for _ in range(20):
             s = _mutant(base, rng)
+            hidden = hidden_rng.integers(0, s.field.q, s.layout.total, dtype=np.int64)
             for rec in verify_all(s).records:
                 d = DemandVector(rec.demand)
                 observed = (VariableRef.of_cache(rec.user), VariableRef.of_delivery(d))
@@ -457,6 +523,14 @@ def test_verdicts_match_enumerated_entropies_on_mutants():
                 h = brute_entropy(s, observed)
                 assert rec.correct == (brute_entropy(s, (*observed, VariableRef.of_file(d[rec.user]))) == h)
                 assert rec.secure == (brute_entropy(s, observed + others) == h + brute_entropy(s, others))
+                symbols = (s.cache[rec.user - 1].apply(hidden), s.delivery_matrix(d).apply(hidden))
+                if rec.correct:
+                    got = decode(s, d, rec.user, *symbols)
+                    assert np.array_equal(got, hidden[list(s.layout.file_columns(d[rec.user]))])
+                else:
+                    with pytest.raises(NotDecodableError) as info:
+                        decode(s, d, rec.user, *symbols)
+                    assert info.value.units
                 verdicts.add(rec.ok)
                 seen.add((rec.correct, rec.secure))
         assert verdicts == {True, False}, base.label
