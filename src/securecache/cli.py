@@ -65,6 +65,7 @@ from .scheme_model import (
     demands_iter,
     memory_of,
     randomness_of,
+    rational_json,
 )
 from .verifier import PreconditionError, check_lemma1_lemma2, check_lemma3_lemma4, simulate, verify_all
 
@@ -72,10 +73,6 @@ FORMAT_VERSION = 1
 SIDECAR_SUFFIX = ".securecache"
 SIDECAR_LAYOUT = "securecache sidecar 1: a JSON header line, then the rows as little-endian int64"
 EXPLICIT_DELIVERY_LIMIT = 256
-
-
-def _frac(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +164,9 @@ def scheme_to_document(s: LinearScheme) -> dict:
             {"demand": list(d.entries), "rows": s.delivery_matrix(d).row_lists()}
             for d in demands_iter(s.N, s.K)
         ]
-        rate = {"R": _frac(max(Fraction(len(e["rows"]), s.B) for e in entries))}
+        rate = {"R": rational_json(max(Fraction(len(e["rows"]), s.B) for e in entries))}
     else:
-        rate = {"R": _frac(FAMILIES[s.label].mrl(**s.params)[1]), "R_source": "declared"}
+        rate = {"R": rational_json(FAMILIES[s.label].mrl(**s.params)[1]), "R_source": "declared"}
     return {
         "format_version": FORMAT_VERSION,
         "label": s.label,
@@ -180,7 +177,7 @@ def scheme_to_document(s: LinearScheme) -> dict:
         "B": s.B,
         "key_names": list(s.layout.key_names),
         "cache": [m.row_lists() for m in s.cache],
-        "metadata": {"M": _frac(memory_of(s)), **rate, "L": _frac(randomness_of(s))},
+        "metadata": {"M": rational_json(memory_of(s)), **rate, "L": rational_json(randomness_of(s))},
         "delivery": {"mode": "explicit", "entries": entries} if entries else {"mode": "generated"},
     }
 

@@ -3,24 +3,27 @@
 Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, row-space membership, column masking,
 ranks of row blocks relative to cached reduced row echelon bases (one
-elimination in a column order yields the bases of all its prefixes, and
-one product serves several bases side by side), and the ranks of a
-whole stack of small matrices by one batched elimination.  All
-arithmetic is exact integer arithmetic; there are no tolerances
-anywhere.  A single matrix is eliminated on Python integers, which
-cannot overflow.  Its RREF comes from sparse_rref, which keeps each row
-as a map of its nonzero entries, so that its cost follows those entries
-and not the shape: an echelon pass reduces each incoming row at its
-leading column only, then a back-substitution pass clears the other
-pivot columns, last pivot first.  Its rank comes from a dense pivot
-count that stops at full row rank.  Residual products, matrix-vector
-products and the batched ranks run in numpy int64, and matrices are
-refused unless q**2 * cols < 2**63, which keeps them exact: a row of
-products of residues sums at most cols terms below q**2.
+elimination in a column order gives one residual operator, whose
+first columns serve every prefix of the order, and one product serves
+several operators side by side), and the ranks of a whole stack of
+small matrices by one batched elimination.  All arithmetic is exact
+integer arithmetic; there are no tolerances anywhere.  A single matrix
+is eliminated on Python integers, which cannot overflow.  Its RREF
+comes from sparse_rref, which keeps each row as a map of its nonzero
+entries, so that its cost follows those entries and not the shape: an
+echelon pass reduces each incoming row at its leading column only,
+then a back-substitution pass clears the other pivot columns, last
+pivot first; its pivot maps are read directly, never made dense.  Its
+rank comes from a dense pivot count that stops at full row rank.
+Residual products, matrix-vector products and the batched ranks run in
+numpy int64, and matrices are refused unless q**2 * cols < 2**63,
+which keeps them exact: a row of products of residues sums at most cols
+terms below q**2.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -244,30 +247,6 @@ def sparse_rref(arr: NDArray, q: int, width: int, start: int) -> dict[int, dict[
     return pivots
 
 
-def _rref(arr: NDArray, q: int) -> tuple[NDArray, list[int]]:
-    """RREF of arr mod q and its pivot columns: sparse_rref on all its columns, made dense.
-
-    The result has arr's shape, with the pivot rows first in pivot
-    order and zero rows last.  The RREF of a matrix is unique, so it is
-    the same whatever order the rows are reduced in.
-    """
-    pivots = sparse_rref(arr, q, arr.shape[1], 0)
-    leads = sorted(pivots)
-    work = np.zeros(arr.shape, dtype=np.int64)
-    at: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    for i, c in enumerate(leads):
-        row = pivots[c]
-        at += [i] * (len(row) + 1)
-        cols.append(c)
-        cols += row
-        vals.append(1)
-        vals += row.values()
-    work[at, cols] = vals
-    return work, leads
-
-
 def rank(m: FieldMatrix) -> int:
     """Rank of m over its prime field: its pivot count, on Python integers.
 
@@ -359,87 +338,83 @@ def ranks(q: int, stacks: NDArray) -> NDArray:
 
 
 class RowBasis(NamedTuple):
-    """Reduced row echelon basis of a row space, kept as a residual operator.
+    """Reduced row echelon basis of a row space in a column order, kept as a residual operator.
 
-    op has one row per column of the matrix the basis was built from
-    and one column per free column, a kept column that is not a pivot.
-    Row c of op is the unit vector of c's place among the free columns
-    when c is free, minus the entries on the free columns of the basis
-    row with pivot c when c is a pivot, and zero when c was masked out.
-    So x @ op is each row of x minus its pivot entries times the basis
-    rows, read on the free columns.
+    leads are the positions in the order that lead a basis row, the
+    others being free.  op has one row per column of the matrix the
+    basis was built from and one column per free position.  Row c of op
+    is the unit vector of c's place among the free positions when c is
+    free, minus the entries on the free positions of the basis row led
+    at c when c leads one, and zero when c is not in the order.  So
+    x @ op is each row of x minus its lead entries times the basis
+    rows, read on the free positions.  The dim(e) rows led before e are
+    the RREF of the prefix order[:e], and op[:, :e - dim(e)] is its
+    operator: the rows led later, and later free columns' units, are
+    zero there.
     """
 
     q: int
-    dim: int
+    leads: tuple[int, ...]
     op: NDArray
 
+    def dim(self, e: int | None = None) -> int:
+        """Rank of the prefix of length e in [0, len(order)], of the whole order when e is None."""
+        n = len(self.leads) + self.op.shape[1]
+        if e is not None and not 0 <= e <= n:
+            raise IndexError(f"prefix length {e} out of range [0, {n}]")
+        return bisect_left(self.leads, n if e is None else e)
 
-def row_bases(m: FieldMatrix, order: Sequence[int], ends: Sequence[int]) -> list[RowBasis]:
-    """RREF bases of the row space of m on the prefixes order[:e] of a column order, one per e in ends.
 
-    One elimination serves every prefix: the RREF of m[:, order].  Its
-    rows with pivot among the first e columns come first, and on those
-    columns they are the RREF of m[:, order[:e]]: the other rows are
-    zero there, so the kept rows span the row space of m[:, order[:e]],
-    and they keep the RREF's leading ones and zeros above and below
-    them.  Restricting to a prefix has the same ranks as zeroing every
-    other column with zero_columns.  A column may appear in order once
-    only, and each e lies in [0, len(order)].
+def row_basis(m: FieldMatrix, order: Sequence[int] | None = None) -> RowBasis:
+    """RREF basis of the row space of m in a column order; order=None is all columns in place.
+
+    One sparse_rref of m[:, order] gives the basis rows, and op is
+    filled from them in one assignment.  Restricting to a prefix of the
+    order has the same ranks as zeroing every other column with
+    zero_columns.  A column may appear in order once only.
     """
-    idx = np.asarray(order, dtype=np.intp)
+    idx = np.arange(m.cols) if order is None else np.asarray(order, dtype=np.intp)
     if ((idx < 0) | (idx >= m.cols)).any() or len(set(idx.tolist())) != idx.size:
         raise IndexError(f"columns {idx.tolist()} out of range or repeated for {m.cols} columns")
-    for e in ends:
-        if not 0 <= e <= idx.size:
-            raise IndexError(f"prefix length {e} out of range [0, {idx.size}]")
-    work, piv = _rref(m.data[:, idx], m.q)
-    bases = []
-    for e in ends:
-        r = sum(c < e for c in piv)
-        free = np.ones(e, dtype=bool)
-        free[piv[:r]] = False
-        op = np.zeros((m.cols, e - r), dtype=np.int64)
-        op[idx[:e][free], np.arange(e - r)] = 1
-        op[idx[piv[:r]]] = -work[:r, :e][:, free] % m.q
-        bases.append(RowBasis(m.q, r, op))
-    return bases
+    pivots = sparse_rref(m.data[:, idx], m.q, idx.size, 0)
+    leads = tuple(sorted(pivots))
+    free = np.ones(idx.size, dtype=bool)
+    free[list(leads)] = False
+    # After back-substitution a basis row's entries all lie on free positions.
+    column, place = idx.tolist(), (np.cumsum(free) - 1).tolist()
+    at = [column[c] for c in leads for _ in pivots[c]]
+    cols = [place[j] for c in leads for j in pivots[c]]
+    vals = [m.q - x for c in leads for x in pivots[c].values()]
+    op = np.zeros((m.cols, idx.size - len(leads)), dtype=np.int64)
+    op[idx[free], np.arange(op.shape[1])] = 1
+    op[at, cols] = vals
+    return RowBasis(m.q, leads, op)
 
 
-def row_basis(m: FieldMatrix, keep: Sequence[int] | None = None) -> RowBasis:
-    """RREF basis of the row space of m restricted to the columns keep.
-
-    row_bases with the one prefix keep; keep=None keeps all columns, and
-    a column may be kept once only.
-    """
-    keep = range(m.cols) if keep is None else keep
-    return row_bases(m, keep, [len(keep)])[0]
-
-
-def residual_ranks(q: int, op: NDArray, cuts: Sequence[int], x: FieldMatrix) -> list[int]:
+def residual_ranks(q: int, op: NDArray, views: Sequence[tuple[int, int]], x: FieldMatrix) -> list[int]:
     """How much the rows of x add to the row space of each of several bases.
 
-    op holds the bases' residual operators over GF(q) side by side, the
-    i-th in columns cuts[i]:cuts[i + 1].  With Z the matrix a basis was
-    built from, its entry is rank([Z; x]) - rank(Z) on its columns: x
-    minus its pivot entries times the basis rows, which is x @ op on the
-    free columns and zero on the pivots, spans with the basis what x
-    did and is independent of the basis, which is the identity on the
-    pivots.  The one int64 product x @ op is exact: each entry sums x.cols
-    products of residues below q**2, and x passed FieldMatrix's guard
-    q**2 * x.cols < 2**63.  A basis without free columns adds nothing.
+    op holds residual operators over GF(q) side by side, and each view
+    (lo, hi) is the operator in columns lo:hi, a basis's or a prefix's.
+    With Z the matrix a basis was built from, a view's entry is
+    rank([Z; x]) - rank(Z) on its columns: x minus its lead entries
+    times the basis rows, which is x @ op on the free columns and zero
+    on the leads, spans with the basis what x did and is independent of
+    the basis, which is the identity on the leads.  The one int64
+    product x @ op is exact: each entry sums x.cols products of residues
+    below q**2, and x passed FieldMatrix's guard q**2 * x.cols < 2**63.
+    A view without free columns adds nothing.
     """
     if x.q != q or x.cols != op.shape[0]:
         raise ValueError(f"{x!r} does not match a basis over GF({q}) with {op.shape[0]} columns")
     res = x.data @ op % q
-    return [
-        rank(FieldMatrix._trusted(q, res[:, lo:hi])) if lo < hi else 0 for lo, hi in zip(cuts, cuts[1:])
-    ]
+    return [rank(FieldMatrix._trusted(q, res[:, lo:hi])) if lo < hi else 0 for lo, hi in views]
 
 
-def residual_rank(basis: RowBasis, x: FieldMatrix) -> int:
-    """residual_ranks for one basis: rank([Z; x]) - rank(Z) on its columns."""
-    return residual_ranks(basis.q, basis.op, (0, basis.op.shape[1]), x)[0]
+def residual_rank(basis: RowBasis, x: FieldMatrix, e: int | None = None) -> int:
+    """rank([Z; x]) - rank(Z) on the prefix of length e of the basis's order, all of it when e is None."""
+    w = basis.op.shape[1] if e is None else e - basis.dim(e)
+    return residual_ranks(basis.q, basis.op[:, :w], [(0, w)], x)[0]
 
 
 def in_rowspace(
@@ -458,30 +433,34 @@ def in_rowspace(
         stack, a list of those, one per row.  Free coefficients are 0,
         so each result is deterministic.
 
-    All targets are solved with one elimination of [m.T | targets.T].
+    All targets are solved with one sparse_rref of [m.T | targets.T].
     Its RREF is P @ [m.T | targets.T] for some invertible P, and since
     RREF is unique, P @ m.T is the RREF of m.T whatever order the rows
-    were eliminated in: r = rank(m) pivots, all on m.T's columns, and
-    zero rows from r down.  A target t is a combination of the columns
-    of m.T exactly when P @ t is zero from row r down too.  Then its
+    were eliminated in: r = rank(m) pivots on m.T's columns, and rows
+    zero there from r down.  A target t is a combination of the columns
+    of m.T exactly when P @ t is zero from row r down too: no row led
+    in a target column leads in t's or has an entry there.  Then its
     first r entries are the coefficients of the pivot columns of m.T,
     which are independent, so they are the unique solution supported
     there: each coefficient vector is the one a lone target would get.
+    Nothing in the package calls this; it is the reference decode is
+    tested against, and a routine the benchmark traces.
     """
     t = np.asarray(target, dtype=np.int64) % m.q
     stacked = t.ndim == 2
     targets = t if stacked else t[None]
     if targets.ndim != 2 or targets.shape[1] != m.cols:
         raise ValueError(f"target shape {t.shape} does not match {m.cols} columns")
-    if m.rows == 0:
-        coeffs = [None if row.any() else np.zeros(0, dtype=np.int64) for row in targets]
-    else:
-        aug = np.hstack([m.data.T, targets.T])
-        work, pivots = _rref(aug, m.q)
-        basis = [c for c in pivots if c < m.rows]
-        r = len(basis)
-        solvable = ~work[r:, m.rows:].any(axis=0)
-        full = np.zeros((targets.shape[0], m.rows), dtype=np.int64)
-        full[:, basis] = work[:r, m.rows:].T
-        coeffs = [c if ok else None for c, ok in zip(full, solvable)]
+    n = m.rows
+    pivots = sparse_rref(np.hstack([m.data.T, targets.T]), m.q, n + len(targets), 0)
+    full = np.zeros((len(targets), n), dtype=np.int64)
+    solvable = np.ones(len(targets), dtype=bool)
+    for c, row in pivots.items():
+        if c >= n:
+            solvable[[c - n, *(j - n for j in row)]] = False
+            continue
+        for j, x in row.items():
+            if j >= n:
+                full[j - n, c] = x
+    coeffs = [c if ok else None for c, ok in zip(full, solvable)]
     return coeffs if stacked else coeffs[0]

@@ -24,6 +24,11 @@ from .ff_linalg import FieldMatrix, PrimeField
 Rational = Fraction
 
 
+def rational_json(x: Rational) -> list[int]:
+    """The one JSON encoding of an exact rational: [numerator, denominator]."""
+    return [x.numerator, x.denominator]
+
+
 @dataclass(frozen=True)
 class VariableLayout:
     """Column layout of the global input vector.

@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .constructions import FAMILIES
-
-Rational = Fraction
+from .scheme_model import Rational, rational_json
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,8 @@ class TradeoffPoint:
 
     def as_dict(self) -> dict:
         return {
-            "M": [self.M.numerator, self.M.denominator],
-            "R": [self.R.numerator, self.R.denominator],
+            "M": rational_json(self.M),
+            "R": rational_json(self.R),
             "label": self.label,
             "source": self.source,
         }
@@ -149,16 +148,13 @@ class ConverseConstraint:
         return (self.gamma - self.alpha * M) / self.beta
 
     def as_dict(self) -> dict:
-        def frac(x: Rational | None) -> list[int] | None:
-            return None if x is None else [x.numerator, x.denominator]
-
         return {
             "kind": self.kind,
-            "alpha": frac(self.alpha),
-            "beta": frac(self.beta),
-            "gamma": frac(self.gamma),
-            "m_lo": frac(self.m_lo),
-            "m_hi": frac(self.m_hi),
+            "alpha": rational_json(self.alpha),
+            "beta": rational_json(self.beta),
+            "gamma": rational_json(self.gamma),
+            "m_lo": rational_json(self.m_lo),
+            "m_hi": None if self.m_hi is None else rational_json(self.m_hi),
             "description": self.description,
         }
 

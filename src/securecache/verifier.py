@@ -22,11 +22,11 @@ stack is [masked Z; masked X], and one basis of user k's masked cache
 serves every demand with the same requested file d_k.  Masking keeps a
 set of columns, and the views a check needs (all columns, without a
 file, and only a file and the keys) are prefixes of N column orders,
-one per file; the RREF of Z in one order holds the RREF of every
-prefix of it.  Each cache is thus eliminated at most N times per
-scheme, and each check eliminates only the residual of the broadcast
-rows: one product of X with the residual operators of its three bases,
-kept side by side.
+one per file; the RREF of Z in one order, kept as one residual
+operator, holds every prefix's in its first columns.  Each cache is
+thus eliminated at most N times per scheme, and each check eliminates
+only the residual of the broadcast rows: one product of X with two
+operators side by side, whose column slices are its three views.
 
 The unit-cache and unit-rate identities (check_lemma1_lemma2,
 check_lemma3_lemma4) rank stacks holding a file selector W_a, which is
@@ -57,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ff_linalg import (
-    FieldMatrix, RowBasis, rank, residual_rank, residual_ranks, row_basis, row_bases, sparse_rref, stack
+    FieldMatrix, RowBasis, rank, residual_rank, residual_ranks, row_basis, sparse_rref, stack
 )
 from .scheme_model import (
     DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
@@ -162,13 +162,13 @@ def observed_matrix(s: LinearScheme, d: DemandVector, k: int) -> FieldMatrix:
 class _RankKernel:
     """Ranks of [Z_k; X] for one scheme, reusing bases of each Z_k.
 
-    View None keeps all columns, ("without", n) drops file n's columns
-    and ("only", n) keeps file n's and the key columns.  Each view is a
-    prefix of one of N column orders: order a is [F_a, keys, F_{a+1},
-    ..., F_N, F_1, ..., F_{a-1}], whose prefixes are ("only", a),
-    ("without", a - 1) (file N for a = 1) and None.  On first use of
-    any of them, one elimination of Z_k in order a builds all three
-    bases (row_bases) and keeps them.
+    Order a is [F_a, keys, F_{a+1}, ..., F_N, F_1, ..., F_{a-1}]: its
+    prefix of length only keeps file a's and the key columns, and its
+    prefix of length without drops file a - 1 (file N for a = 1).
+    basis(k, a) eliminates Z_k in order a once.  A check for file a
+    reads all columns and "only a" off order a, and "without a" off
+    order a + 1 (1 for a = N): its product is X against op_a beside
+    the first free columns of op_{a+1}.
     """
 
     def __init__(self, s: LinearScheme) -> None:
@@ -176,49 +176,34 @@ class _RankKernel:
         layout = s.layout
         keys = [layout.key_column(name) for name in layout.key_names]
         files = [list(layout.file_columns(n)) for n in range(1, s.N + 1)]
-        # Per view: the column order that builds it, that order's views
-        # and their prefix lengths.
-        self._order: dict[tuple[str, int] | None, tuple[list[int], tuple, tuple[int, ...]]] = {}
-        for a in range(1, s.N + 1):
-            order = [*files[a - 1], *keys, *itertools.chain(*files[a:], *files[: a - 1])]
-            prev = a - 1 or s.N
-            views = (("only", a), ("without", prev), None)
-            ends = (len(files[a - 1]) + len(keys), layout.total - len(files[prev - 1]), layout.total)
-            for view in views:
-                self._order.setdefault(view, (order, views, ends))
-        self._bases: dict[tuple[int, tuple[str, int] | None], RowBasis] = {}
-        self._views: dict[tuple[int, int], tuple[list[int], NDArray, list[int]]] = {}
+        self._orders = {
+            a: [*files[a - 1], *keys, *itertools.chain(*files[a:], *files[: a - 1])]
+            for a in range(1, s.N + 1)
+        }
+        self.only = s.B + len(keys)
+        self.without = layout.total - s.B
+        self._bases: dict[tuple[int, int], RowBasis] = {}
+        self._checks: dict[tuple[int, int], tuple[tuple[int, ...], NDArray, list[tuple[int, int]]]] = {}
 
-    def columns(self, view: tuple[str, int]) -> list[int]:
-        """The columns view keeps."""
-        order, views, ends = self._order[view]
-        return order[: ends[views.index(view)]]
-
-    def basis(self, k: int, view: tuple[str, int] | None = None) -> RowBasis:
-        b = self._bases.get((k, view))
+    def basis(self, k: int, a: int) -> RowBasis:
+        """Z_k's basis in order a."""
+        b = self._bases.get((k, a))
         if b is None:
-            order, views, ends = self._order[view]
-            for v, built in zip(views, row_bases(self.s.cache[k - 1], order, ends)):
-                self._bases.setdefault((k, v), built)
-            b = self._bases[k, view]
+            b = self._bases[k, a] = row_basis(self.s.cache[k - 1], self._orders[a])
         return b
-
-    def rank(self, k: int, X: FieldMatrix, view: tuple[str, int] | None = None) -> int:
-        b = self.basis(k, view)
-        return b.dim + residual_rank(b, X)
 
     def record(self, d: DemandVector, k: int, X: FieldMatrix) -> CheckRecord:
         """Both rank identities for user k under demand d with broadcast X."""
         a = d[k]
-        views = self._views.get((k, a))
-        if views is None:
-            # ("only", a) first: its order also builds view None.
-            only = self.basis(k, ("only", a))
-            bases = [self.basis(k), self.basis(k, ("without", a)), only]
-            cuts = np.cumsum([0] + [b.op.shape[1] for b in bases]).tolist()
-            views = self._views[k, a] = ([b.dim for b in bases], np.hstack([b.op for b in bases]), cuts)
-        dims, op, cuts = views
-        full, without, only = residual_ranks(self.s.field.q, op, cuts, X)
+        check = self._checks.get((k, a))
+        if check is None:
+            own, after = self.basis(k, a), self.basis(k, a % self.s.N + 1)
+            dims = (own.dim(), after.dim(self.without), own.dim(self.only))
+            n, w = own.op.shape[1], self.without - dims[1]
+            views = [(0, n), (n, n + w), (0, self.only - dims[2])]
+            check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
+        dims, op, views = check
+        full, without, only = residual_ranks(self.s.field.q, op, views, X)
         return CheckRecord(d.entries, k, dims[0] + full, dims[1] + without, dims[2] + only, self.s.B)
 
 
@@ -285,6 +270,11 @@ def verify_all(
     )
 
 
+def _columns_without(s: LinearScheme, n: int) -> list[int]:
+    """Every column but file n's."""
+    return [c for c in range(s.layout.total) if c not in s.layout.file_columns(n)]
+
+
 def check_lemma1_lemma2(s: LinearScheme) -> bool:
     """Joint-entropy identities specific to unit cache size.
 
@@ -302,20 +292,17 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
     demands = demands_iter(s.N, s.K)
     if memory_of(s) != 1:
         raise PreconditionError(f"identities require cache size 1, scheme has M={memory_of(s)}")
-    kernel = _RankKernel(s)
+    without = {n: _columns_without(s, n) for n in range(1, s.N + 1)}
     for d in demands:
         if d.uniform:
             continue
         X = s.delivery_matrix(d)
-        r_X = {a: row_basis(X, kernel.columns(("without", a))).dim for a in set(d)}
-        if any(kernel.rank(k, X, ("without", d[k])) != r_X[d[k]] for k in range(1, s.K + 1)):
+        bases = {a: row_basis(X, without[a]) for a in set(d)}
+        if any(residual_rank(bases[d[k]], Z) for k, Z in enumerate(s.cache, 1)):
             return False
     caches = stack(s.cache)
-    cache_rank_sum = sum(kernel.basis(k).dim for k in range(1, s.K + 1))
-    return all(
-        row_basis(caches, kernel.columns(("without", n))).dim == cache_rank_sum
-        for n in range(1, s.N + 1)
-    )
+    cache_rank_sum = sum(rank(Z) for Z in s.cache)
+    return all(row_basis(caches, cols).dim() == cache_rank_sum for cols in without.values())
 
 
 def check_lemma3_lemma4(s: LinearScheme) -> bool:
@@ -341,14 +328,15 @@ def check_lemma3_lemma4(s: LinearScheme) -> bool:
         raise PreconditionError("identities require unit rate")
     kernel = _RankKernel(s)
     for d, Xd in X.items():
-        if any(residual_rank(kernel.basis(u, ("without", d[u])), Xd) for u in range(1, s.K + 1)):
+        bases = (kernel.basis(u, d[u] % s.N + 1) for u in range(1, s.K + 1))
+        if any(residual_rank(b, Xd, kernel.without) for b in bases):
             return False
     files = range(1, s.N + 1)
     rng = random.Random(0)
     for u in range(1, s.K + 1):
         classes = {a: [Xd for d, Xd in X.items() if d[u] == a] for a in files}
         bases = {
-            (a, b): row_basis(stack(classes[a]), None if b is None else kernel.columns(("without", b)))
+            (a, b): row_basis(stack(classes[a]), None if b is None else _columns_without(s, b))
             for a in files
             for b in (None, *files)
             if b != a
@@ -365,8 +353,8 @@ def check_lemma3_lemma4(s: LinearScheme) -> bool:
                 for b in (None, *others):
                     rest = [x for x in others if x != b]
                     basis = bases[a, b]
-                    joint = basis.dim + (residual_rank(basis, stack(reps[x] for x in rest)) if rest else 0)
-                    if joint != bases[a, None].dim + sum(rep_rank[x] for x in rest):
+                    added = residual_rank(basis, stack(reps[x] for x in rest)) if rest else 0
+                    if basis.dim() + added != bases[a, None].dim() + sum(rep_rank[x] for x in rest):
                         return False
     return True
 
@@ -415,7 +403,7 @@ def decode(
     observed = np.concatenate([cache_syms, deliv_syms])
     n = s.layout.total
     units = s.layout.file_columns(d[k])
-    order = [c for c in range(n) if c not in units] + list(units)
+    order = _columns_without(s, d[k]) + list(units)
     first = n - len(units)
     pivots = sparse_rref(np.column_stack([G.data[:, order], observed]), q, n, first)
     rows = [pivots.get(c) for c in range(first, n)]
@@ -444,8 +432,11 @@ def simulate(
     Draws the hidden input vector from a seeded generator, computes
     every cache and the broadcast, decodes each user, and compares
     against ground truth.  corrupt_unit, when given, adds 1 to that
-    broadcast symbol first; decoding is then expected to break.
+    broadcast symbol first; decoding is then expected to break.  A
+    negative seed is refused.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     q = s.field.q
     rng = np.random.default_rng(seed)
     hidden = rng.integers(0, q, s.layout.total, dtype=np.int64)

@@ -659,6 +659,10 @@ REFUSALS = {
         "simulate --scheme {dir}/t3.json --demand 1,2",
         "demand has 2 entries for 3 users",
     ),
+    "simulate seed -5": (
+        "simulate --scheme {dir}/t3.json --demand 1,2,1 --seed -5",
+        "seed must be a non-negative integer, got -5",
+    ),
     "tradeoff N 1": (
         "tradeoff --N 1 --K 3 --out {dir}/c.csv",
         "need N >= 2 and K >= 2, got N=1, K=3",

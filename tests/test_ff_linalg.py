@@ -12,7 +12,6 @@ from sympy.polys.matrices import DomainMatrix
 from securecache.constructions import build_theorem1, build_theorem3
 from securecache.ff_linalg import (
     FieldMatrix,
-    _rref,
     PrimeField,
     in_rowspace,
     is_prime,
@@ -20,8 +19,8 @@ from securecache.ff_linalg import (
     ranks,
     residual_rank,
     row_basis,
-    row_bases,
     smallest_prime_at_least,
+    sparse_rref,
     stack,
     zero_columns,
 )
@@ -269,7 +268,7 @@ def test_residual_rank_against_sympy(case):
     basis = row_basis(Z, keep)
     want_z = _sympy_rank(q, sub(z), len(kept))
     want_both = _sympy_rank(q, sub(z + x), len(kept))
-    assert basis.dim == want_z
+    assert basis.dim() == want_z
     assert residual_rank(basis, X) == want_both - want_z
 
 
@@ -296,15 +295,15 @@ def test_row_bases_against_sympy(case):
     q, cols, z, x, order, ends = case
     Z = FieldMatrix(q, np.array(z, dtype=np.int64).reshape(len(z), cols))
     X = FieldMatrix(q, np.array(x, dtype=np.int64).reshape(len(x), cols))
-    bases = row_bases(Z, order, ends)
-    assert len(bases) == len(ends)
-    for e, basis in zip(ends, bases):
+    # One basis of the whole order serves every prefix.
+    basis = row_basis(Z, order)
+    for e in ends:
         kept = order[:e]
         sub = lambda rows: [[row[c] for c in kept] for row in rows]
         want_z = _sympy_rank(q, sub(z), e) if e else 0
         want_both = _sympy_rank(q, sub(z + x), e) if e else 0
-        assert basis.dim == want_z
-        assert residual_rank(basis, X) == want_both - want_z
+        assert basis.dim(e) == want_z
+        assert residual_rank(basis, X, e) == want_both - want_z
 
 
 def test_row_basis_and_residual_rank_validate():
@@ -315,9 +314,12 @@ def test_row_basis_and_residual_rank_validate():
         row_basis(m, [-1])
     with pytest.raises(IndexError, match="repeated"):
         row_basis(m, [1, 1])
-    with pytest.raises(IndexError, match="prefix length"):
-        row_bases(m, [0, 1], [3])
     basis = row_basis(m, [0, 1])
+    for e in (-1, 3):
+        with pytest.raises(IndexError, match="prefix length"):
+            basis.dim(e)
+        with pytest.raises(IndexError, match="prefix length"):
+            residual_rank(basis, _identity(3, 3), e)
     with pytest.raises(ValueError):
         residual_rank(basis, _identity(5, 3))
     with pytest.raises(ValueError):
@@ -416,9 +418,21 @@ def elimination_inputs(draw):
     return q, np.array(m, dtype=np.int64).reshape(len(m), cols)
 
 
+def _dense_rref(q, m):
+    """sparse_rref of m on all its columns, made dense: pivot rows in pivot order, then zero rows."""
+    maps = sparse_rref(m, q, m.shape[1], 0)
+    pivots = sorted(maps)
+    work = np.zeros(m.shape, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        work[i, c] = 1
+        for j, x in maps[c].items():
+            work[i, j] = x
+    return work, pivots
+
+
 def _check_rref_and_rank(q, m):
     before = m.copy()
-    work, pivots = _rref(m, q)
+    work, pivots = _dense_rref(q, m)
     got_rank = rank(FieldMatrix(q, m))
     assert np.array_equal(m, before)
     want, want_piv = _sympy_rref(q, m)

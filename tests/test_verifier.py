@@ -437,13 +437,13 @@ def test_verify_all_eliminates_each_cache_once_per_file(monkeypatch, params):
     # One elimination per (user, file) column order serves all three views.
     s = build_theorem3(*params)
     calls = []
-    real = ff_linalg._rref
+    real = ff_linalg.sparse_rref
 
-    def counting(arr, q):
+    def counting(arr, q, width, start):
         calls.append(arr.shape)
-        return real(arr, q)
+        return real(arr, q, width, start)
 
-    monkeypatch.setattr(ff_linalg, "_rref", counting)
+    monkeypatch.setattr(ff_linalg, "sparse_rref", counting)
     assert verify_all(s).passed
     assert len(calls) == s.K * s.N
 
