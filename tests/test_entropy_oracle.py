@@ -1,8 +1,8 @@
 """Entropy oracle tests: brute-force counts, rank agreement, lemma checks.
 
 The lemma checks run on the verifier's rank kernel; they are tested here
-against a reference that enumerates every stacked collection from scratch
-with brute_entropy, so that it shares no rank routine with them.  Its
+against a reference that enumerates each stacked collection with
+brute_entropy, so that it shares no rank routine with them.  Its
 members have at most 3**5 inputs.
 """
 
