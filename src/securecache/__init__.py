@@ -27,12 +27,10 @@ from .entropy_oracle import (
 from .ff_linalg import (
     FieldMatrix,
     PrimeField,
-    in_rowspace,
     is_prime,
     rank,
     smallest_prime_at_least,
     stack,
-    zero_columns,
 )
 from .scheme_model import (
     DemandVector,

@@ -32,8 +32,10 @@ of another layout or key, or failing a check is ignored, and replaced
 once the document itself loads.  Only a load that succeeded writes one,
 through a temporary file and os.replace, with the document's permission
 bits; a sidecar that cannot be written is skipped silently.  Sidecars
-are safe to delete.  Like __pycache__, a sidecar is trusted to hold what
-its key says: whoever can write it can also rewrite the document.
+are safe to delete.  A sidecar is read only when it is a regular file
+owned by the user running securecache, opened without following a
+symlink; anything else is treated as missing.  Like __pycache__, such a
+sidecar is trusted to hold what its key says.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import itertools
 import json
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from dataclasses import replace
@@ -390,14 +393,21 @@ def _head(doc: dict) -> dict:
 def _read_sidecar(path: Path, key: str) -> tuple[dict, np.ndarray] | None:
     """The head and rows the sidecar of path holds for the bytes hashing to key, or None."""
     try:
-        data = _sidecar_path(path).read_bytes()
+        # O_NOFOLLOW refuses a symlink and O_NONBLOCK a FIFO's wait for a writer.
+        fd = os.open(_sidecar_path(path), os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        with os.fdopen(fd, "rb") as f:
+            st = os.fstat(fd)
+            # Another user's file may have been planted; a device may never end.
+            if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid():
+                return None
+            data = f.read()
         start = data.index(b"\n") + 1
         header = json.loads(data[:start])
         if header["layout"] != SIDECAR_LAYOUT or header["sha256"] != key:
             return None
         rows = np.frombuffer(data, "<i8", offset=start).reshape(header["shape"])
         return (header["head"], rows) if rows.ndim == 2 else None
-    # A missing, unreadable, truncated or garbled sidecar is not used.
+    # A missing, unreadable, truncated or garbled sidecar is not used, nor a symlink.
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
 

@@ -288,11 +288,12 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     """Tradeoff family member: M = Nt/(K-t) + 1 - 1/B, R = K/(t+1).
 
     Every file is expanded into comb(K, t) shares, one per t-subset of
-    users.  Users 1..t+1 cache their shares in the clear plus the
-    cross keys of the (t+1)-subsets containing them; later users cache
-    the same material blinded by their own designated cross key.  A
-    non-uniform demand costs comb(K, t+1) broadcast rows, one per
-    (t+1)-subset of users.
+    users.  One rule fills every cache: user k's designated subset is
+    the head (1, ..., t+1) when k <= t + 1 and (1, ..., t, k) otherwise;
+    k caches its shares of every file plus the cross keys of the other
+    (t+1)-subsets containing it, and past the head blinds them all with
+    its designated cross key.  A non-uniform demand costs comb(K, t+1)
+    broadcast rows, one per (t+1)-subset of users.
     """
     _check_member("theorem3", N=N, K=K, t=t)
     shares = build_shares(K, t)
@@ -314,42 +315,31 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
         share_rows[n - 1][:, list(layout.file_columns(n))] = g[:, :B]
         share_rows[n - 1][:, [layout.key_column(f"S_{n}^{i}") for i in range(1, m + 1)]] = g[:, B:]
     label_index = {L: i for i, L in enumerate(shares.labels)}
+    # cross_units[v]: the unit row of cross[v]'s key.
+    cross_units = np.zeros((len(cross), total), dtype=np.int64)
+    cross_units[np.arange(len(cross)), [layout.key_column(cross_name[V]) for V in cross]] = 1
 
-    head = tuple(range(1, t + 2))
-    cache_list = []
-    for k in range(1, K + 1):
-        rows = []
-        if k <= t + 1:
-            for n in range(1, N + 1):
-                for L in shares.labels:
-                    if k in L:
-                        rows.append(share_rows[n - 1, label_index[L]])
-            for V in cross:
-                if k in V and V != head:
-                    rows.append(_unit_row(total, layout.key_column(cross_name[V])))
-        else:
-            own = tuple(range(1, t + 1)) + (k,)
-            own_col = layout.key_column(cross_name[own])
-            for n in range(1, N + 1):
-                for L in shares.labels:
-                    if k in L:
-                        row = share_rows[n - 1, label_index[L]].copy()
-                        row[own_col] += 1
-                        rows.append(row)
-            for V in cross:
-                if k in V and V != own:
-                    row = _unit_row(total, layout.key_column(cross_name[V]))
-                    row[own_col] -= 1
-                    rows.append(row)
-        cache_list.append(_matrix(q, rows, total))
+    # The docstring's rule for all users at once: user k holds m labels and the
+    # B - 1 subsets besides its designated cross[own[k - 1]], so the caches stack.
+    # Blinding adds the designated key to each share row, subtracts it from each key row.
+    users = range(1, K + 1)
+    own = [cross.index(tuple(range(1, t + 1)) + (max(k, t + 1),)) for k in users]
+    labels_of = [[i for i, L in enumerate(shares.labels) if k in L] for k in users]
+    subsets_of = [[v for v, V in enumerate(cross) if k in V and v != own[k - 1]] for k in users]
+    blinding = cross_units[own, None]
+    blinding[: t + 1] = 0  # the head's users cache in the clear
+    share_part = share_rows[:, labels_of].swapaxes(0, 1).reshape(K, N * m, total) + blinding
+    caches = np.concatenate([share_part, cross_units[subsets_of] - blinding], axis=1) % q
+    # Checked share rows and unit rows, reduced; LinearScheme checks q and the width.
+    cache_list = [FieldMatrix._trusted(q, c) for c in caches]
 
     # Row v of a non-uniform broadcast serves the subset V = cross[v]: it
     # sends t + 1 times V's cross key (none for the head, cross[0]) plus,
     # for each member V[j], the share of its file labelled V without V[j].
     members = np.array(cross) - 1
     labels = np.array([[label_index[V[:j] + V[j + 1:]] for j in range(t + 1)] for V in cross])
-    keys = np.zeros((len(cross), total), dtype=np.int64)
-    keys[np.arange(1, len(cross)), [layout.key_column(cross_name[V]) for V in cross[1:]]] = t + 1
+    keys = (t + 1) * cross_units
+    keys[0] = 0
 
     def coded(d: DemandVector) -> FieldMatrix:
         # Sums of checked share rows; delivery_matrix still checks q and the width.

@@ -274,11 +274,10 @@ def _check_cap(q: int, n: int, max_enum: int) -> None:
         raise EnumerationCapError(q, n, q**n, max_enum)
 
 
-def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = MAX_ENUM) -> int:
+def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef]) -> int:
     """Entropy of a variable collection, in units, by full enumeration.
 
-    Refuses politely when q**total exceeds max_enum, and refuses a
-    max_enum above MAX_ENUM.  Otherwise codes
+    Refuses politely when q**total exceeds MAX_ENUM.  Otherwise codes
     the images of all q**n' inputs of the stacked matrices' n' essential
     columns (see _essential_columns) and checks that the image is uniform
     with size an exact power of q, raising OracleInvariantError if not.
@@ -286,7 +285,7 @@ def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef], max_enum: int = 
     """
     q = s.field.q
     n = s.layout.total
-    _check_cap(q, n, max_enum)
+    _check_cap(q, n, MAX_ENUM)
     G = stacked_matrix(s, refs)
     kept, (width,) = _essential_columns(G.data[None])
     return int(_Enumerator(q, width).entropy_units(kept[:, :, :width])[0])

@@ -464,6 +464,40 @@ def test_a_bad_sidecar_is_ignored_and_rewritten(tmp_path, case):
     assert _sidecar(path).read_bytes() == good
 
 
+def test_another_users_sidecar_is_not_trusted(tmp_path, capsys, monkeypatch):
+    # A sidecar keyed to a tampered document's bytes but holding the
+    # untampered rows would make verify pass; owned by another user, it is ignored.
+    path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    load_scheme(path)
+    good, old_key = _sidecar(path).read_bytes(), hashlib.sha256(path.read_bytes()).hexdigest()
+    doc = json.loads(path.read_bytes())
+    entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [1, 1, 1])
+    entry["rows"][0] = [0] * len(entry["rows"][0])
+    path.write_text(_json_text(doc))
+    new_key = hashlib.sha256(path.read_bytes()).hexdigest()
+    _sidecar(path).write_bytes(good.replace(old_key.encode(), new_key.encode()))
+    monkeypatch.setattr(cli.os, "geteuid", lambda: os.getuid() + 1)
+    rc, captured, _ = _verify_run(path, capsys)
+    assert rc == 1
+    assert captured.out.startswith("FAIL theorem3: 8 demands, 24 (demand, user) checks, 3 failures\n")
+
+
+def test_a_symlinked_sidecar_is_not_followed(tmp_path, monkeypatch):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    parsed = load_scheme(path)
+    target = tmp_path / "elsewhere"
+    _sidecar(path).rename(target)
+    good = target.read_bytes()
+    _sidecar(path).symlink_to(target)
+    calls = []
+    read_matrices = cli._read_matrices
+    monkeypatch.setattr(cli, "_read_matrices", lambda *a: calls.append(1) or read_matrices(*a))
+    _assert_same_scheme(load_scheme(path), parsed)
+    assert calls == [1]
+    # The link is replaced by a sidecar of its own; its target is untouched.
+    assert not _sidecar(path).is_symlink() and _sidecar(path).read_bytes() == good == target.read_bytes()
+
+
 def _no_space(*args):
     raise OSError(28, "No space left on device")
 

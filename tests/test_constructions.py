@@ -364,16 +364,72 @@ def _loop_theorem3_delivery(s):
     return delivery
 
 
+def _loop_theorem3_caches(s):
+    """theorem3's caches as the builder's two loops, clear and blinded users, the reference.
+
+    The loop body is kept verbatim from the builder before both kinds
+    of user shared one placement rule; the setup rebuilds the names it
+    read.
+    """
+    N, K, t = s.params["N"], s.params["K"], s.params["t"]
+    q, layout, total = s.field.q, s.layout, s.layout.total
+    cross = tuple(itertools.combinations(range(1, K + 1), t + 1))
+    cross_name = {V: "S_{" + ",".join(str(u) for u in V) + "}" for V in cross}
+    shares = build_shares(K, t)
+    label_index = {L: i for i, L in enumerate(shares.labels)}
+    share_rows = np.array([_share_rows(s, n) for n in range(1, N + 1)])
+
+    head = tuple(range(1, t + 2))
+    cache_list = []
+    for k in range(1, K + 1):
+        rows = []
+        if k <= t + 1:
+            for n in range(1, N + 1):
+                for L in shares.labels:
+                    if k in L:
+                        rows.append(share_rows[n - 1, label_index[L]])
+            for V in cross:
+                if k in V and V != head:
+                    rows.append(_unit_row(total, layout.key_column(cross_name[V])))
+        else:
+            own = tuple(range(1, t + 1)) + (k,)
+            own_col = layout.key_column(cross_name[own])
+            for n in range(1, N + 1):
+                for L in shares.labels:
+                    if k in L:
+                        row = share_rows[n - 1, label_index[L]].copy()
+                        row[own_col] += 1
+                        rows.append(row)
+            for V in cross:
+                if k in V and V != own:
+                    row = _unit_row(total, layout.key_column(cross_name[V]))
+                    row[own_col] -= 1
+                    rows.append(row)
+        cache_list.append(_matrix(q, rows, total))
+    return cache_list
+
+
+# theorem3 members whose every demand the loop references can replay quickly.
+LOOP_MEMBERS = [
+    (N, K, t)
+    for K in range(3, 7)
+    for N in range(2, 12)
+    if N**K * K <= 4096
+    for t in range(1, K - 1)
+]
+
+
+def test_theorem3_caches_match_the_loop_reference():
+    assert len(LOOP_MEMBERS) == 28
+    for N, K, t in LOOP_MEMBERS:
+        s = build_theorem3(N, K, t)
+        for k, (got, want) in enumerate(zip(s.cache, _loop_theorem3_caches(s), strict=True), 1):
+            assert got == want and got.data.dtype == want.data.dtype, (N, K, t, k)
+
+
 def test_theorem3_broadcasts_match_the_loop_reference():
-    members = [
-        (N, K, t)
-        for K in range(3, 7)
-        for N in range(2, 12)
-        if N**K * K <= 4096
-        for t in range(1, K - 1)
-    ]
-    assert len(members) == 28
-    for N, K, t in members:
+    assert len(LOOP_MEMBERS) == 28
+    for N, K, t in LOOP_MEMBERS:
         s = build_theorem3(N, K, t)
         reference = _loop_theorem3_delivery(s)
         for d in demands_iter(N, K):
