@@ -9,12 +9,8 @@ computes exact memory-rate tradeoff curves with converse bounds.
 from .constructions import (
     ShareSystem,
     assign_coefficients,
-    build_otp,
     build_scheme,
     build_shares,
-    build_theorem1,
-    build_theorem2,
-    build_theorem3,
 )
 from .entropy_oracle import (
     EnumerationCapError,

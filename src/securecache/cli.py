@@ -61,7 +61,7 @@ import numpy as np
 
 from .constructions import FAMILIES, build_scheme
 from .entropy_oracle import MAX_ENUM, check_rank_agreement, check_secret_sharing
-from .ff_linalg import FieldMatrix
+from .ff_linalg import FieldMatrix, _check_modulus
 from .scheme_model import (
     DemandVector,
     LinearScheme,
@@ -316,7 +316,7 @@ def document_to_scheme(
             f"the caches' first rows hold at most {widest} entries, "
             f"fewer than the N*B={files} file columns of {label} {params}"
         )
-    member = family.build(**params)
+    member = build_scheme(label, **params)
     for key, want in (
         ("q", member.field.q),
         ("B", member.B),
@@ -345,8 +345,7 @@ def document_to_scheme(
         return f"cache of user {i + 1}" if i < K else f"broadcast for demand {list(demands[i - K])}"
 
     q, total = member.field.q, member.layout.total
-    if q * q * total >= 1 << 63:
-        raise ValueError(f"modulus {q} is too large for exact int64 products over {total} columns")
+    _check_modulus(q, total)
     if rows is None:
         rows, ends = _read_matrices(total, documented, name, scan_bools)
     else:

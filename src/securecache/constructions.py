@@ -1,4 +1,4 @@
-"""Builders for the achievable secure caching schemes.
+"""Rules for the achievable secure caching schemes, and build_scheme, which builds them.
 
 Four scheme families, all explicit linear codes over small prime
 fields:
@@ -19,10 +19,15 @@ fields:
   keys, and the broadcast sends share combinations per (t+1)-subset
   of users.
 
-Uniform demands (all users ask for the same file) are always served by
-sending the file's units directly; that is both cheaper and secure, so
-the worst-case rate is attained on non-uniform demands.  Each builder
-codes only the non-uniform demands, and _member adds the uniform rule.
+Each family is one entry of FAMILIES: its rule, its members and its
+declared (M, R, L).  A rule takes exactly a member's params and returns
+only what is its family's own, (q, layout, caches, coded), coded being
+the broadcast for non-uniform demands.  build_scheme is the one door
+from a rule to a LinearScheme: it checks the member and its size, calls
+the rule, stamps the declared L and adds the uniform rule.  Uniform
+demands (all users ask for the same file) are always served by sending
+the file's units directly; that is both cheaper and secure, so the
+worst-case rate is attained on non-uniform demands.
 """
 
 from __future__ import annotations
@@ -40,10 +45,8 @@ from .ff_linalg import FieldMatrix, PrimeField, smallest_prime_at_least
 from .scheme_model import DemandVector, LinearScheme, VariableLayout
 
 
-def _matrix(q: int, rows: list[NDArray], total: int) -> FieldMatrix:
-    if not rows:
-        return FieldMatrix.zeros(q, 0, total)
-    return FieldMatrix(q, np.array(rows, dtype=np.int64))
+# A rule's return: q, the layout, the K caches and the non-uniform broadcast rule.
+Parts = tuple[int, VariableLayout, Sequence[FieldMatrix], Callable[[DemandVector], FieldMatrix]]
 
 
 def _unit_row(total: int, col: int, value: int = 1) -> NDArray:
@@ -52,49 +55,18 @@ def _unit_row(total: int, col: int, value: int = 1) -> NDArray:
     return row
 
 
-def _member(
-    label: str,
-    params: dict[str, int],
-    q: int,
-    layout: VariableLayout,
-    cache: Sequence[FieldMatrix],
-    coded: Callable[[DemandVector], FieldMatrix],
-    randomness: Fraction | None = None,
-) -> LinearScheme:
-    """A family member whose broadcast rule is coded for non-uniform demands only.
-
-    Every family serves a uniform demand the same way, by sending the
-    file's units directly, so that rule is applied here, once.
-    """
-
-    def delivery(d: DemandVector) -> FieldMatrix:
-        return layout.file_selector(q, d[1]) if d.uniform else coded(d)
-
-    return LinearScheme(
-        field=PrimeField(q),
-        layout=layout,
-        K=params["K"],
-        cache=tuple(cache),
-        delivery=delivery,
-        label=label,
-        params=params,
-        randomness=randomness,
-    )
-
-
 # ---------------------------------------------------------------------------
 # One-time-pad baseline
 # ---------------------------------------------------------------------------
 
 
-def build_otp(N: int, K: int) -> LinearScheme:
+def _otp(N: int, K: int) -> Parts:
     """Pad-per-user baseline: M = 1, R = K, L = K, over GF(2)."""
-    _check_member("otp", N=N, K=K)
     q = 2
     layout = VariableLayout(N, 1, tuple(f"S_{k}" for k in range(1, K + 1)))
     total = layout.total
     cache = tuple(
-        _matrix(q, [_unit_row(total, layout.key_column(f"S_{k}"))], total)
+        FieldMatrix(q, [_unit_row(total, layout.key_column(f"S_{k}"))])
         for k in range(1, K + 1)
     )
 
@@ -104,9 +76,9 @@ def build_otp(N: int, K: int) -> LinearScheme:
             row = _unit_row(total, layout.file_columns(d[k])[0])
             row[layout.key_column(f"S_{k}")] = 1
             rows.append(row)
-        return _matrix(q, rows, total)
+        return FieldMatrix(q, rows)
 
-    return _member("otp", {"N": N, "K": K}, q, layout, cache, coded)
+    return q, layout, cache, coded
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +114,7 @@ def assign_coefficients(d: DemandVector) -> tuple[int, ...]:
     return tuple(values)
 
 
-def build_theorem1(K: int) -> LinearScheme:
+def _theorem1(N: int, K: int) -> Parts:
     """Two-file scheme with M = 1 and R = K - 1 over GF(3).
 
     Users 1..K-1 cache one key each; user K caches twice the sum of
@@ -150,9 +122,7 @@ def build_theorem1(K: int) -> LinearScheme:
     served by K - 1 rows, row k sending a_k * W_{d_k} + 2 * S_k with
     the coefficients from assign_coefficients.
     """
-    _check_member("theorem1", N=2, K=K)
     q = 3
-    N = 2
     layout = VariableLayout(N, 1, tuple(f"S_{k}" for k in range(1, K)))
     total = layout.total
     cache_rows = [
@@ -164,7 +134,7 @@ def build_theorem1(K: int) -> LinearScheme:
     for k in range(1, K):
         last[layout.key_column(f"S_{k}")] = 1
     cache_rows.append([last])
-    cache = tuple(_matrix(q, rows, total) for rows in cache_rows)
+    cache = tuple(FieldMatrix(q, rows) for rows in cache_rows)
 
     def coded(d: DemandVector) -> FieldMatrix:
         a = assign_coefficients(d)
@@ -173,9 +143,9 @@ def build_theorem1(K: int) -> LinearScheme:
             row = _unit_row(total, layout.file_columns(d[k])[0], a[k - 1])
             row[layout.key_column(f"S_{k}")] = 2
             rows.append(row)
-        return _matrix(q, rows, total)
+        return FieldMatrix(q, rows)
 
-    return _member("theorem1", {"N": N, "K": K}, q, layout, cache, coded)
+    return q, layout, cache, coded
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +153,13 @@ def build_theorem1(K: int) -> LinearScheme:
 # ---------------------------------------------------------------------------
 
 
-def build_theorem2(N: int, K: int) -> LinearScheme:
+def _theorem2(N: int, K: int) -> Parts:
     """Single-broadcast scheme with M = (N-1)(K-1) and R = 1 over GF(2).
 
     User k < K caches W_1 + W_n + S_{n-1,k} for every n in [2, N]
     together with the other users' keys of each level; user K caches
     every key.  One broadcast row then finishes all K decodings.
     """
-    _check_member("theorem2", N=N, K=K)
     q = 2
     names = tuple(
         f"S_{n}_{k}" for n in range(1, N) for k in range(1, K)
@@ -209,9 +178,9 @@ def build_theorem2(N: int, K: int) -> LinearScheme:
             for other in range(1, K):
                 if other != k:
                     rows.append(_unit_row(total, layout.key_column(f"S_{n - 1}_{other}")))
-        cache_list.append(_matrix(q, rows, total))
+        cache_list.append(FieldMatrix(q, rows))
     cache_list.append(
-        _matrix(q, [_unit_row(total, layout.key_column(name)) for name in names], total)
+        FieldMatrix(q, [_unit_row(total, layout.key_column(name)) for name in names])
     )
 
     def coded(d: DemandVector) -> FieldMatrix:
@@ -221,9 +190,9 @@ def build_theorem2(N: int, K: int) -> LinearScheme:
                 row[layout.key_column(f"S_{d[K] - 1}_{i}")] += 1
             if d[i] >= 2:
                 row[layout.key_column(f"S_{d[i] - 1}_{i}")] += 1
-        return _matrix(q, [row], total)
+        return FieldMatrix(q, [row])
 
-    return _member("theorem2", {"N": N, "K": K}, q, layout, cache_list, coded)
+    return q, layout, cache_list, coded
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +253,7 @@ def build_shares(K: int, t: int) -> ShareSystem:
     return ShareSystem(K=K, t=t, q=q, labels=labels, generator=FieldMatrix(q, gen))
 
 
-def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
+def _theorem3(N: int, K: int, t: int) -> Parts:
     """Tradeoff family member: M = Nt/(K-t) + 1 - 1/B, R = K/(t+1).
 
     Every file is expanded into comb(K, t) shares, one per t-subset of
@@ -295,7 +264,6 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
     its designated cross key.  A non-uniform demand costs comb(K, t+1)
     broadcast rows, one per (t+1)-subset of users.
     """
-    _check_member("theorem3", N=N, K=K, t=t)
     shares = build_shares(K, t)
     q = shares.q
     B = shares.units
@@ -346,10 +314,7 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
         files = np.array(d.entries)[members] - 1
         return FieldMatrix._trusted(q, (keys + share_rows[files, labels].sum(axis=1)) % q)
 
-    return _member(
-        "theorem3", {"N": N, "K": K, "t": t}, q, layout, cache_list, coded,
-        randomness=FAMILIES["theorem3"].mrl(N, K, t)[2],
-    )
+    return q, layout, cache_list, coded
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +324,17 @@ def build_theorem3(N: int, K: int, t: int) -> LinearScheme:
 
 @dataclass(frozen=True)
 class Family:
-    """One scheme family, the only place its builder and formulas meet.
+    """One scheme family, the only place its rule and formulas meet.
 
-    build(**params) builds the member with those params; members(N, K)
-    lists the params of every member at (N, K), as built schemes carry
-    them; mrl(**params) is a member's declared (M, R, L) in file units;
-    source, params formatted in, names its point on the tradeoff curve;
-    units(**params) is a member's units per file B, found without
-    building it.
+    rule(**params) returns the parts of the member with those params;
+    members(N, K) lists the params of every member at (N, K), as built
+    schemes carry them; mrl(**params) is a member's declared (M, R, L)
+    in file units; source, params formatted in, names its point on the
+    tradeoff curve; units(**params) is a member's units per file B,
+    found without building it.
     """
 
-    build: Callable[..., LinearScheme]
+    rule: Callable[..., Parts]
     members: Callable[[int, int], list[dict[str, int]]]
     mrl: Callable[..., tuple[Fraction, Fraction, Fraction]]
     source: str
@@ -392,22 +357,22 @@ def _theorem3_mrl(N: int, K: int, t: int) -> tuple[Fraction, Fraction, Fraction]
 
 FAMILIES: dict[str, Family] = {
     "otp": Family(
-        build_otp, _plain_members, lambda N, K: (Fraction(1), Fraction(K), Fraction(K)), "unit cache"
+        _otp, _plain_members, lambda N, K: (Fraction(1), Fraction(K), Fraction(K)), "unit cache"
     ),
     "theorem1": Family(
-        lambda N, K: build_theorem1(K),
+        _theorem1,
         lambda N, K: _plain_members(N, K) if N == 2 else [],
         lambda N, K: (Fraction(1), Fraction(K - 1), Fraction(K - 1)),
         "unit cache",
     ),
     "theorem2": Family(
-        build_theorem2,
+        _theorem2,
         _plain_members,
         lambda N, K: (Fraction((N - 1) * (K - 1)), Fraction(1), Fraction((N - 1) * (K - 1))),
         "unit rate",
     ),
     "theorem3": Family(
-        build_theorem3,
+        _theorem3,
         lambda N, K: [{"N": N, "K": K, "t": t} for t in range(1, K - 1)] if N >= 2 else [],
         _theorem3_mrl,
         "tradeoff family t={t}",
@@ -421,31 +386,41 @@ FAMILIES: dict[str, Family] = {
 MAX_CACHE_ENTRIES = 10**8
 
 
-def _check_member(label: str, **params: int) -> Family:
-    """The family of label, once params are checked to name one of its members of buildable size.
+def build_scheme(label: str, N: int, K: int, t: int | None = None) -> LinearScheme:
+    """Build the member of family label with params (N, K), or (N, K, t) if t is given.
 
-    The size bound is K caches of M*B rows over N*B + N*L*B columns, from
-    the declared (M, R, L) and B: no family has more key columns than
-    N*L*B, so it is at least the entries the member's caches hold.
+    The one door from a rule to a scheme.  The member's size bound is K
+    caches of M*B rows over N*B + N*L*B columns, from the declared (M, R,
+    L) and B: no family has more key columns than N*L*B.  The scheme
+    carries the declared L and sends a uniform demand's file directly.
     """
     family = FAMILIES.get(label)
     if family is None:
         raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
-    members = family.members(params["N"], params["K"])
+    params = {"N": N, "K": K} if t is None else {"N": N, "K": K, "t": t}
+    members = family.members(N, K)
     if params not in members:
         raise ValueError(f"{label} has no member {params}; its members at this N, K: {members}")
     M, _, L = family.mrl(**params)
-    B, N = family.units(**params), params["N"]
-    entries = params["K"] * M * B * (N * B + N * L * B)
+    B = family.units(**params)
+    entries = K * M * B * (N * B + N * L * B)
     if entries > MAX_CACHE_ENTRIES:
         raise ValueError(
             f"{label} {params} would cache up to {int(entries)} entries, "
             f"over the limit of {MAX_CACHE_ENTRIES}"
         )
-    return family
+    q, layout, caches, coded = family.rule(**params)
 
+    def delivery(d: DemandVector) -> FieldMatrix:
+        return layout.file_selector(q, d[1]) if d.uniform else coded(d)
 
-def build_scheme(label: str, N: int, K: int, t: int | None = None) -> LinearScheme:
-    """Build the member of family label with params (N, K), or (N, K, t) if t is given."""
-    params = {"N": N, "K": K} if t is None else {"N": N, "K": K, "t": t}
-    return _check_member(label, **params).build(**params)
+    return LinearScheme(
+        field=PrimeField(q),
+        layout=layout,
+        K=K,
+        cache=tuple(caches),
+        delivery=delivery,
+        label=label,
+        params=params,
+        randomness=L,
+    )

@@ -59,6 +59,17 @@ def smallest_prime_at_least(n: int) -> int:
     return p
 
 
+def _check_modulus(q: int, cols: int | None = None) -> None:
+    """Refuse q unless it is prime and, given cols, q**2 * cols < 2**63."""
+    if not is_prime(q):
+        raise ValueError(f"field modulus must be prime, got {q}")
+    if cols is not None and q * q * cols >= 1 << 63:
+        raise ValueError(
+            f"modulus {q} is too large for exact int64 products over "
+            f"{cols} columns: need q**2 * cols < 2**63"
+        )
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field of integers mod q, with q checked prime at construction."""
@@ -66,8 +77,7 @@ class PrimeField:
     q: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"field modulus must be prime, got {self.q}")
+        _check_modulus(self.q)
 
 
 class FieldMatrix:
@@ -84,8 +94,6 @@ class FieldMatrix:
     __slots__ = ("q", "data")
 
     def __init__(self, q: int, data: Sequence[Sequence[int]] | NDArray) -> None:
-        if not is_prime(q):
-            raise ValueError(f"field modulus must be prime, got {q}")
         # The dtype is inferred, not forced, so that floats, bools and integers
         # past int64 show in it instead of being truncated or wrapped.
         arr = np.array(data)
@@ -96,11 +104,7 @@ class FieldMatrix:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[1] == 0:
             raise ValueError("matrix must have at least one column")
-        if q * q * arr.shape[1] >= 1 << 63:
-            raise ValueError(
-                f"modulus {q} is too large for exact int64 products over "
-                f"{arr.shape[1]} columns: need q**2 * cols < 2**63"
-            )
+        _check_modulus(q, arr.shape[1])
         arr %= q
         arr.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -305,19 +309,13 @@ def ranks(q: int, stacks: NDArray) -> NDArray:
     matrices; a single matrix is faster with rank.  Products of residues
     stay below q**2, so the moduli FieldMatrix accepts are exact here.
     """
-    if not is_prime(q):
-        raise ValueError(f"field modulus must be prime, got {q}")
     work = np.asarray(stacks)
     if work.dtype.kind != "i" or work.ndim != 3:
         raise ValueError(
             f"need a 3-dimensional stack of integers, got dtype {work.dtype} and shape {work.shape}"
         )
     C, R, n = work.shape
-    if q * q * max(n, 1) >= 1 << 63:
-        raise ValueError(
-            f"modulus {q} is too large for exact int64 products over "
-            f"{n} columns: need q**2 * cols < 2**63"
-        )
+    _check_modulus(q, max(n, 1))
     # A fresh array, so the caller's stack is never written to.
     work = work.astype(np.int64, copy=False) % q
     found = np.zeros(C, dtype=np.intp)

@@ -15,12 +15,7 @@ from itertools import product
 from math import comb
 
 from securecache.cli import main
-from securecache.constructions import (
-    build_otp,
-    build_theorem1,
-    build_theorem2,
-    build_theorem3,
-)
+from securecache.constructions import build_scheme
 from securecache.entropy_oracle import check_rank_agreement, check_secret_sharing
 from securecache.scheme_model import DemandVector, memory_of, randomness_of, worst_case_rate
 from securecache.tradeoff import achievable_points, converse_constraints, lower_convex_envelope
@@ -44,7 +39,7 @@ def criterion(num: int, detail: str, budget: float):
 def test_criterion_1_two_file_family():
     with criterion(1, "two-file scheme, K in 2..8", budget=10.0):
         for K in range(2, 9):
-            s = build_theorem1(K)
+            s = build_scheme("theorem1", 2, K)
             report = verify_all(s)
             assert report.passed and report.demand_count == 2**K, K
             assert memory_of(s) == 1, K
@@ -54,12 +49,12 @@ def test_criterion_1_two_file_family():
 def test_criterion_2_unit_rate_family():
     with criterion(2, "unit-rate scheme, N and K in 2..4", budget=10.0):
         for N, K in product(range(2, 5), range(2, 5)):
-            s = build_theorem2(N, K)
+            s = build_scheme("theorem2", N, K)
             report = verify_all(s)
             assert report.passed and report.demand_count == N**K, (N, K)
             assert memory_of(s) == (N - 1) * (K - 1), (N, K)
             assert worst_case_rate(s) == 1, (N, K)
-        s = build_theorem2(3, 3)
+        s = build_scheme("theorem2", 3, 3)
         assert memory_of(s) == 4
         lay = s.layout
 
@@ -84,14 +79,14 @@ def test_criterion_3_tradeoff_family():
         for N in range(2, 5):
             for K in range(3, 6):
                 for t in range(1, K - 1):
-                    s = build_theorem3(N, K, t)
+                    s = build_scheme("theorem3", N, K, t)
                     B = comb(K - 1, t)
                     assert verify_all(s).passed, (N, K, t)
                     assert memory_of(s) == F(N * t, K - t) + 1 - F(1, B), (N, K, t)
                     assert worst_case_rate(s) == F(K, t + 1), (N, K, t)
                     want_L = F(comb(K - 1, t - 1) + comb(K, t + 1), B)
                     assert randomness_of(s) == want_L, (N, K, t)
-        s = build_theorem3(3, 3, 1)
+        s = build_scheme("theorem3", 3, 3, 1)
         assert (memory_of(s), worst_case_rate(s), randomness_of(s)) == (2, F(3, 2), 2)
 
 
@@ -105,20 +100,20 @@ def test_criterion_4_share_threshold():
 def test_criterion_5_oracle_agreement():
     with criterion(5, "entropy oracle vs rank, collections up to 4 (3 on theorem3 (3,3,1))", budget=120.0):
         schemes = [
-            build_theorem1(3),
-            build_theorem2(2, 3),
-            build_theorem2(3, 3),
-            build_theorem3(2, 3, 1),
+            build_scheme("theorem1", 2, 3),
+            build_scheme("theorem2", 2, 3),
+            build_scheme("theorem2", 3, 3),
+            build_scheme("theorem3", 2, 3, 1),
         ]
         for s in schemes:
             assert check_rank_agreement(s, subset_size_cap=4), s.label
         # 3**12 inputs, of which each collection walks its essential columns:
         # triples over 3 files, 3 caches and 8 deliveries.
-        s = build_theorem3(3, 3, 1)
+        s = build_scheme("theorem3", 3, 3, 1)
         assert check_rank_agreement(s, subset_size_cap=3, max_deliveries=8), s.label
-        assert check_lemma1_lemma2(build_theorem1(3))
-        assert check_lemma3_lemma4(build_theorem2(2, 3))
-        assert check_lemma3_lemma4(build_theorem2(3, 3))
+        assert check_lemma1_lemma2(build_scheme("theorem1", 2, 3))
+        assert check_lemma3_lemma4(build_scheme("theorem2", 2, 3))
+        assert check_lemma3_lemma4(build_scheme("theorem2", 3, 3))
 
 
 def _vertex_set(entries):
@@ -188,10 +183,10 @@ def test_criterion_7_endpoint_optimality():
 def test_criterion_8_simulation():
     with criterion(8, "100 seeded end-to-end decodes plus one corruption", budget=10.0):
         schemes = [
-            build_otp(3, 3),
-            build_theorem1(4),
-            build_theorem2(3, 3),
-            build_theorem3(3, 4, 1),
+            build_scheme("otp", 3, 3),
+            build_scheme("theorem1", 2, 4),
+            build_scheme("theorem2", 3, 3),
+            build_scheme("theorem3", 3, 4, 1),
         ]
         rng = random.Random(2026)
         for i in range(100):
@@ -199,5 +194,5 @@ def test_criterion_8_simulation():
             d = DemandVector(tuple(rng.randint(1, s.N) for _ in range(s.K)))
             result = simulate(s, d, seed=i)
             assert result.passed, (s.label, d.entries, i)
-        corrupted = simulate(build_theorem1(3), DemandVector((1, 2, 2)), seed=9, corrupt_unit=0)
+        corrupted = simulate(build_scheme("theorem1", 2, 3), DemandVector((1, 2, 2)), seed=9, corrupt_unit=0)
         assert not corrupted.passed and corrupted.failed_users

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from securecache import cli
 from securecache.cli import _json_text, load_scheme, main, scheme_to_document, write_scheme
-from securecache.constructions import FAMILIES, build_otp, build_scheme, build_theorem2
+from securecache.constructions import FAMILIES, build_scheme
 from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, randomness_of
 
 
@@ -53,7 +53,7 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys):
 
 
 def test_document_round_trip_explicit(tmp_path):
-    s = build_theorem2(3, 3)
+    s = build_scheme("theorem2", 3, 3)
     path = tmp_path / "t2.json"
     write_scheme(s, path)
     doc = json.loads(path.read_text())
@@ -70,7 +70,7 @@ def test_document_round_trip_explicit(tmp_path):
 
 def test_document_round_trip_generated(tmp_path):
     # 4**5 demands is past the explicit-table limit.
-    s = build_otp(4, 5)
+    s = build_scheme("otp", 4, 5)
     path = tmp_path / "otp.json"
     write_scheme(s, path)
     assert json.loads(path.read_text())["delivery"]["mode"] == "generated"
@@ -102,7 +102,7 @@ def test_generated_document_marks_its_rate_declared():
     # theorem3 (2, 9, 2) declares R = 9/3; explicit documents carry no mark.
     meta = scheme_to_document(build_scheme("theorem3", 2, 9, 2))["metadata"]
     assert meta["R"] == [3, 1] and meta["R_source"] == "declared"
-    assert "R_source" not in scheme_to_document(build_otp(2, 3))["metadata"]
+    assert "R_source" not in scheme_to_document(build_scheme("otp", 2, 3))["metadata"]
 
 
 def test_document_rejects_unknown_version(tmp_path, capsys):
@@ -269,7 +269,7 @@ def test_load_refuses_a_document_smaller_than_its_N_or_K(tmp_path, monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError("the loader listed or built a member past the document's size")
 
-    family = dataclasses.replace(FAMILIES["theorem3"], members=refuse, build=refuse)
+    family = dataclasses.replace(FAMILIES["theorem3"], members=refuse, rule=refuse)
     monkeypatch.setitem(FAMILIES, "theorem3", family)
     for key, message in (
         ("K", "cache must be a list of 1000000 matrices, one per user"),
@@ -293,7 +293,7 @@ def test_load_refuses_a_theorem3_member_wider_than_the_documents_rows(tmp_path, 
     def refuse(**params):
         raise AssertionError("the loader built a member wider than the document's rows")
 
-    monkeypatch.setitem(FAMILIES, "theorem3", dataclasses.replace(FAMILIES["theorem3"], build=refuse))
+    monkeypatch.setitem(FAMILIES, "theorem3", dataclasses.replace(FAMILIES["theorem3"], rule=refuse))
     doc = copy.deepcopy(_T331)
     params = {"N": 2, "K": 40, "t": 20}
     doc.update(N=2, K=40, params=params, cache=[doc["cache"][0]] * 40)
@@ -792,6 +792,40 @@ def test_simulate(tmp_path, capsys):
     assert "PASS demand [1, 2, 2, 1] seed 11: all 4 users decoded" in capsys.readouterr().out
     assert main(["simulate", "--scheme", str(path), "--demand", "1,2"]) == 2
     assert main(["simulate", "--scheme", str(path), "--demand", "1,5,1,1"]) == 2
+
+
+def _zeroed_t331(tmp_path, zero):
+    """The theorem3 (3, 3, 1) document with zero(doc) applied, written to tmp_path."""
+    doc = copy.deepcopy(_T331)
+    zero(doc)
+    path = tmp_path / "zeroed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_simulate_fails_every_user_of_an_undecodable_broadcast(tmp_path, capsys):
+    def zero_row(doc):
+        entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [1, 1, 1])
+        entry["rows"][0] = [0] * len(entry["rows"][0])
+
+    path = _zeroed_t331(tmp_path, zero_row)
+    capsys.readouterr()
+    assert main(["simulate", "--scheme", str(path), "--demand", "1,1,1", "--seed", "0"]) == 1
+    assert capsys.readouterr().out == "FAIL demand [1, 1, 1] seed 0: users [1, 2, 3] failed\n"
+
+
+def test_verify_lists_at_most_20_failures(tmp_path, capsys):
+    def zero_cache(doc):
+        doc["cache"][0] = [[0] * len(row) for row in doc["cache"][0]]
+
+    path = _zeroed_t331(tmp_path, zero_cache)
+    capsys.readouterr()
+    assert main(["verify", "--scheme", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 22
+    assert lines[0] == "FAIL theorem3: 27 demands, 81 (demand, user) checks, 24 failures"
+    assert all(line.endswith(" rank identity failed") for line in lines[1:21])
+    assert lines[-1] == "  ... and 4 more"
 
 
 def test_tradeoff_outputs(tmp_path, capsys):

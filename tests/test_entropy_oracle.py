@@ -22,7 +22,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from securecache import entropy_oracle, ff_linalg
-from securecache.constructions import build_otp, build_shares, build_theorem1, build_theorem2, build_theorem3
+from securecache.constructions import build_scheme, build_shares
 from securecache.entropy_oracle import (
     EnumerationCapError,
     OracleInvariantError,
@@ -42,26 +42,26 @@ from securecache.verifier import LEMMA_SAMPLES, check_lemma1_lemma2, check_lemma
 
 
 def test_single_file_entropy_is_unit_count():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     assert brute_entropy(s, [VariableRef.of_file(1)]) == 1
 
 
 def test_all_caches_and_one_file_frozen_value():
     # Three caches of the two-file scheme plus one file span 4 units:
     # the matrix [[0,0,1,0],[0,0,0,1],[2,2,1,1],[1,0,0,0]] has rank 4.
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     refs = [VariableRef.of_cache(k) for k in (1, 2, 3)] + [VariableRef.of_file(1)]
     assert brute_entropy(s, refs) == 4
 
 
 def test_cache_plus_broadcast_frozen_value():
-    s = build_theorem2(3, 3)
+    s = build_scheme("theorem2", 3, 3)
     refs = [VariableRef.of_cache(1), VariableRef.of_delivery((1, 2, 3))]
     assert brute_entropy(s, refs) == 5
 
 
 def test_oracle_values_never_consult_rank(monkeypatch):
-    s1, s2 = build_theorem1(3), build_theorem2(3, 3)
+    s1, s2 = build_scheme("theorem1", 2, 3), build_scheme("theorem2", 3, 3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle value consulted the rank machinery")
@@ -300,14 +300,14 @@ def _sympy_rank(q, rows, cols):
 
 
 def test_empty_collection_has_zero_entropy():
-    s = build_theorem1(2)
+    s = build_scheme("theorem1", 2, 2)
     assert brute_entropy(s, []) == 0
 
 
 def test_entropy_image_size_invariant():
     # brute_entropy raises unless the image is uniform of size q**value,
     # so a returned value is that exact logarithm, equal to the rank.
-    s = build_theorem2(2, 3)
+    s = build_scheme("theorem2", 2, 3)
     collections = [
         [VariableRef.of_file(2)],
         [VariableRef.of_cache(3)],
@@ -321,7 +321,7 @@ def test_entropy_image_size_invariant():
 def test_share_variable_entropy():
     # Entropies of theorem3 (2, 3, 1)'s shares, by counting the distinct
     # images of its share generator over all q**cols inputs.
-    s = build_theorem3(2, 3, 1)
+    s = build_scheme("theorem3", 2, 3, 1)
     sys = build_shares(3, 1)
     G = sys.generator
     assert (G.q, sys.units) == (s.field.q, s.B)
@@ -336,7 +336,7 @@ def test_share_variable_entropy():
 
 
 def test_enumeration_cap_reports_required_size():
-    s = build_theorem3(3, 4, 2)
+    s = build_scheme("theorem3", 3, 4, 2)
     with pytest.raises(EnumerationCapError) as exc:
         brute_entropy(s, [VariableRef.of_file(1)])
     assert exc.value.required == 7**22
@@ -345,7 +345,7 @@ def test_enumeration_cap_reports_required_size():
 
 
 def test_variable_ref_validation():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     with pytest.raises(IndexError):
         VariableRef.of_cache(4).resolve(s)
     with pytest.raises(ValueError, match="unknown variable kind"):
@@ -353,7 +353,7 @@ def test_variable_ref_validation():
 
 
 def test_bounded_deliveries_cover_endpoints():
-    s = build_otp(3, 3)
+    s = build_scheme("otp", 3, 3)
     all_d = _bounded_deliveries(s, 64)
     assert len(all_d) == 27
     few = _bounded_deliveries(s, 8)
@@ -364,14 +364,14 @@ def test_bounded_deliveries_cover_endpoints():
 
 def test_bounded_deliveries_reach_the_last_of_2_to_54_demands():
     # Past 2**53 demands, float spacing would round the last index up to N**K.
-    few = _bounded_deliveries(build_otp(2, 54), 8)
+    few = _bounded_deliveries(build_scheme("otp", 2, 54), 8)
     assert len(few) == 8
     assert few[0].entries == (1,) * 54
     assert few[-1].entries == (2,) * 54
 
 
 def test_bounded_deliveries_single_and_invalid():
-    s = build_otp(3, 3)
+    s = build_scheme("otp", 3, 3)
     one = _bounded_deliveries(s, 1)
     assert [d.entries for d in one] == [(1, 1, 1)]
     for bad in (0, -2):
@@ -380,15 +380,15 @@ def test_bounded_deliveries_single_and_invalid():
 
 
 def test_rank_agreement_small_schemes():
-    assert check_rank_agreement(build_theorem1(3), subset_size_cap=3)
-    assert check_rank_agreement(build_theorem2(2, 3), subset_size_cap=3)
-    assert check_rank_agreement(build_theorem3(2, 3, 1), subset_size_cap=2)
+    assert check_rank_agreement(build_scheme("theorem1", 2, 3), subset_size_cap=3)
+    assert check_rank_agreement(build_scheme("theorem2", 2, 3), subset_size_cap=3)
+    assert check_rank_agreement(build_scheme("theorem3", 2, 3, 1), subset_size_cap=2)
 
 
 def test_rank_agreement_refuses_negative_cap():
     for cap in (-1, -3):
         with pytest.raises(ValueError, match=f"got {cap}"):
-            check_rank_agreement(build_theorem1(3), subset_size_cap=cap)
+            check_rank_agreement(build_scheme("theorem1", 2, 3), subset_size_cap=cap)
 
 
 def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
@@ -398,7 +398,7 @@ def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
     # it is enumerated in a stack; on theorem3 (2, 3, 1) its 3**8 inputs
     # are past _Enumerator.BLOCK, so its codes are built block by block.
     true_ranks = ff_linalg.ranks
-    for s, small in ((build_theorem1(3), True), (build_theorem3(2, 3, 1), False)):
+    for s, small in ((build_scheme("theorem1", 2, 3), True), (build_scheme("theorem3", 2, 3, 1), False)):
         seen, widths = [], []
 
         def skewed(q, stacks):
@@ -419,23 +419,28 @@ def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
 
 
 def test_lemma1_lemma2_on_unit_cache_schemes():
-    for s in [build_theorem1(2), build_theorem1(3), build_theorem1(4), build_otp(3, 3)]:
+    for s in [
+        build_scheme("theorem1", 2, 2),
+        build_scheme("theorem1", 2, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("otp", 3, 3),
+    ]:
         assert check_lemma1_lemma2(s)
 
 
 def test_lemma1_lemma2_requires_unit_cache():
     with pytest.raises(ValueError, match="cache size 1"):
-        check_lemma1_lemma2(build_theorem2(3, 3))
+        check_lemma1_lemma2(build_scheme("theorem2", 3, 3))
 
 
 def test_lemma3_lemma4_on_unit_rate_schemes():
-    assert check_lemma3_lemma4(build_theorem2(2, 3))
-    assert check_lemma3_lemma4(build_theorem2(3, 3))
+    assert check_lemma3_lemma4(build_scheme("theorem2", 2, 3))
+    assert check_lemma3_lemma4(build_scheme("theorem2", 3, 3))
 
 
 def test_lemma3_lemma4_requires_unit_rate():
     with pytest.raises(ValueError, match="unit rate"):
-        check_lemma3_lemma4(build_theorem1(3))
+        check_lemma3_lemma4(build_scheme("theorem1", 2, 3))
 
 
 def test_lemma3_lemma4_builds_each_delivery_matrix_once(monkeypatch):
@@ -449,7 +454,7 @@ def test_lemma3_lemma4_builds_each_delivery_matrix_once(monkeypatch):
     monkeypatch.setattr(LinearScheme, "delivery_matrix", counted)
     for N, K in ((2, 3), (3, 3)):
         calls.clear()
-        assert check_lemma3_lemma4(build_theorem2(N, K))
+        assert check_lemma3_lemma4(build_scheme("theorem2", N, K))
         assert len(calls) == N**K and len(set(calls)) == N**K
 
 
@@ -552,31 +557,31 @@ IDENTITY_BREAKERS = {
     # User 1's cache S_1 is not a function of W_1 and the broadcast
     # W_1 + S_1 + S_2, W_2 + S_2 under demand (1, 2).
     "lemma1": (check_lemma1_lemma2, _variant(
-        build_otp(2, 2), broadcasts={(1, 2): [[1, 0, 1, 1], [0, 1, 0, 1]]}
+        build_scheme("otp", 2, 2), broadcasts={(1, 2): [[1, 0, 1, 1], [0, 1, 0, 1]]}
     )),
     # Both users cache S_1, so the caches are dependent; the extra S_1
     # broadcast row keeps every cache a function of what is sent.
     "lemma2": (check_lemma1_lemma2, _variant(
-        build_otp(2, 2),
+        build_scheme("otp", 2, 2),
         caches=[[_S1], [_S1]],
         broadcasts={(1, 2): [[1, 0, 1, 0], [0, 1, 0, 1], _S1], (2, 1): [[0, 1, 1, 0], [1, 0, 0, 1], _S1]},
     )),
     # Under (1, 1) both users get W_1 + W_2, which neither cache determines
     # together with W_1; sending S_1_1 under (1, 2) keeps lemma 4 intact.
     "lemma3": (check_lemma3_lemma4, _variant(
-        build_theorem2(2, 2), broadcasts={(1, 1): [[1, 1, 0]], (1, 2): [[0, 0, 1]]}
+        build_scheme("theorem2", 2, 2), broadcasts={(1, 1): [[1, 1, 0]], (1, 2): [[0, 0, 1]]}
     )),
     # Every cache and broadcast is S_1_1: a class and another class's
     # representative are the same variable.
     "lemma4_joint": (check_lemma3_lemma4, _variant(
-        build_theorem2(2, 2),
+        build_scheme("theorem2", 2, 2),
         caches=[[[0, 0, 1]]] * 2,
         broadcasts={d.entries: [[0, 0, 1]] for d in demands_iter(2, 2)},
     )),
     # Every user caches everything; when user 1 asks for W_1, the class
     # of broadcasts contains W_2 itself.
     "lemma4_foreign": (check_lemma3_lemma4, _variant(
-        build_theorem2(2, 2),
+        build_scheme("theorem2", 2, 2),
         caches=[np.eye(3, dtype=np.int64)] * 2,
         broadcasts={(1, 1): [[0, 0, 1]], (1, 2): [[0, 1, 0]], (2, 1): [[1, 0, 0]], (2, 2): [[1, 1, 1]]},
     )),
@@ -611,10 +616,16 @@ def test_lemma_checks_agree_with_the_reference():
     rng = random.Random(7)
     start = time.perf_counter()
     cases = {check_lemma1_lemma2: [], check_lemma3_lemma4: []}
-    for s in [build_theorem1(2), build_theorem1(3), build_theorem1(4), build_otp(2, 3), build_otp(3, 2)]:
+    for s in [
+        build_scheme("theorem1", 2, 2),
+        build_scheme("theorem1", 2, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("otp", 2, 3),
+        build_scheme("otp", 3, 2),
+    ]:
         cases[check_lemma1_lemma2] += [s, *_mutants(s, 25, rng)]
     for N, K in ((2, 2), (2, 3), (3, 2), (2, 4)):
-        s = build_theorem2(N, K)
+        s = build_scheme("theorem2", N, K)
         cases[check_lemma3_lemma4] += [s, *_mutants(s, 25, rng)]
     for check, s in IDENTITY_BREAKERS.values():
         cases[check].append(s)

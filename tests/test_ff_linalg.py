@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympy import GF, isprime, prevprime
 from sympy.polys.matrices import DomainMatrix
 
-from securecache.constructions import build_theorem1, build_theorem3
+from securecache.constructions import build_scheme
 from securecache.ff_linalg import (
     FieldMatrix,
     PrimeField,
@@ -57,7 +57,7 @@ def test_rank_mod_matters():
 def test_observed_stack_ranks_for_two_file_scheme():
     # Cache-plus-broadcast stack of the two-file scheme, K=3, demand
     # (1, 1, 2): full rank K, requested-file mask K-1, other-file mask K.
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     d = DemandVector((1, 1, 2))
     G = observed_matrix(s, d, 1)
     assert G.row_lists() == [[0, 0, 1, 0], [2, 0, 2, 0], [2, 0, 0, 2]]
@@ -103,7 +103,7 @@ def test_in_rowspace_empty_matrix():
 
 def test_in_rowspace_unit_decoding_combination_exists():
     # User 3 of the two-file scheme can form the second file's unit.
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     G = observed_matrix(s, DemandVector((1, 1, 2)), 3)
     coeff = in_rowspace(G, [0, 1, 0, 0])
     assert coeff is not None
@@ -470,8 +470,8 @@ def test_rref_and_rank_against_sympy_at_the_largest_verified_shapes():
     # The caches of theorem3 (2, 7, 2) and (3, 5, 2) (26 x 77 and 17 x 40),
     # the 35 x 51 residual of a (2, 7, 2) broadcast against user 1's
     # cache basis, and [G.T | units] for that user's 61-row observation.
-    s = build_theorem3(2, 7, 2)
-    for Z in (*build_theorem3(3, 5, 2).cache, *s.cache):
+    s = build_scheme("theorem3", 2, 7, 2)
+    for Z in (*build_scheme("theorem3", 3, 5, 2).cache, *s.cache):
         _check_rref_and_rank(Z.q, Z.data)
     q, d = s.field.q, DemandVector((1, 2, 1, 2, 1, 2, 1))
     residual = s.delivery_matrix(d).data @ row_basis(s.cache[0]).op % q

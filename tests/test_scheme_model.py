@@ -1,17 +1,14 @@
 """Scheme bookkeeping tests: layouts, demands, and exact size accounting."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from securecache.constructions import (
-    build_otp,
-    build_theorem1,
-    build_theorem2,
-    build_theorem3,
-)
+from securecache.constructions import build_scheme
+from securecache.ff_linalg import FieldMatrix
 from securecache.scheme_model import (
     DEMAND_CAP,
     DemandVector,
@@ -92,21 +89,21 @@ def test_demand_from_index_roundtrip():
 
 def test_two_file_scheme_accounting():
     for K in range(2, 7):
-        s = build_theorem1(K)
+        s = build_scheme("theorem1", 2, K)
         assert memory_of(s) == 1
         assert worst_case_rate(s) == K - 1
         assert randomness_of(s) == K - 1
 
 
 def test_unit_rate_scheme_accounting():
-    s = build_theorem2(3, 3)
+    s = build_scheme("theorem2", 3, 3)
     assert memory_of(s) == 4
     assert worst_case_rate(s) == 1
     assert randomness_of(s) == 4
 
 
 def test_tradeoff_scheme_accounting():
-    s = build_theorem3(3, 3, 1)
+    s = build_scheme("theorem3", 3, 3, 1)
     assert memory_of(s) == 2
     assert worst_case_rate(s) == Fraction(3, 2)
     assert randomness_of(s) == 2
@@ -114,7 +111,7 @@ def test_tradeoff_scheme_accounting():
 
 
 def test_pad_scheme_accounting():
-    s = build_otp(4, 3)
+    s = build_scheme("otp", 4, 3)
     assert memory_of(s) == 1
     assert worst_case_rate(s) == 3
     assert randomness_of(s) == 3
@@ -122,7 +119,7 @@ def test_pad_scheme_accounting():
 
 def test_rate_cap_rejects_exhaustive_sweep():
     # 2**21 demands are past the cap.
-    s = build_theorem1(21)
+    s = build_scheme("theorem1", 2, 21)
     with pytest.raises(ValueError, match="sample"):
         worst_case_rate(s)
 
@@ -137,10 +134,10 @@ def test_demands_iter_refuses_past_the_cap():
 
 def test_uniform_demand_costs_one_file():
     schemes = [
-        build_otp(3, 3),
-        build_theorem1(4),
-        build_theorem2(3, 3),
-        build_theorem3(2, 4, 2),
+        build_scheme("otp", 3, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("theorem2", 3, 3),
+        build_scheme("theorem3", 2, 4, 2),
     ]
     for s in schemes:
         for n in range(1, s.N + 1):
@@ -149,7 +146,12 @@ def test_uniform_demand_costs_one_file():
 
 
 def test_nonuniform_broadcast_row_count_is_constant():
-    for s in [build_otp(2, 3), build_theorem1(4), build_theorem2(3, 3), build_theorem3(2, 4, 1)]:
+    for s in [
+        build_scheme("otp", 2, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("theorem2", 3, 3),
+        build_scheme("theorem3", 2, 4, 1),
+    ]:
         rows = {
             s.delivery_matrix(d).rows
             for d in demands_iter(s.N, s.K)
@@ -175,8 +177,17 @@ def test_memory_identity_of_tradeoff_family():
                 assert Fraction(units, B) == Fraction(N * t, K - t) + 1 - Fraction(1, B)
 
 
+def test_memory_of_refuses_caches_of_unequal_size():
+    s = build_scheme("otp", 2, 3)
+    Z1 = s.cache[0]
+    doubled = replace(s, cache=(FieldMatrix(Z1.q, np.vstack([Z1.data, Z1.data])), *s.cache[1:]))
+    with pytest.raises(ValueError) as info:
+        memory_of(doubled)
+    assert str(info.value) == "users cache unequal row counts [1, 2]"
+
+
 def test_delivery_validates_demand():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     with pytest.raises(ValueError):
         s.delivery_matrix(DemandVector((1, 2)))
     with pytest.raises(ValueError):

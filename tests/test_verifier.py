@@ -7,12 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from securecache.constructions import (
-    build_otp,
-    build_theorem1,
-    build_theorem2,
-    build_theorem3,
-)
+from securecache.constructions import build_scheme
 from securecache import ff_linalg, verifier
 from securecache.entropy_oracle import VariableRef, brute_entropy
 from securecache.ff_linalg import FieldMatrix, PrimeField, in_rowspace, rank, stack, zero_columns
@@ -38,7 +33,7 @@ def _records(s):
 
 
 def test_correctness_ranks_two_file_scheme():
-    records = _records(build_theorem1(3))
+    records = _records(build_scheme("theorem1", 2, 3))
     c1 = records[(1, 1, 2), 1]
     assert (c1.correct, c1.rank_full, c1.rank_masked_requested, c1.file_units) == (True, 3, 2, 1)
     c3 = records[(1, 1, 2), 3]
@@ -46,7 +41,7 @@ def test_correctness_ranks_two_file_scheme():
 
 
 def test_security_ranks_two_file_scheme():
-    records = _records(build_theorem1(3))
+    records = _records(build_scheme("theorem1", 2, 3))
     for k in (1, 2, 3):
         chk = records[(1, 1, 2), k]
         assert chk.secure and chk.rank_full == chk.rank_masked_others == 3
@@ -71,7 +66,7 @@ def test_degenerate_scheme_fails_correctness():
 def _leaky_pad_scheme():
     # Pad scheme for two files and two users, except user 1 caches the
     # second file in plaintext.
-    s = build_otp(2, 2)
+    s = build_scheme("otp", 2, 2)
     bad = FieldMatrix(2, [[0, 1, 0, 0]])
     return LinearScheme(
         field=s.field,
@@ -99,7 +94,12 @@ def test_verify_all_flags_leak():
 
 
 def test_verify_all_passes_all_families():
-    for s in [build_otp(3, 3), build_theorem1(4), build_theorem2(3, 3), build_theorem3(2, 3, 1)]:
+    for s in [
+        build_scheme("otp", 3, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("theorem2", 3, 3),
+        build_scheme("theorem3", 2, 3, 1),
+    ]:
         report = verify_all(s)
         assert report.passed
         assert report.demand_count == s.N**s.K
@@ -108,7 +108,7 @@ def test_verify_all_passes_all_families():
 
 def test_verify_all_cap():
     # 2**20 demands are past the cap.
-    s = build_otp(2, 20)
+    s = build_scheme("otp", 2, 20)
     with pytest.raises(ValueError, match="sample"):
         verify_all(s)
 
@@ -116,13 +116,13 @@ def test_verify_all_cap():
 def test_verify_all_refuses_a_sample_count_past_the_cap():
     # Refused before any index is drawn: 2**40 demands would let the
     # sampler ask for DEMAND_CAP + 1 of them.
-    s = build_otp(2, 40)
+    s = build_scheme("otp", 2, 40)
     with pytest.raises(ValueError, match=f"^sample count {DEMAND_CAP + 1} exceeds cap {DEMAND_CAP}$"):
         verify_all(s, policy="sample", count=DEMAND_CAP + 1, seed=0)
 
 
 def test_verify_all_sample_is_deterministic_and_covers_uniform():
-    s = build_theorem3(4, 6, 2)
+    s = build_scheme("theorem3", 4, 6, 2)
     r1 = verify_all(s, policy="sample", count=40, seed=7)
     r2 = verify_all(s, policy="sample", count=40, seed=7)
     assert [rec.demand for rec in r1.records] == [rec.demand for rec in r2.records]
@@ -134,8 +134,17 @@ def test_verify_all_sample_is_deterministic_and_covers_uniform():
     assert {rec.demand for rec in r3.records} != demands
 
 
+def test_verify_all_sample_of_at_least_every_demand_checks_every_demand():
+    # 100 asked of 27 demands: the sample is the whole space, in order.
+    s = build_scheme("theorem3", 3, 3, 1)
+    sampled = verify_all(s, "sample", count=100, seed=1)
+    assert sampled.policy == "sample(count=100, seed=1)"
+    assert sampled.demand_count == 27
+    assert sampled.records == verify_all(s, "all").records
+
+
 def test_verify_all_sample_needs_count_and_seed():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     with pytest.raises(ValueError):
         verify_all(s, policy="sample")
     with pytest.raises(ValueError):
@@ -143,21 +152,21 @@ def test_verify_all_sample_needs_count_and_seed():
 
 
 def test_verify_all_refuses_sample_counts_below_one():
-    s = build_otp(2, 3)
+    s = build_scheme("otp", 2, 3)
     for count in (0, -1, -5):
         with pytest.raises(ValueError, match=f"got {count}"):
             verify_all(s, policy="sample", count=count, seed=0)
 
 
 def test_verify_all_refuses_count_or_seed_without_sample():
-    s = build_otp(2, 3)
+    s = build_scheme("otp", 2, 3)
     for kwargs in ({"count": 3, "seed": 1}, {"count": 3}, {"seed": 1}):
         with pytest.raises(ValueError, match="only to policy='sample'"):
             verify_all(s, **kwargs)
 
 
 def test_report_json_serializable():
-    report = verify_all(build_theorem1(2))
+    report = verify_all(build_scheme("theorem1", 2, 2))
     blob = json.dumps(report.as_dict())
     back = json.loads(blob)
     assert back["passed"] is True
@@ -170,7 +179,12 @@ def test_report_json_serializable():
 def test_correctness_rank_form_matches_decodability():
     # The rank identity holds exactly when every requested unit lies in
     # the observed row space.
-    schemes = [build_theorem1(3), build_theorem2(2, 3), build_theorem3(2, 3, 1), _leaky_pad_scheme()]
+    schemes = [
+        build_scheme("theorem1", 2, 3),
+        build_scheme("theorem2", 2, 3),
+        build_scheme("theorem3", 2, 3, 1),
+        _leaky_pad_scheme(),
+    ]
     for s in schemes:
         records = _records(s)
         for d in demands_iter(s.N, s.K):
@@ -184,7 +198,7 @@ def test_correctness_rank_form_matches_decodability():
 
 
 def test_decode_recovers_ground_truth():
-    s = build_theorem3(3, 3, 1)
+    s = build_scheme("theorem3", 3, 3, 1)
     d = DemandVector((1, 2, 3))
     rng = np.random.default_rng(42)
     hidden = rng.integers(0, 3, s.layout.total, dtype=np.int64)
@@ -196,7 +210,7 @@ def test_decode_recovers_ground_truth():
 
 
 def test_decode_rejects_wrong_symbol_counts():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     d = DemandVector((1, 2, 1))
     with pytest.raises(ValueError):
         decode(s, d, 1, [0, 0], [0, 0])
@@ -221,7 +235,7 @@ def test_decode_names_every_undecodable_unit():
     # Under the uniform demand broadcast row u sends unit u + 1 of file 1
     # with coefficient 1.  Dropping that entry from rows 0 and 2 leaves
     # units 1 and 3 undecodable for every user; unit 2 still decodes.
-    s = build_theorem3(2, 4, 1)
+    s = build_scheme("theorem3", 2, 4, 1)
     d = DemandVector((1, 1, 1, 1))
     X = s.delivery_matrix(d).data.copy()
     assert X[0, 0] == X[2, 2] == 1
@@ -262,8 +276,14 @@ def test_decode_matches_the_transposed_solve():
     # rows before it, must not be read at all.
     rng = random.Random(24)
     members = [
-        build_otp(2, 3), build_theorem1(4), build_theorem2(3, 3), build_theorem3(2, 4, 1),
-        build_theorem3(3, 3, 1), build_theorem3(4, 4, 2), build_theorem3(3, 5, 2), build_theorem3(2, 7, 2),
+        build_scheme("otp", 2, 3),
+        build_scheme("theorem1", 2, 4),
+        build_scheme("theorem2", 3, 3),
+        build_scheme("theorem3", 2, 4, 1),
+        build_scheme("theorem3", 3, 3, 1),
+        build_scheme("theorem3", 4, 4, 2),
+        build_scheme("theorem3", 3, 5, 2),
+        build_scheme("theorem3", 2, 7, 2),
     ]
     cases = failures = 0
     for s in members:
@@ -336,7 +356,7 @@ FROZEN_FAILED_USERS = {
 
 @pytest.mark.parametrize("name", sorted(FROZEN_FAILED_USERS))
 def test_simulate_failed_users_frozen(name):
-    s = {"theorem1 (3)": build_theorem1(3), "theorem3 (2, 4, 1)": build_theorem3(2, 4, 1)}[name]
+    s = {"theorem1 (3)": build_scheme("theorem1", 2, 3), "theorem3 (2, 4, 1)": build_scheme("theorem3", 2, 4, 1)}[name]
     got = {}
     for d in demands_iter(s.N, s.K):
         rows = s.delivery_matrix(d).rows
@@ -345,7 +365,7 @@ def test_simulate_failed_users_frozen(name):
 
 
 def test_simulate_seeded_and_reproducible():
-    s = build_theorem2(3, 3)
+    s = build_scheme("theorem2", 3, 3)
     d = DemandVector((1, 2, 3))
     r1 = simulate(s, d, seed=5)
     r2 = simulate(s, d, seed=5)
@@ -354,7 +374,7 @@ def test_simulate_seeded_and_reproducible():
 
 
 def test_simulate_detects_corruption():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     d = DemandVector((1, 2, 2))
     clean = simulate(s, d, seed=9)
     assert clean.passed
@@ -368,7 +388,12 @@ def test_security_holds_on_cache_only_observations():
     # Row subsets of a passing observation stay secure; spot-check the
     # cache-only subset by masking every file but the (hypothetically)
     # requested one.
-    for s in [build_otp(2, 3), build_theorem1(3), build_theorem2(3, 3), build_theorem3(2, 3, 1)]:
+    for s in [
+        build_scheme("otp", 2, 3),
+        build_scheme("theorem1", 2, 3),
+        build_scheme("theorem2", 3, 3),
+        build_scheme("theorem3", 2, 3, 1),
+    ]:
         for k in range(1, s.K + 1):
             cache = s.cache[k - 1]
             for n in range(1, s.N + 1):
@@ -408,14 +433,14 @@ def _stack_ranks(s, d, k):
 
 
 def test_rank_triples_match_stack_elimination():
-    t3 = build_theorem3(2, 3, 1)
-    tampered = [_leaky_pad_scheme(), _tampered(t3, 1, 0, 0), _tampered(build_theorem2(3, 3), 2, 0, 1)]
+    t3 = build_scheme("theorem3", 2, 3, 1)
+    tampered = [_leaky_pad_scheme(), _tampered(t3, 1, 0, 0), _tampered(build_scheme("theorem2", 3, 3), 2, 0, 1)]
     schemes = [
-        build_otp(3, 3),
-        build_theorem1(3),
-        build_theorem2(3, 3),
+        build_scheme("otp", 3, 3),
+        build_scheme("theorem1", 2, 3),
+        build_scheme("theorem2", 3, 3),
         t3,
-        build_theorem3(3, 3, 1),
+        build_scheme("theorem3", 3, 3, 1),
         *tampered,
     ]
     for s in schemes:
@@ -435,7 +460,7 @@ def test_rank_triples_match_stack_elimination():
 @pytest.mark.parametrize("params", [(3, 4, 2), (2, 4, 1)], ids=str)
 def test_verify_all_eliminates_each_cache_once_per_file(monkeypatch, params):
     # One elimination per (user, file) column order serves all three views.
-    s = build_theorem3(*params)
+    s = build_scheme("theorem3", *params)
     calls = []
     real = ff_linalg.sparse_rref
 
@@ -450,7 +475,7 @@ def test_verify_all_eliminates_each_cache_once_per_file(monkeypatch, params):
 
 def test_views_without_free_columns_make_no_rank_call(monkeypatch):
     # User 1 caches every column, so each of its bases has no free column.
-    base = build_otp(2, 2)
+    base = build_scheme("otp", 2, 2)
     s = LinearScheme(
         field=base.field,
         layout=base.layout,
@@ -506,8 +531,8 @@ def test_verdicts_match_enumerated_entropies_on_mutants():
     # observations with their symbols instead of ranking them.
     rng = random.Random(0)
     families = [
-        build_otp(2, 2), build_otp(2, 3), build_theorem1(3),
-        build_theorem2(2, 3), build_theorem2(3, 2), build_theorem3(2, 3, 1),
+        build_scheme("otp", 2, 2), build_scheme("otp", 2, 3), build_scheme("theorem1", 2, 3),
+        build_scheme("theorem2", 2, 3), build_scheme("theorem2", 3, 2), build_scheme("theorem3", 2, 3, 1),
     ]
     hidden_rng = np.random.default_rng(0)
     seen = set()
@@ -538,7 +563,7 @@ def test_verdicts_match_enumerated_entropies_on_mutants():
 
 
 def test_decode_validates_user():
-    s = build_theorem1(3)
+    s = build_scheme("theorem1", 2, 3)
     d = DemandVector((1, 2, 1))
     for k in (0, 4):
         with pytest.raises(IndexError, match=f"user {k} out of range"):
