@@ -22,7 +22,6 @@ from .entropy_oracle import (
 )
 from .ff_linalg import (
     FieldMatrix,
-    PrimeField,
     is_prime,
     rank,
     smallest_prime_at_least,

@@ -59,9 +59,9 @@ from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
-from .constructions import FAMILIES, build_scheme
+from .constructions import FAMILIES, build_scheme, family_of
 from .entropy_oracle import MAX_ENUM, check_rank_agreement, check_secret_sharing
-from .ff_linalg import FieldMatrix, _check_modulus
+from .ff_linalg import FieldMatrix
 from .scheme_model import (
     DemandVector,
     LinearScheme,
@@ -174,7 +174,7 @@ def scheme_to_document(s: LinearScheme) -> dict:
         "format_version": FORMAT_VERSION,
         "label": s.label,
         "params": dict(s.params),
-        "q": s.field.q,
+        "q": s.q,
         "N": s.N,
         "K": s.K,
         "B": s.B,
@@ -254,10 +254,10 @@ def document_to_scheme(
 ) -> tuple[LinearScheme, np.ndarray]:
     """Rebuild a scheme from a document, checked against its family member.
 
-    The label and params must name a member of constructions.FAMILIES,
-    and q, N, K, B and the key names must be that member's.  Shares come
-    from the member.  Cache matrices always come from the document (so
-    hand edits are what gets verified), and so does the broadcast table
+    The label and params must pass constructions.family_of, and q, N,
+    K, B and the key names must be that member's.  Shares come from the
+    member.  Cache matrices always come from the document (so hand
+    edits are what gets verified), and so does the broadcast table
     in explicit mode, which must list every demand once; in generated
     mode the member's broadcast rule is used.  Every cache and explicit
     broadcast must be a non-empty list of rows of the layout's width,
@@ -278,10 +278,6 @@ def document_to_scheme(
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     label, params, N, K = doc["label"], doc["params"], doc["N"], doc["K"]
-    family = FAMILIES.get(label) if isinstance(label, str) else None
-    if family is None:
-        raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
-    no_member = f"params {params!r} name no {label} member with N={N!r}, K={K!r}"
     if not (
         type(N) is int
         and type(K) is int
@@ -290,11 +286,10 @@ def document_to_scheme(
         and params.get("N") == N
         and params.get("K") == K
     ):
-        raise ValueError(no_member)
-    # members() lists per-K members and build() allocates N * B columns, so
-    # both are bounded by the document's own size first: it must hold K
-    # caches, and a row of at least N entries before members() runs and of
-    # N * B before build() does (theorem3's B is C(K - 1, t)).
+        raise ValueError(f"params {params!r} name no {label} member with N={N!r}, K={K!r}")
+    # The document's own size bounds the member first: it must hold K caches,
+    # and a row of at least N entries before family_of lists members and of
+    # N * B before build() allocates N * B columns (theorem3's B is C(K - 1, t)).
     documented = doc["cache"]
     if type(documented) is not list or len(documented) != K:
         raise ValueError(f"cache must be a list of {K} matrices, one per user")
@@ -305,8 +300,7 @@ def document_to_scheme(
         widths = [len(m[0]) if type(m) is list and m and type(m[0]) is list else None for m in documented]
     if widths and widths[0] is not None and widths[0] < N:
         raise ValueError(f"cache of user 1 has rows of {widths[0]} entries, fewer than N={N} files")
-    if params not in family.members(N, K):
-        raise ValueError(no_member)
+    family = family_of(label, {"N": N, "K": K, **params})  # its message in build_scheme's key order
     # Any cache's first row will do here: a malformed cache of user 1 is
     # reported, with the layout's width, once the member is built.
     files = N * family.units(**params)
@@ -317,11 +311,7 @@ def document_to_scheme(
             f"fewer than the N*B={files} file columns of {label} {params}"
         )
     member = build_scheme(label, **params)
-    for key, want in (
-        ("q", member.field.q),
-        ("B", member.B),
-        ("key_names", list(member.layout.key_names)),
-    ):
+    for key, want in (("q", member.q), ("B", member.B), ("key_names", list(member.layout.key_names))):
         if type(doc[key]) is not type(want) or doc[key] != want:
             raise ValueError(f"{key} is {doc[key]!r}, but {label} {params} has {want!r}")
     # The K caches, then in explicit mode one broadcast per listed demand.
@@ -344,8 +334,7 @@ def document_to_scheme(
     def name(i: int) -> str:
         return f"cache of user {i + 1}" if i < K else f"broadcast for demand {list(demands[i - K])}"
 
-    q, total = member.field.q, member.layout.total
-    _check_modulus(q, total)
+    q, total = member.q, member.layout.total
     if rows is None:
         rows, ends = _read_matrices(total, documented, name, scan_bools)
     else:
@@ -491,7 +480,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         doc = write_scheme(s, out)
     t_part = f" t={s.params['t']}" if "t" in s.params else ""
     M, R, L = (Fraction(*doc["metadata"][k]) for k in "MRL")
-    print(f"{s.label} N={s.N} K={s.K}{t_part}: q={s.field.q} B={s.B} M={M} R={R} L={L} -> {out}")
+    print(f"{s.label} N={s.N} K={s.K}{t_part}: q={s.q} B={s.B} M={M} R={R} L={L} -> {out}")
     return 0
 
 

@@ -22,12 +22,13 @@ fields:
 Each family is one entry of FAMILIES: its rule, its members and its
 declared (M, R, L).  A rule takes exactly a member's params and returns
 only what is its family's own, (q, layout, caches, coded), coded being
-the broadcast for non-uniform demands.  build_scheme is the one door
-from a rule to a LinearScheme: it checks the member and its size, calls
-the rule, stamps the declared L and adds the uniform rule.  Uniform
-demands (all users ask for the same file) are always served by sending
-the file's units directly; that is both cheaper and secure, so the
-worst-case rate is attained on non-uniform demands.
+the broadcast for non-uniform demands.  family_of alone decides which
+params name a member, once check_users has bounded K.  build_scheme is
+the one door from a rule to a LinearScheme: it passes family_of, checks
+the size, calls the rule, stamps the declared L and adds the uniform
+rule.  Uniform demands (all users ask for the same file) are always
+served by sending the file's units directly; that is both cheaper and
+secure, so the worst-case rate is attained on non-uniform demands.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .ff_linalg import FieldMatrix, PrimeField, smallest_prime_at_least
+from .ff_linalg import FieldMatrix, smallest_prime_at_least
 from .scheme_model import DemandVector, LinearScheme, VariableLayout
 
 
@@ -386,6 +387,28 @@ FAMILIES: dict[str, Family] = {
 MAX_CACHE_ENTRIES = 10**8
 
 
+def check_users(K: int) -> None:
+    """Refuse more than isqrt(MAX_CACHE_ENTRIES) = 10**4 users; build_scheme builds no such member.
+
+    Each member has M, B >= 1 and N*B + N*L*B >= K (otp N(1 + K), theorem1 2K, theorem2
+    N(1 + (N-1)(K-1)), theorem3 N*C(K-1, t) >= 2(K-1)), so its bound is at least K*K.
+    """
+    if K > isqrt(MAX_CACHE_ENTRIES):
+        limit = f"over the limit of {MAX_CACHE_ENTRIES}"
+        raise ValueError(f"K={K} users: every member caches at least K*K = {K * K} entries, {limit}")
+
+
+def family_of(label: object, params: dict[str, int]) -> Family:
+    """The family of label, once check_users passes and params are one of its members."""
+    family = FAMILIES.get(label) if isinstance(label, str) else None
+    if family is None:
+        raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
+    check_users(params["K"])
+    if params not in (members := family.members(params["N"], params["K"])):
+        raise ValueError(f"{label} has no member {params}; its members at this N, K: {members}")
+    return family
+
+
 def build_scheme(label: str, N: int, K: int, t: int | None = None) -> LinearScheme:
     """Build the member of family label with params (N, K), or (N, K, t) if t is given.
 
@@ -394,13 +417,8 @@ def build_scheme(label: str, N: int, K: int, t: int | None = None) -> LinearSche
     L) and B: no family has more key columns than N*L*B.  The scheme
     carries the declared L and sends a uniform demand's file directly.
     """
-    family = FAMILIES.get(label)
-    if family is None:
-        raise ValueError(f"unknown scheme label {label!r}, expected one of {list(FAMILIES)}")
     params = {"N": N, "K": K} if t is None else {"N": N, "K": K, "t": t}
-    members = family.members(N, K)
-    if params not in members:
-        raise ValueError(f"{label} has no member {params}; its members at this N, K: {members}")
+    family = family_of(label, params)
     M, _, L = family.mrl(**params)
     B = family.units(**params)
     entries = K * M * B * (N * B + N * L * B)
@@ -415,7 +433,7 @@ def build_scheme(label: str, N: int, K: int, t: int | None = None) -> LinearSche
         return layout.file_selector(q, d[1]) if d.uniform else coded(d)
 
     return LinearScheme(
-        field=PrimeField(q),
+        q=q,
         layout=layout,
         K=K,
         cache=tuple(caches),

@@ -95,7 +95,7 @@ class VariableRef:
 
     def resolve(self, s: LinearScheme) -> FieldMatrix:
         if self.kind == "file":
-            return s.layout.file_selector(s.field.q, self.index)
+            return s.layout.file_selector(s.q, self.index)
         if self.kind == "cache":
             if not 1 <= self.index <= s.K:
                 raise IndexError(f"user {self.index} out of range [1, {s.K}]")
@@ -117,7 +117,7 @@ def stacked_matrix(
     """
     mats = [ref.resolve(s) if resolved is None else resolved[ref] for ref in refs]
     if not mats:
-        return FieldMatrix.zeros(s.field.q, 0, s.layout.total)
+        return FieldMatrix.zeros(s.q, 0, s.layout.total)
     return stack(mats)
 
 
@@ -283,12 +283,10 @@ def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef]) -> int:
     with size an exact power of q, raising OracleInvariantError if not.
     Returns that exact logarithm; rank is never consulted.
     """
-    q = s.field.q
-    n = s.layout.total
-    _check_cap(q, n, MAX_ENUM)
+    _check_cap(s.q, s.layout.total, MAX_ENUM)
     G = stacked_matrix(s, refs)
     kept, (width,) = _essential_columns(G.data[None])
-    return int(_Enumerator(q, width).entropy_units(kept[:, :, :width])[0])
+    return int(_Enumerator(s.q, width).entropy_units(kept[:, :, :width])[0])
 
 
 def _bounded_deliveries(s: LinearScheme, max_deliveries: int) -> list[DemandVector]:
@@ -322,7 +320,7 @@ def check_rank_agreement(
     """
     if subset_size_cap < 0:
         raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
-    q = s.field.q
+    q = s.q
     n = s.layout.total
     _check_cap(q, n, max_enum)
     universe: list[VariableRef] = (

@@ -24,7 +24,6 @@ terms below q**2.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,16 +67,6 @@ def _check_modulus(q: int, cols: int | None = None) -> None:
             f"modulus {q} is too large for exact int64 products over "
             f"{cols} columns: need q**2 * cols < 2**63"
         )
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field of integers mod q, with q checked prime at construction."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.q)
 
 
 class FieldMatrix:

@@ -1,6 +1,6 @@
 """Data model for linear secure caching schemes.
 
-A scheme over N unit-subdivided files and K users is a prime field, a
+A scheme over N unit-subdivided files and K users is a prime modulus q, a
 variable layout (which column of the global input vector is which file
 unit or key unit), one cache matrix per user, and a delivery rule
 mapping a demand vector to a broadcast matrix.  All size accounting
@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .ff_linalg import FieldMatrix, PrimeField
+from .ff_linalg import FieldMatrix, _check_modulus
 
 Rational = Fraction
 
@@ -144,14 +144,14 @@ def demand_from_index(N: int, K: int, index: int) -> DemandVector:
 class LinearScheme:
     """A complete linear placement-and-delivery scheme.
 
-    cache[k-1] is user k's cache matrix; delivery maps a demand vector
-    to the broadcast matrix for that demand.  Both act on the global
-    input vector described by layout.  randomness is the scheme's
-    declared key budget L in file units; when omitted it defaults to
-    the materialized key count |key_names| / B.
+    cache[k-1] is user k's cache matrix over GF(q), q a prime with q**2
+    * layout.total < 2**63; delivery maps a demand vector to the broadcast
+    matrix for that demand.  Both act on the global input vector described
+    by layout.  randomness is the scheme's declared key budget L in file
+    units; when omitted it defaults to the key count |key_names| / B.
     """
 
-    field: PrimeField
+    q: int
     layout: VariableLayout
     K: int
     cache: tuple[FieldMatrix, ...]
@@ -161,17 +161,16 @@ class LinearScheme:
     randomness: Rational | None = None
 
     def __post_init__(self) -> None:
+        _check_modulus(self.q, self.layout.total)
         if self.K < 1:
             raise ValueError(f"need at least 1 user, got {self.K}")
         if len(self.cache) != self.K:
             raise ValueError(f"{len(self.cache)} cache matrices for {self.K} users")
         for k, m in enumerate(self.cache, start=1):
-            if m.q != self.field.q:
-                raise ValueError(f"cache {k} uses modulus {m.q}, scheme uses {self.field.q}")
+            if m.q != self.q:
+                raise ValueError(f"cache {k} uses modulus {m.q}, scheme uses {self.q}")
             if m.cols != self.layout.total:
-                raise ValueError(
-                    f"cache {k} has {m.cols} columns, layout has {self.layout.total}"
-                )
+                raise ValueError(f"cache {k} has {m.cols} columns, layout has {self.layout.total}")
 
     @property
     def N(self) -> int:
@@ -189,7 +188,7 @@ class LinearScheme:
             if n > self.N:
                 raise ValueError(f"demand {n} out of range [1, {self.N}]")
         m = self.delivery(d)
-        if m.q != self.field.q or m.cols != self.layout.total:
+        if m.q != self.q or m.cols != self.layout.total:
             raise ValueError("delivery rule returned a matrix with the wrong shape")
         return m
 

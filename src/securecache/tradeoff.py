@@ -9,12 +9,18 @@ floats appear only in CSV rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .constructions import FAMILIES
+from .constructions import FAMILIES, check_users
 from .scheme_model import Rational, rational_json
+
+
+# emit_curves refuses a uniform grid of more samples than this.
+MAX_GRID = 10**5
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,7 @@ def achievable_points(N: int, K: int) -> tuple[TradeoffPoint, ...]:
     """
     if N < 2 or K < 2:
         raise ValueError(f"need N >= 2 and K >= 2, got N={N}, K={K}")
+    check_users(K)
     pts = [
         TradeoffPoint(*family.mrl(**p)[:2], label, family.source.format(**p))
         for label, family in FAMILIES.items()
@@ -63,6 +70,7 @@ def prior_work_points(N: int, K: int) -> tuple[TradeoffPoint, ...]:
     """
     if N < 2 or K < 2:
         raise ValueError(f"need N >= 2 and K >= 2, got N={N}, K={K}")
+    check_users(K)
     pts = [TradeoffPoint(Fraction(1), Fraction(K), "prior", "unit cache, prior")]
     for t in range(1, K - 1):
         M = Fraction(N * t, K - t) + 1
@@ -78,18 +86,20 @@ class EnvelopeCurve:
     vertices: tuple[TradeoffPoint, ...]
     dominated: tuple[TradeoffPoint, ...]
 
+    @cached_property
+    def sizes(self) -> tuple[Rational, ...]:
+        """The vertices' cache sizes, ascending, kept for rate_at to bisect."""
+        return tuple(p.M for p in self.vertices)
+
     def rate_at(self, M: Rational) -> Rational:
         M = Fraction(M)
-        first = self.vertices[0]
-        if M < first.M:
-            raise ValueError(f"cache size {M} below the smallest achievable {first.M}")
-        last = self.vertices[-1]
-        if M >= last.M:
-            return last.R
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a.M <= M <= b.M:
-                return a.R + (b.R - a.R) * (M - a.M) / (b.M - a.M)
-        raise AssertionError("unreachable: vertices cover [first.M, last.M]")
+        i = bisect_right(self.sizes, M)
+        if i == 0:
+            raise ValueError(f"cache size {M} below the smallest achievable {self.sizes[0]}")
+        if i == len(self.sizes):
+            return self.vertices[-1].R
+        a, b = self.vertices[i - 1], self.vertices[i]
+        return a.R + (b.R - a.R) * (M - a.M) / (b.M - a.M)
 
 
 def _cross(o: TradeoffPoint, a: TradeoffPoint, b: TradeoffPoint) -> Rational:
@@ -107,21 +117,15 @@ def lower_convex_envelope(points: tuple[TradeoffPoint, ...]) -> EnvelopeCurve:
         raise ValueError("no points to envelope")
     best: dict[Rational, TradeoffPoint] = {}
     for p in sorted(points, key=lambda p: (p.M, p.R)):
-        if p.M not in best:
-            best[p.M] = p
+        best.setdefault(p.M, p)
     hull: list[TradeoffPoint] = []
-    for p in sorted(best.values(), key=lambda p: p.M):
+    for p in best.values():
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
+    # Vertices lie on the curve, so no vertex can be counted as above it.
     curve = EnvelopeCurve(vertices=tuple(hull), dominated=())
-    vertex_keys = {(p.M, p.R) for p in hull}
-    dominated = tuple(
-        p
-        for p in points
-        if (p.M, p.R) not in vertex_keys and p.R > curve.rate_at(p.M)
-    )
-    return EnvelopeCurve(vertices=tuple(hull), dominated=dominated)
+    return replace(curve, dominated=tuple(p for p in points if p.R > curve.rate_at(p.M)))
 
 
 @dataclass(frozen=True)
@@ -273,6 +277,8 @@ def emit_curves(N: int, K: int, grid: int = 61) -> TradeoffDataset:
     """
     if grid < 2:
         raise ValueError(f"need at least 2 grid samples, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"need at most {MAX_GRID} grid samples, got {grid}")
     points = achievable_points(N, K)
     envelope = lower_convex_envelope(points)
     prior_points = prior_work_points(N, K)

@@ -203,7 +203,7 @@ class _RankKernel:
             views = [(0, n), (n, n + w), (0, self.only - dims[2])]
             check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
         dims, op, views = check
-        full, without, only = residual_ranks(self.s.field.q, op, views, X)
+        full, without, only = residual_ranks(self.s.q, op, views, X)
         return CheckRecord(d.entries, k, dims[0] + full, dims[1] + without, dims[2] + only, self.s.B)
 
 
@@ -389,9 +389,8 @@ def decode(
     rows the combination that gives unit u is unique.
     """
     G = observed_matrix(s, d, k)
-    q = s.field.q
-    cache_syms = np.asarray(cache_symbols, dtype=np.int64) % q
-    deliv_syms = np.asarray(delivery_symbols, dtype=np.int64) % q
+    cache_syms = np.asarray(cache_symbols, dtype=np.int64) % s.q
+    deliv_syms = np.asarray(delivery_symbols, dtype=np.int64) % s.q
     if cache_syms.shape != (s.cache[k - 1].rows,):
         raise ValueError(
             f"{cache_syms.shape} cache symbols for {s.cache[k - 1].rows} cache rows"
@@ -405,7 +404,7 @@ def decode(
     units = s.layout.file_columns(d[k])
     order = _columns_without(s, d[k]) + list(units)
     first = n - len(units)
-    pivots = sparse_rref(np.column_stack([G.data[:, order], observed]), q, n, first)
+    pivots = sparse_rref(np.column_stack([G.data[:, order], observed]), s.q, n, first)
     rows = [pivots.get(c) for c in range(first, n)]
     missing = [u + 1 for u, row in enumerate(rows) if row is None or any(j < n for j in row)]
     if missing:
@@ -437,9 +436,8 @@ def simulate(
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    q = s.field.q
     rng = np.random.default_rng(seed)
-    hidden = rng.integers(0, q, s.layout.total, dtype=np.int64)
+    hidden = rng.integers(0, s.q, s.layout.total, dtype=np.int64)
     broadcast = s.delivery_matrix(d).apply(hidden)
     if corrupt_unit is not None:
         if not 0 <= corrupt_unit < broadcast.shape[0]:
@@ -447,7 +445,7 @@ def simulate(
                 f"broadcast unit {corrupt_unit} out of range for {broadcast.shape[0]} rows"
             )
         broadcast = broadcast.copy()
-        broadcast[corrupt_unit] = (broadcast[corrupt_unit] + 1) % q
+        broadcast[corrupt_unit] = (broadcast[corrupt_unit] + 1) % s.q
     failed = []
     for k in range(1, s.K + 1):
         truth = hidden[list(s.layout.file_columns(d[k]))]

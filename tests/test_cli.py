@@ -61,7 +61,7 @@ def test_document_round_trip_explicit(tmp_path):
     assert len(doc["delivery"]["entries"]) == 27
     back = load_scheme(path)
     assert back.cache == s.cache
-    assert back.field.q == s.field.q
+    assert back.q == s.q
     assert randomness_of(back) == randomness_of(s)
     for d in [(1, 1, 1), (3, 2, 1), (2, 3, 3)]:
         dv = DemandVector(d)
@@ -160,6 +160,7 @@ MALFORMED = {
     # theorem3's members() lists K - 2 members, so K must not reach it.
     "K is 2**64": lambda doc: doc.update(K=2**64),
     "format_version is true": lambda doc: doc.update(format_version=True),
+    "t is 2": lambda doc: doc["params"].update(t=2),
     "B disagrees with the member": lambda doc: doc.update(B=3),
     "key_names disagree with the member": lambda doc: doc["key_names"].reverse(),
     "explicit table misses a demand": _drop_demand,
@@ -184,6 +185,7 @@ MALFORMED_MESSAGES = {
     "cache entry 1.5": "cache of user 1 has an entry that is not an integer within int64",
     "cache entry 1 as true": "cache of user 1 has a JSON true or false as an entry",
     "broadcast entry 0 as false": "broadcast for demand [1, 1, 1] has a JSON true or false as an entry",
+    "t is 2": "theorem3 has no member {'N': 3, 'K': 3, 't': 2}; its members at this N, K: [{'N': 3, 'K': 3, 't': 1}]",
 }
 
 
@@ -636,6 +638,11 @@ REFUSALS = {
         "theorem3 {{'N': 2, 'K': 40, 't': 20}} would cache up to 4451818776073593766670400 entries, "
         "over the limit of 100000000",
     ),
+    "construct theorem3 past the user bound": (
+        "construct --scheme theorem3 --N 2 --K 100000000 --t 1 --out {dir}/x.json",
+        "K=100000000 users: every member caches at least K*K = 10000000000000000 entries, "
+        "over the limit of 100000000",
+    ),
     "construct into a missing directory": (
         "construct --scheme otp --N 2 --K 2 --out {dir}/missing-dir/o.json",
         "cannot write {dir}/missing-dir/o.json: No such file or directory",
@@ -704,6 +711,14 @@ REFUSALS = {
     "tradeoff grid 1": (
         "tradeoff --N 2 --K 4 --grid 1 --out {dir}/c.csv",
         "need at least 2 grid samples, got 1",
+    ),
+    "tradeoff past the user bound": (
+        "tradeoff --N 2 --K 10001 --out {dir}/c.csv",
+        "K=10001 users: every member caches at least K*K = 100020001 entries, over the limit of 100000000",
+    ),
+    "tradeoff grid past the cap": (
+        "tradeoff --N 2 --K 4 --grid 100001 --out {dir}/c.csv",
+        "need at most 100000 grid samples, got 100001",
     ),
     "tradeoff into a missing directory": (
         "tradeoff --N 2 --K 3 --out {dir}/missing-dir/c.csv",

@@ -5,12 +5,21 @@ import itertools
 import time
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 
-from securecache.constructions import FAMILIES, _unit_row, assign_coefficients, build_scheme, build_shares
+from securecache.constructions import (
+    FAMILIES,
+    MAX_CACHE_ENTRIES,
+    _unit_row,
+    assign_coefficients,
+    build_scheme,
+    build_shares,
+    check_users,
+    family_of,
+)
 from securecache.ff_linalg import FieldMatrix, rank, zero_columns
 from securecache.scheme_model import (
     DemandVector,
@@ -19,6 +28,7 @@ from securecache.scheme_model import (
     randomness_of,
     worst_case_rate,
 )
+from securecache.tradeoff import achievable_points, prior_work_points
 
 
 def _row_set(m: FieldMatrix) -> frozenset:
@@ -66,7 +76,7 @@ def test_assign_coefficients_group_sums():
 
 def test_otp_matrices():
     s = build_scheme("otp", 2, 2)
-    assert s.field.q == 2
+    assert s.q == 2
     assert s.cache[0].row_lists() == [[0, 0, 1, 0]]
     assert s.cache[1].row_lists() == [[0, 0, 0, 1]]
     X = s.delivery_matrix(DemandVector((2, 1)))
@@ -75,7 +85,7 @@ def test_otp_matrices():
 
 def test_two_file_cache_matrices():
     s = build_scheme("theorem1", 2, 3)
-    assert s.field.q == 3
+    assert s.q == 3
     assert s.cache[0].row_lists() == [[0, 0, 1, 0]]
     assert s.cache[1].row_lists() == [[0, 0, 0, 1]]
     assert s.cache[2].row_lists() == [[2, 2, 1, 1]]
@@ -105,7 +115,7 @@ def test_uniform_delivery_sends_file_directly(name):
     s = build_scheme(label, N, K, t)
     for n in range(1, N + 1):
         X = s.delivery_matrix(DemandVector((n,) * K))
-        assert X == s.layout.file_selector(s.field.q, n)
+        assert X == s.layout.file_selector(s.q, n)
     if label == "theorem1":
         assert s.delivery_matrix(DemandVector((2,) * K)).row_lists() == [[0, 1, 0, 0, 0]]
     R = FAMILIES[label].mrl(**s.params)[1]
@@ -239,7 +249,7 @@ def test_build_shares_validation():
 def test_tradeoff_scheme_3_3_1_layout():
     s = build_scheme("theorem3", 3, 3, 1)
     L = s.layout
-    assert s.field.q == 3 and s.B == 2
+    assert s.q == 3 and s.B == 2
     assert L.key_names == (
         "S_1^1", "S_2^1", "S_3^1", "S_{1,2}", "S_{1,3}", "S_{2,3}",
     )
@@ -326,7 +336,7 @@ def _loop_theorem3_delivery(s):
     names it closed over.
     """
     N, K, t = s.params["N"], s.params["K"], s.params["t"]
-    q, layout, total = s.field.q, s.layout, s.layout.total
+    q, layout, total = s.q, s.layout, s.layout.total
     cross = tuple(itertools.combinations(range(1, K + 1), t + 1))
     cross_name = {V: "S_{" + ",".join(str(u) for u in V) + "}" for V in cross}
     labels = build_shares(K, t).labels
@@ -363,7 +373,7 @@ def _loop_theorem3_caches(s):
     read.
     """
     N, K, t = s.params["N"], s.params["K"], s.params["t"]
-    q, layout, total = s.field.q, s.layout, s.layout.total
+    q, layout, total = s.q, s.layout, s.layout.total
     cross = tuple(itertools.combinations(range(1, K + 1), t + 1))
     cross_name = {V: "S_{" + ",".join(str(u) for u in V) + "}" for V in cross}
     shares = build_shares(K, t)
@@ -544,3 +554,82 @@ def test_oversized_members_are_refused_before_anything_is_built(K, t):
     with pytest.raises(ValueError, match="over the limit of 100000000"):
         build_scheme("theorem3", 2, K, t)
     assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# The gate to a member
+# ---------------------------------------------------------------------------
+
+
+class Listed(Exception):
+    """Raised by a members() stub: the caller listed members."""
+
+
+def _refuse_listing(monkeypatch):
+    def members(N, K):
+        raise Listed(f"members listed at N={N}, K={K}")
+
+    for label, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, label, dataclasses.replace(family, members=members))
+
+
+def _users_message(K):
+    return f"K={K} users: every member caches at least K*K = {K * K} entries, over the limit of 100000000"
+
+
+@pytest.mark.parametrize(
+    "call, K",
+    [
+        (lambda: build_scheme("theorem3", 2, 10**8, 1), 10**8),
+        (lambda: build_scheme("theorem1", 2, 10**5), 10**5),
+        (lambda: achievable_points(2, 10**8), 10**8),
+        (lambda: prior_work_points(2, 10**4 + 1), 10**4 + 1),
+        (lambda: family_of("otp", {"N": 2, "K": 10**4 + 1}), 10**4 + 1),
+    ],
+    ids=["theorem3", "theorem1", "achievable", "prior", "family_of"],
+)
+def test_K_past_the_bound_is_refused_before_members_are_listed(monkeypatch, call, K):
+    _refuse_listing(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == _users_message(K)
+
+
+def test_K_at_the_bound_reaches_the_members(monkeypatch):
+    # 10**4 users pass the K check; otp (2, 10**4) is then refused by its own size.
+    with pytest.raises(ValueError, match="otp {'N': 2, 'K': 10000} would cache up to 200020000 entries"):
+        build_scheme("otp", 2, 10**4)
+    assert len(prior_work_points(2, 10**4)) == 10**4
+    _refuse_listing(monkeypatch)
+    for call in (lambda: build_scheme("otp", 2, 10**4), lambda: achievable_points(2, 10**4)):
+        with pytest.raises(Listed):
+            call()
+
+
+def test_every_member_caches_at_least_K_squared():
+    # What makes check_users refuse no member that build_scheme builds.
+    checked = 0
+    for label, family in FAMILIES.items():
+        for N in range(2, 7):
+            for K in range(1, 31):
+                for params in family.members(N, K):
+                    M, _, L = family.mrl(**params)
+                    B = family.units(**params)
+                    assert K * M * B * (N * B + N * L * B) >= K * K, (label, params)
+                    checked += 1
+    assert checked > 0
+    assert isqrt(MAX_CACHE_ENTRIES) == 10**4
+    check_users(10**4)
+
+
+def test_the_gate_checks_label_then_K_then_membership():
+    with pytest.raises(ValueError, match=r"unknown scheme label \['otp'\]"):
+        family_of(["otp"], {"N": 2, "K": 10**8})
+    with pytest.raises(ValueError, match="K=100000000 users"):
+        family_of("theorem1", {"N": 3, "K": 10**8})
+    # A K of 0 or below is no member's: it is not refused as too many users.
+    for K in (0, -(10**8)):
+        with pytest.raises(ValueError) as refused:
+            family_of("otp", {"N": 2, "K": K})
+        assert str(refused.value) == f"otp has no member {{'N': 2, 'K': {K}}}; its members at this N, K: []"
+    assert family_of("theorem3", {"N": 2, "K": 4, "t": 2}) is FAMILIES["theorem3"]

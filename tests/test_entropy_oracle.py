@@ -324,7 +324,7 @@ def test_share_variable_entropy():
     s = build_scheme("theorem3", 2, 3, 1)
     sys = build_shares(3, 1)
     G = sys.generator
-    assert (G.q, sys.units) == (s.field.q, s.B)
+    assert (G.q, sys.units) == (s.q, s.B)
     inputs = np.array(list(itertools.product(range(G.q), repeat=G.cols)), dtype=np.int64)
 
     def images(rows):
@@ -413,7 +413,7 @@ def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
         monkeypatch.setattr(entropy_oracle, "ranks", skewed)
         assert not check_rank_agreement(s, subset_size_cap=2)
         assert seen == [92]
-        q, width = s.field.q, widths[40]
+        q, width = s.q, widths[40]
         assert (q**width <= _Enumerator.BLOCK) == small
         assert widths.count(width) >= 2
 
@@ -541,7 +541,7 @@ def _reference_lemma3_lemma4(s):
 
 def _variant(s, caches=None, broadcasts=None):
     """s with every cache, and the broadcasts of the listed demands, replaced by the given rows."""
-    q = s.field.q
+    q = s.q
     cache = s.cache if caches is None else tuple(ff_linalg.FieldMatrix(q, rows) for rows in caches)
     table = {d: ff_linalg.FieldMatrix(q, rows) for d, rows in (broadcasts or {}).items()}
     return dataclasses.replace(
@@ -596,7 +596,7 @@ def test_lemma_checks_fail_on_each_broken_identity(identity):
 
 def _mutants(s, count, rng):
     """count copies of s, each with one entry of one cache or one broadcast changed."""
-    q = s.field.q
+    q = s.q
     demands = [d.entries for d in demands_iter(s.N, s.K)]
     for _ in range(count):
         k, d = rng.randrange(s.K), rng.choice(demands)

@@ -1,5 +1,6 @@
 """Exact prime-field linear algebra tests."""
 
+from dataclasses import replace
 from math import isqrt
 
 import numpy as np
@@ -12,7 +13,6 @@ from sympy.polys.matrices import DomainMatrix
 from securecache.constructions import build_scheme
 from securecache.ff_linalg import (
     FieldMatrix,
-    PrimeField,
     in_rowspace,
     is_prime,
     rank,
@@ -183,9 +183,10 @@ def test_modulus_that_could_overflow_is_refused():
 
 
 def test_prime_field():
-    assert PrimeField(7).q == 7
-    with pytest.raises(ValueError):
-        PrimeField(9)
+    s = build_scheme("theorem1", 2, 3)
+    assert s.q == 3
+    with pytest.raises(ValueError, match="prime"):
+        replace(s, q=9)
 
 
 def test_smallest_prime_at_least_frozen_values():
@@ -473,7 +474,7 @@ def test_rref_and_rank_against_sympy_at_the_largest_verified_shapes():
     s = build_scheme("theorem3", 2, 7, 2)
     for Z in (*build_scheme("theorem3", 3, 5, 2).cache, *s.cache):
         _check_rref_and_rank(Z.q, Z.data)
-    q, d = s.field.q, DemandVector((1, 2, 1, 2, 1, 2, 1))
+    q, d = s.q, DemandVector((1, 2, 1, 2, 1, 2, 1))
     residual = s.delivery_matrix(d).data @ row_basis(s.cache[0]).op % q
     assert residual.shape == (35, 51)
     _check_rref_and_rank(q, residual)

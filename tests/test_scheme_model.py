@@ -107,7 +107,7 @@ def test_tradeoff_scheme_accounting():
     assert memory_of(s) == 2
     assert worst_case_rate(s) == Fraction(3, 2)
     assert randomness_of(s) == 2
-    assert s.field.q == 3 and s.B == 2
+    assert s.q == 3 and s.B == 2
 
 
 def test_pad_scheme_accounting():

@@ -194,3 +194,24 @@ def test_input_validation():
         emit_curves(2, 4, grid=1)
     with pytest.raises(ValueError):
         lower_convex_envelope(())
+
+
+def _scanned_rate(env, M):
+    """The envelope's rate at M by a scan of every segment, as a reference."""
+    if M >= env.vertices[-1].M:
+        return env.vertices[-1].R
+    a, b = next((a, b) for a, b in zip(env.vertices, env.vertices[1:]) if a.M <= M <= b.M)
+    return a.R + (b.R - a.R) * (M - a.M) / (b.M - a.M)
+
+
+def test_rate_at_bisects_to_the_scanned_rate():
+    for N in range(2, 5):
+        for K in range(2, 13):
+            for points in (achievable_points(N, K), prior_work_points(N, K)):
+                env = lower_convex_envelope(points)
+                assert env.sizes == tuple(p.M for p in env.vertices)
+                lo, hi = env.vertices[0].M, env.vertices[-1].M + 1
+                grid = {lo + (hi - lo) * F(j, 97) for j in range(98)} | {p.M for p in points}
+                for M in grid:
+                    assert env.rate_at(M) == _scanned_rate(env, M), (N, K, M)
+

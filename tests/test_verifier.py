@@ -10,7 +10,7 @@ import pytest
 from securecache.constructions import build_scheme
 from securecache import ff_linalg, verifier
 from securecache.entropy_oracle import VariableRef, brute_entropy
-from securecache.ff_linalg import FieldMatrix, PrimeField, in_rowspace, rank, stack, zero_columns
+from securecache.ff_linalg import FieldMatrix, in_rowspace, rank, stack, zero_columns
 from securecache.scheme_model import (
     DEMAND_CAP,
     DemandVector,
@@ -51,7 +51,7 @@ def test_degenerate_scheme_fails_correctness():
     layout = VariableLayout(2, 1, ())
     empty = FieldMatrix.zeros(2, 0, layout.total)
     s = LinearScheme(
-        field=PrimeField(2),
+        q=2,
         layout=layout,
         K=2,
         cache=(empty, empty),
@@ -69,7 +69,7 @@ def _leaky_pad_scheme():
     s = build_scheme("otp", 2, 2)
     bad = FieldMatrix(2, [[0, 1, 0, 0]])
     return LinearScheme(
-        field=s.field,
+        q=s.q,
         layout=s.layout,
         K=s.K,
         cache=(bad, s.cache[1]),
@@ -220,7 +220,7 @@ def test_decode_raises_when_not_decodable():
     layout = VariableLayout(2, 1, ())
     empty = FieldMatrix.zeros(2, 0, layout.total)
     s = LinearScheme(
-        field=PrimeField(2),
+        q=2,
         layout=layout,
         K=1,
         cache=(empty,),
@@ -240,8 +240,8 @@ def test_decode_names_every_undecodable_unit():
     X = s.delivery_matrix(d).data.copy()
     assert X[0, 0] == X[2, 2] == 1
     X[0, 0] = X[2, 2] = 0
-    tampered = replace(s, delivery=lambda _: FieldMatrix(s.field.q, X))
-    hidden = np.random.default_rng(3).integers(0, s.field.q, s.layout.total, dtype=np.int64)
+    tampered = replace(s, delivery=lambda _: FieldMatrix(s.q, X))
+    hidden = np.random.default_rng(3).integers(0, s.q, s.layout.total, dtype=np.int64)
     broadcast = tampered.delivery_matrix(d).apply(hidden)
     for k in range(1, s.K + 1):
         with pytest.raises(NotDecodableError) as info:
@@ -257,7 +257,7 @@ def _decode_by_transposed_solve(s, d, k, cache_symbols, delivery_symbols):
 
     Returns the values, or the NotDecodableError decode should raise.
     """
-    q = s.field.q
+    q = s.q
     coeffs = in_rowspace(observed_matrix(s, d, k), s.layout.file_selector(q, d[k]).data)
     missing = [i + 1 for i, c in enumerate(coeffs) if c is None]
     if missing:
@@ -287,7 +287,7 @@ def test_decode_matches_the_transposed_solve():
     ]
     cases = failures = 0
     for s in members:
-        q = s.field.q
+        q = s.q
         all_demands = list(demands_iter(s.N, s.K))
         for d in [all_demands[0], *rng.sample(all_demands[1:], min(3, len(all_demands) - 1))]:
             X = s.delivery_matrix(d).data
@@ -411,9 +411,9 @@ def _tampered(s, k, row, col):
     data = s.cache[k - 1].data.copy()
     data[row, col] += 1
     cache = list(s.cache)
-    cache[k - 1] = FieldMatrix(s.field.q, data)
+    cache[k - 1] = FieldMatrix(s.q, data)
     return LinearScheme(
-        field=s.field,
+        q=s.q,
         layout=s.layout,
         K=s.K,
         cache=tuple(cache),
@@ -477,7 +477,7 @@ def test_views_without_free_columns_make_no_rank_call(monkeypatch):
     # User 1 caches every column, so each of its bases has no free column.
     base = build_scheme("otp", 2, 2)
     s = LinearScheme(
-        field=base.field,
+        q=base.q,
         layout=base.layout,
         K=base.K,
         cache=(FieldMatrix(2, np.eye(base.layout.total, dtype=np.int64)), base.cache[1]),
@@ -504,7 +504,7 @@ def test_views_without_free_columns_make_no_rank_call(monkeypatch):
 
 def _mutant(s, rng):
     """Copy of s with one random cache or broadcast entry changed to another value."""
-    q = s.field.q
+    q = s.q
     cache, delivery = s.cache, s.delivery
     mutate_cache = rng.random() < 0.5
     if mutate_cache:
@@ -521,7 +521,7 @@ def _mutant(s, rng):
     else:
         delivery = lambda d: changed if d == d0 else s.delivery(d)  # noqa: E731
     return LinearScheme(
-        field=s.field, layout=s.layout, K=s.K, cache=cache, delivery=delivery, label=s.label
+        q=s.q, layout=s.layout, K=s.K, cache=cache, delivery=delivery, label=s.label
     )
 
 
@@ -540,7 +540,7 @@ def test_verdicts_match_enumerated_entropies_on_mutants():
         verdicts = set()
         for _ in range(20):
             s = _mutant(base, rng)
-            hidden = hidden_rng.integers(0, s.field.q, s.layout.total, dtype=np.int64)
+            hidden = hidden_rng.integers(0, s.q, s.layout.total, dtype=np.int64)
             for rec in verify_all(s).records:
                 d = DemandVector(rec.demand)
                 observed = (VariableRef.of_cache(rec.user), VariableRef.of_delivery(d))
