@@ -19,23 +19,27 @@ the entries' types are also scanned for bools, but only when the
 decoded document text holds `true` or `false`, the only ways JSON
 writes a boolean.  The argument parser is built once per process.
 
-Each document is parsed once per content.  After a document loads, the
-loader writes a sidecar next to it, `<name>.securecache`: one JSON
-header line (a layout tag, the SHA-256 of the document's bytes, the
-array's shape and the document with each matrix replaced by its row
-count), then the checked array of all the matrices' rows as
-little-endian int64.  A later load of bytes with that SHA-256 reads the
-array back instead of the JSON lists, and runs every other check on it
-again: the family member, q, B, key names, delivery mode, demand set,
-row width and range.  A sidecar that is missing, unreadable, truncated,
-of another layout or key, or failing a check is ignored, and replaced
-once the document itself loads.  Only a load that succeeded writes one,
-through a temporary file and os.replace, with the document's permission
-bits; a sidecar that cannot be written is skipped silently.  Sidecars
-are safe to delete.  A sidecar is read only when it is a regular file
-owned by the user running securecache, opened without following a
-symlink; anything else is treated as missing.  Like __pycache__, such a
-sidecar is trusted to hold what its key says.
+Each document is parsed at most once per content.  Beside it, a sidecar
+`<name>.securecache` holds one JSON header line (a layout tag, the
+SHA-256 of the document's bytes, the array's shape and the document
+with each matrix replaced by its row count, keys sorted), then the
+checked array of all the matrices' rows as little-endian int64.
+construct writes it from the matrices' own arrays, after streaming the
+document's text to the file and to SHA-256 in blocks.  A load hashes
+the document in blocks read from the descriptor it opened; when the
+sidecar holds that SHA-256, it reads the array back instead of the JSON
+lists, and runs every other check on it again: the family member, q, B,
+key names, delivery mode, demand set, row width and range.  A sidecar
+that is missing, unreadable, truncated, of another layout, key or
+permission bits than the document, or failing a check is ignored: the
+document is read again, parsed, and its sidecar replaced, keyed by the
+bytes parsed.  Only a write or load that succeeded writes one, through
+a temporary file and os.replace, with the document's permission bits,
+and only beside a regular file; a sidecar that cannot be written is
+skipped silently.  Sidecars are safe to delete.  A sidecar is read only
+when it is a regular file owned by the user running securecache, opened
+without following a symlink; anything else is treated as missing.  Like
+__pycache__, such a sidecar is trusted to hold what its key says.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ FORMAT_VERSION = 1
 SIDECAR_SUFFIX = ".securecache"
 SIDECAR_LAYOUT = "securecache sidecar 1: a JSON header line, then the rows as little-endian int64"
 EXPLICIT_DELIVERY_LIMIT = 256
+# The size of the blocks in which JSON is written and documents are hashed.
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +96,13 @@ _SMALL_INTS = {i: str(i) for i in range(1024)}
 def _json_text(obj: object) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) + "\\n", byte for byte.
 
-    Every JSON file the CLI writes goes through here.  json's indenting
-    encoder runs in pure Python, one small string per list entry; here a
-    list of plain ints, such as a matrix row, is written with one join,
-    and the pieces are joined once at the end.  Only dicts with str keys,
-    lists, str, int, bool and None are written; any other type, float
-    included, raises TypeError.
+    Every JSON file the CLI writes has this text; _write_json writes it
+    in blocks.  json's indenting encoder runs in pure Python, one small
+    string per list entry; here a list of plain ints, such as a matrix
+    row, is written with one join, and the pieces are joined once at the
+    end.  Only dicts with str keys, lists, 2-D integer numpy arrays
+    (written as their rows' lists), str, int, bool and None are written;
+    any other type, float included, raises TypeError.
     """
     out: list[str] = []
     _json_chunks(obj, "\n", out)
@@ -103,24 +110,57 @@ def _json_text(obj: object) -> str:
     return "".join(out)
 
 
-def _json_chunks(o: object, nl: str, out: list[str]) -> None:
-    """Append o's JSON text to out; nl is the newline and indent of the line o starts on."""
+def _write_json(obj: object, path: Path, feed: Callable[[bytes], object] | None = None) -> None:
+    """Write _json_text(obj) to path in blocks of about _BLOCK bytes, each also passed to feed.
+
+    A block is written once the matrices' text since the last one
+    reaches _BLOCK, so a document's whole text is never held.
+    """
+    out: list[str] = []
+    size = 0
+    with path.open("wb") as f:
+
+        def spill(n: int) -> None:
+            nonlocal size
+            size += n
+            if size >= _BLOCK:
+                block = "".join(out).encode("ascii")
+                out.clear()
+                size = 0
+                f.write(block)
+                if feed is not None:
+                    feed(block)
+
+        _json_chunks(obj, "\n", out, spill)
+        out.append("\n")
+        spill(_BLOCK)  # writes the rest
+
+
+def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None] | None = None) -> None:
+    """Append o's JSON text to out; nl is the newline and indent of the line o starts on.
+
+    spill, if given, gets the length of each matrix's text once it is appended.
+    """
     inner = nl + "  "
+    if type(o) is np.ndarray and o.ndim == 2 and o.dtype.kind == "i":
+        if o.size:
+            # A document's matrix, in one piece: its rows are lists only while it is written.
+            text = "[" + inner + ("," + inner).join([_ints_text(r, inner) for r in o.tolist()]) + nl + "]"
+            out.append(text)
+            if spill is not None:
+                spill(len(text))
+            return
+        o = o.tolist()
     if type(o) is list and o:
         # Bools are excluded here: they would look up as 0 and 1.
         if set(map(type, o)) == {int}:
-            sep = "," + inner
-            try:
-                body = sep.join(map(_SMALL_INTS.__getitem__, o))
-            except KeyError:
-                body = sep.join(map(int.__repr__, o))
-            out += ("[", inner, body, nl, "]")
+            out.append(_ints_text(o, nl))
             return
         sep = "[" + inner
         for x in o:
             out.append(sep)
             sep = "," + inner
-            _json_chunks(x, inner, out)
+            _json_chunks(x, inner, out, spill)
         out += (nl, "]")
     elif type(o) is dict and o:
         key_types = set(map(type, o))
@@ -130,7 +170,7 @@ def _json_chunks(o: object, nl: str, out: list[str]) -> None:
         for k in sorted(o):
             out += (sep, encode_basestring_ascii(k), ": ")
             sep = "," + inner
-            _json_chunks(o[k], inner, out)
+            _json_chunks(o[k], inner, out, spill)
         out += (nl, "}")
     elif type(o) is list:
         out.append("[]")
@@ -148,23 +188,34 @@ def _json_chunks(o: object, nl: str, out: list[str]) -> None:
         raise TypeError(f"cannot write {type(o).__name__} {o!r:.40} as JSON")
 
 
+def _ints_text(o: list[int], nl: str) -> str:
+    """The JSON text of a non-empty list of plain ints; nl as in _json_chunks."""
+    sep = "," + nl + "  "
+    try:
+        body = sep.join(map(_SMALL_INTS.__getitem__, o))
+    except KeyError:
+        body = sep.join(map(int.__repr__, o))
+    return "[" + nl + "  " + body + nl + "]"
+
+
 # ---------------------------------------------------------------------------
 # Scheme documents
 # ---------------------------------------------------------------------------
 
 
 def scheme_to_document(s: LinearScheme) -> dict:
-    """JSON-ready document for a scheme, explicit broadcasts when small.
+    """The document of a scheme, explicit broadcasts when small.
 
-    In explicit mode each broadcast is built once and the worst-case
-    rate R is read off the table.  In generated mode no broadcast is
-    built: R is the family's declared rate, and the metadata marks it
-    with "R_source": "declared".
+    Each matrix is the int64 array its FieldMatrix holds, not a copy,
+    and _json_text writes it as a list of rows.  In explicit mode each
+    broadcast is built once and the worst-case rate R is read off the
+    table.  In generated mode no broadcast is built: R is the family's
+    declared rate, and the metadata marks it with "R_source": "declared".
     """
     entries = None
     if s.N**s.K <= EXPLICIT_DELIVERY_LIMIT:
         entries = [
-            {"demand": list(d.entries), "rows": s.delivery_matrix(d).row_lists()}
+            {"demand": list(d.entries), "rows": s.delivery_matrix(d).data}
             for d in demands_iter(s.N, s.K)
         ]
         rate = {"R": rational_json(max(Fraction(len(e["rows"]), s.B) for e in entries))}
@@ -179,7 +230,7 @@ def scheme_to_document(s: LinearScheme) -> dict:
         "K": s.K,
         "B": s.B,
         "key_names": list(s.layout.key_names),
-        "cache": [m.row_lists() for m in s.cache],
+        "cache": [m.data for m in s.cache],
         "metadata": {"M": rational_json(memory_of(s)), **rate, "L": rational_json(randomness_of(s))},
         "delivery": {"mode": "explicit", "entries": entries} if entries else {"mode": "generated"},
     }
@@ -358,9 +409,21 @@ def document_to_scheme(
 
 
 def write_scheme(s: LinearScheme, path: Path) -> dict:
-    """Write the scheme's document to path and return it."""
+    """Write the scheme's document to path, then its sidecar, and return the document.
+
+    The text goes to the file and to SHA-256 in blocks, and the sidecar
+    from the matrices' own arrays: neither the whole text nor a matrix
+    as lists is ever held.
+    """
+    import hashlib  # see load_scheme
+
     doc = scheme_to_document(s)
-    path.write_text(_json_text(doc))
+    digest = hashlib.sha256()
+    _write_json(doc, path, digest.update)
+    # A sidecar is kept only beside a regular file, which a load can read twice.
+    if stat.S_ISREG(path.stat().st_mode):
+        matrices = doc["cache"] + [e["rows"] for e in doc["delivery"].get("entries", ())]
+        _write_sidecar(path, digest.hexdigest(), _head(doc), matrices)
     return doc
 
 
@@ -369,7 +432,7 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def _head(doc: dict) -> dict:
-    """A loaded document with each matrix replaced by its row count."""
+    """A document with each matrix replaced by its row count."""
     head = {**doc, "cache": [len(m) for m in doc["cache"]]}
     delivery = doc["delivery"]
     if delivery["mode"] == "explicit":
@@ -378,15 +441,18 @@ def _head(doc: dict) -> dict:
     return head
 
 
-def _read_sidecar(path: Path, key: str) -> tuple[dict, np.ndarray] | None:
-    """The head and rows the sidecar of path holds for the bytes hashing to key, or None."""
+def _read_sidecar(path: Path, key: str, mode: int) -> tuple[dict, np.ndarray] | None:
+    """The head and rows the sidecar of path holds for the bytes hashing to key, or None.
+
+    A sidecar whose permission bits are not mode, the document's, is not used.
+    """
     try:
         # O_NOFOLLOW refuses a symlink and O_NONBLOCK a FIFO's wait for a writer.
         fd = os.open(_sidecar_path(path), os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
         with os.fdopen(fd, "rb") as f:
             st = os.fstat(fd)
             # Another user's file may have been planted; a device may never end.
-            if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid():
+            if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid() or st.st_mode & 0o777 != mode:
                 return None
             data = f.read()
         start = data.index(b"\n") + 1
@@ -400,18 +466,26 @@ def _read_sidecar(path: Path, key: str) -> tuple[dict, np.ndarray] | None:
         return None
 
 
-def _write_sidecar(path: Path, key: str, head: dict, rows: np.ndarray) -> None:
-    """Write the sidecar of path, atomically; a sidecar that cannot be written is skipped."""
+def _write_sidecar(path: Path, key: str, head: dict, matrices: list[np.ndarray]) -> None:
+    """Write the sidecar of path, atomically; a sidecar that cannot be written is skipped.
+
+    matrices hold the document's rows in order.  The header's keys are
+    sorted, so write_scheme and load_scheme write the same bytes.
+    """
     sidecar = _sidecar_path(path)
     tmp = None
     try:
-        header = json.dumps({"layout": SIDECAR_LAYOUT, "sha256": key, "shape": rows.shape, "head": head})
+        shape = [sum(len(m) for m in matrices), matrices[0].shape[1]]
+        header = json.dumps(
+            {"layout": SIDECAR_LAYOUT, "sha256": key, "shape": shape, "head": head}, sort_keys=True
+        )
         # Padding to a multiple of 8 bytes keeps the int64 rows aligned.
         header += " " * (-(len(header) + 1) % 8) + "\n"
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=SIDECAR_SUFFIX, dir=sidecar.parent)
         with os.fdopen(fd, "wb") as f:
             f.write(header.encode())
-            f.write(rows.astype("<i8", copy=False))
+            for m in matrices:
+                f.write(np.ascontiguousarray(m, "<i8"))
         # mkstemp makes the file 0600: whoever can read the document may read its sidecar.
         shutil.copymode(path, tmp)
         os.replace(tmp, sidecar)
@@ -425,18 +499,29 @@ def _write_sidecar(path: Path, key: str, head: dict, rows: np.ndarray) -> None:
 def load_scheme(path: Path) -> LinearScheme:
     """The scheme of the document at path, from its sidecar when that holds these bytes."""
     # Imported here, not with the module: hashlib loads OpenSSL's libcrypto,
-    # about 3.4 MB of resident memory that only a document load needs.
+    # about 3.4 MB of resident memory that only a document load or write needs.
     import hashlib
 
-    data = path.read_bytes()
+    with path.open("rb") as f:
+        st = os.fstat(f.fileno())
+        # Only a regular file can be read twice, so only it has a sidecar.
+        regular = stat.S_ISREG(st.st_mode)
+        if regular:
+            # Hashed in blocks: a sidecar hit never holds the document's bytes.
+            digest = hashlib.sha256()
+            while block := f.read(_BLOCK):
+                digest.update(block)
+            cached = _read_sidecar(path, digest.hexdigest(), st.st_mode & 0o777)
+            if cached is not None:
+                try:
+                    return document_to_scheme(*cached)[0]
+                # A sidecar whose head or rows fail a check is replaced below.
+                except (ValueError, KeyError, TypeError):
+                    pass
+            f.seek(0)
+        data = f.read()
+    # The new sidecar is keyed by exactly the bytes parsed here.
     key = hashlib.sha256(data).hexdigest()
-    cached = _read_sidecar(path, key)
-    if cached is not None:
-        try:
-            return document_to_scheme(*cached)[0]
-        # A sidecar whose head or rows fail a check is replaced below.
-        except (ValueError, KeyError, TypeError):
-            pass
     # JSON is UTF-8 (RFC 8259), and json.loads reads a CR LF as whitespace,
     # so the bytes need no newline translation.
     text = data.decode("utf-8")
@@ -446,7 +531,8 @@ def load_scheme(path: Path) -> LinearScheme:
     scan_bools = "true" in text or "false" in text
     del text  # freed before the lists become an array, to lower peak memory
     scheme, rows = document_to_scheme(doc, None, scan_bools)
-    _write_sidecar(path, key, _head(doc), rows)
+    if regular:
+        _write_sidecar(path, key, _head(doc), [rows])
     return scheme
 
 
@@ -489,7 +575,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_all(s, policy=args.demands, count=args.count, seed=args.seed)
     if args.report:
         with _writing(args.report) as path:
-            path.write_text(_json_text(report.as_dict()))
+            _write_json(report.as_dict(), path)
     failures = report.failures()
     verdict = "PASS" if report.passed else "FAIL"
     print(
@@ -555,12 +641,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     data = emit_curves(args.N, args.K, args.grid)
     out = Path(args.out)
     vertex_path = out.with_suffix(".vertices.json")
-    for path, text in (
-        (out, data.csv_text(include_prior=args.include_prior)),
-        (vertex_path, _json_text(data.vertices_dict())),
-    ):
-        with _writing(path):
-            path.write_text(text)
+    with _writing(out):
+        out.write_text(data.csv_text(include_prior=args.include_prior))
+    with _writing(vertex_path):
+        _write_json(data.vertices_dict(), vertex_path)
     env = ", ".join(f"({p.M}, {p.R})" for p in data.envelope.vertices)
     print(f"N={args.N} K={args.K}: envelope vertices {env}")
     print(f"curves -> {out}, vertices -> {vertex_path}")

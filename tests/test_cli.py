@@ -10,10 +10,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -192,6 +195,7 @@ MALFORMED_MESSAGES = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_verify_rejects_malformed_document(tmp_path, capsys, case):
     path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    constructed = _sidecar(path).read_bytes()
     doc = json.loads(path.read_text())
     assert doc["delivery"]["mode"] == "explicit"
     MALFORMED[case](doc)
@@ -202,8 +206,9 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, case):
     assert captured.err.startswith("error: cannot load scheme: ")
     assert MALFORMED_MESSAGES.get(case, "") in captured.err
     assert captured.out == ""
-    # A document that fails to load leaves no sidecar.
-    assert list(tmp_path.iterdir()) == [path]
+    # A document that fails to load writes no sidecar: construct's is left as it was.
+    assert sorted(tmp_path.iterdir()) == [path, _sidecar(path)]
+    assert _sidecar(path).read_bytes() == constructed
 
 
 @pytest.mark.parametrize(
@@ -222,7 +227,8 @@ def test_verify_refuses_a_deeply_nested_document(tmp_path, capsys, text):
 
 
 _DELETE = object()  # a mutation that deletes the key or list item
-_T331 = scheme_to_document(build_scheme("theorem3", 3, 3, 1))
+# The document's matrices as JSON lists, its keys in their own order.
+_T331 = json.loads(json.dumps(scheme_to_document(build_scheme("theorem3", 3, 3, 1)), default=np.ndarray.tolist))
 
 
 def _subtree_paths(node, path=()):
@@ -515,6 +521,7 @@ def _too_deep(*args, **kwargs):
 )
 def test_a_sidecar_that_cannot_be_written_is_skipped(tmp_path, capsys, monkeypatch, where, failure):
     path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    _sidecar(path).unlink()  # so that the load below writes one
     module, name = where.split(".")
     monkeypatch.setattr(getattr(cli, module), name, failure)
     capsys.readouterr()
@@ -532,6 +539,75 @@ def test_a_sidecar_takes_the_documents_mode(tmp_path, mode):
     path.chmod(mode)
     load_scheme(path)
     assert _sidecar(path).stat().st_mode & 0o777 == mode
+
+
+def test_a_sidecar_follows_a_chmod_of_its_document(tmp_path, capsys):
+    path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    path.chmod(0o644)
+    assert main(["verify", "--scheme", str(path)]) == 0
+    assert _sidecar(path).stat().st_mode & 0o777 == 0o644
+    path.chmod(0o600)
+    assert main(["verify", "--scheme", str(path)]) == 0
+    assert _sidecar(path).stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize(("label", "N", "K", "t"), [("theorem3", 3, 3, 1), ("otp", 2, 9, None)])
+def test_construct_writes_the_sidecar_a_first_load_writes(tmp_path, monkeypatch, label, N, K, t):
+    path = _construct(tmp_path, label, N, K, t)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    parsed = load_scheme(copy)
+    assert _sidecar(copy).read_bytes() == _sidecar(path).read_bytes()
+    # The first load of what construct wrote parses no JSON lists.
+    monkeypatch.setattr(cli, "_read_matrices", _refuse_lists)
+    _assert_same_scheme(load_scheme(path), parsed)
+
+
+def test_a_sidecar_hit_never_reads_the_whole_document(tmp_path, monkeypatch):
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+
+    def refuse(self):
+        raise AssertionError(f"read all of {self} on a sidecar hit")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    monkeypatch.setattr(cli, "_read_matrices", _refuse_lists)
+    assert load_scheme(path).K == 3
+
+
+def test_a_document_read_from_a_fifo_loads_without_a_sidecar(tmp_path):
+    path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        _assert_same_scheme(load_scheme(fifo), load_scheme(path))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert not _sidecar(fifo).exists()
+
+
+def test_writing_and_a_sidecar_hit_hold_less_than_the_document(tmp_path, monkeypatch):
+    # theorem3 (2, 7, 2) is a 5,434,606-byte document whose sidecar holds
+    # 2.85 MB of rows: neither its text nor its matrices as lists are held.
+    s = build_scheme("theorem3", 2, 7, 2)
+    path = tmp_path / "t272.json"
+    monkeypatch.setattr(cli, "_read_matrices", _refuse_lists)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in (lambda: write_scheme(s, path), lambda: load_scheme(path)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del kept
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    assert max(peaks) < size, peaks
 
 
 def test_verify_missing_file(tmp_path, capsys):
