@@ -10,35 +10,35 @@ do by raising ValueError (a document that cannot be loaded, an output
 that cannot be written, an unknown check, a cap or a bad parameter),
 and main() prints its message as one `error:` line on stderr.
 
-A document's matrices, its K caches and every explicit broadcast, are
-read in one pass: their rows are gathered into one list, converted by
-one np.array call, checked once (integer dtype, the layout's width,
-entries in [0, q)) and cut back into one FieldMatrix per matrix by row
-count.  numpy reads a JSON true or false among integers as 1 or 0, so
-the entries' types are also scanned for bools, but only when the
-decoded document text holds `true` or `false`, the only ways JSON
-writes a boolean.  The argument parser is built once per process.
+A document has one checked form in memory: its head, the document with
+each matrix replaced by its row count, and one int64 array of the rows
+of all its matrices, its K caches then every explicit broadcast.  A
+sidecar stores that pair.  _read_matrices, the one reader of JSON matrix
+lists, makes it from a decoded document with one np.array call; numpy
+reads a JSON true or false among integers as 1 or 0, so it scans the
+entries for bools when the document text holds `true` or `false`.
+document_to_scheme checks the pair, whatever its source, and cuts the
+array into one FieldMatrix per matrix.  The argument parser is built
+once per process.
 
 Each document is parsed at most once per content.  Beside it, a sidecar
 `<name>.securecache` holds one JSON header line (a layout tag, the
-SHA-256 of the document's bytes, the array's shape and the document
-with each matrix replaced by its row count, keys sorted), then the
-checked array of all the matrices' rows as little-endian int64.
+SHA-256 of the document's bytes, the array's shape and the head, keys
+sorted), then the checked array of rows as little-endian int64.
 construct writes it from the matrices' own arrays, after streaming the
 document's text to the file and to SHA-256 in blocks.  A load hashes
 the document in blocks read from the descriptor it opened; when the
-sidecar holds that SHA-256, it reads the array back instead of the JSON
-lists, and runs every other check on it again: the family member, q, B,
-key names, delivery mode, demand set, row width and range.  A sidecar
-that is missing, unreadable, truncated, of another layout, key or
-permission bits than the document, or failing a check is ignored: the
-document is read again, parsed, and its sidecar replaced, keyed by the
-bytes parsed.  Only a write or load that succeeded writes one, through
-a temporary file and os.replace, with the document's permission bits,
-and only beside a regular file; a sidecar that cannot be written is
-skipped silently.  Sidecars are safe to delete.  A sidecar is read only
-when it is a regular file owned by the user running securecache, opened
-without following a symlink; anything else is treated as missing.  Like
+sidecar holds that SHA-256, its head and rows go to the same checker as
+a parse's, and no JSON list is read.  A sidecar that is missing,
+unreadable, truncated, of another layout, key or permission bits than
+the document, or failing a check is ignored: the document is read
+again, parsed, and its sidecar replaced, keyed by the bytes parsed.
+Only a write or load that succeeded writes one, through a temporary
+file and os.replace, with the document's permission bits, and only
+beside a regular file; a sidecar that cannot be written is skipped
+silently.  Sidecars are safe to delete.  A sidecar is read only when it
+is a regular file owned by the user running securecache, opened without
+following a symlink; anything else is treated as missing.  Like
 __pycache__, such a sidecar is trusted to hold what its key says.
 """
 
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import collections
 import contextlib
 import functools
 import itertools
@@ -59,7 +60,7 @@ from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -93,28 +94,18 @@ _BLOCK = 1 << 16
 _SMALL_INTS = {i: str(i) for i in range(1024)}
 
 
-def _json_text(obj: object) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", byte for byte.
-
-    Every JSON file the CLI writes has this text; _write_json writes it
-    in blocks.  json's indenting encoder runs in pure Python, one small
-    string per list entry; here a list of plain ints, such as a matrix
-    row, is written with one join, and the pieces are joined once at the
-    end.  Only dicts with str keys, lists, 2-D integer numpy arrays
-    (written as their rows' lists), str, int, bool and None are written;
-    any other type, float included, raises TypeError.
-    """
-    out: list[str] = []
-    _json_chunks(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
 def _write_json(obj: object, path: Path, feed: Callable[[bytes], object] | None = None) -> None:
-    """Write _json_text(obj) to path in blocks of about _BLOCK bytes, each also passed to feed.
+    """Write json.dumps(obj, indent=2, sort_keys=True) + "\\n" to path, byte for byte.
 
-    A block is written once the matrices' text since the last one
-    reaches _BLOCK, so a document's whole text is never held.
+    Every JSON file the CLI writes has this text.  json's indenting
+    encoder runs in pure Python, one small string per list entry; here a
+    list of plain ints, such as a matrix row, is written with one join.
+    Only dicts with str keys, lists, 2-D integer numpy arrays (written as
+    their rows' lists), str, int, bool and None are written; any other
+    type, float included, raises TypeError.  The text goes out in blocks
+    of about _BLOCK bytes, each also passed to feed: a block is written
+    once the matrices' text since the last one reaches _BLOCK, so a
+    document's whole text is never held.
     """
     out: list[str] = []
     size = 0
@@ -136,10 +127,10 @@ def _write_json(obj: object, path: Path, feed: Callable[[bytes], object] | None 
         spill(_BLOCK)  # writes the rest
 
 
-def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None] | None = None) -> None:
+def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None]) -> None:
     """Append o's JSON text to out; nl is the newline and indent of the line o starts on.
 
-    spill, if given, gets the length of each matrix's text once it is appended.
+    spill gets the length of each matrix's text once it is appended.
     """
     inner = nl + "  "
     if type(o) is np.ndarray and o.ndim == 2 and o.dtype.kind == "i":
@@ -147,8 +138,7 @@ def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None
             # A document's matrix, in one piece: its rows are lists only while it is written.
             text = "[" + inner + ("," + inner).join([_ints_text(r, inner) for r in o.tolist()]) + nl + "]"
             out.append(text)
-            if spill is not None:
-                spill(len(text))
+            spill(len(text))
             return
         o = o.tolist()
     if type(o) is list and o:
@@ -207,7 +197,7 @@ def scheme_to_document(s: LinearScheme) -> dict:
     """The document of a scheme, explicit broadcasts when small.
 
     Each matrix is the int64 array its FieldMatrix holds, not a copy,
-    and _json_text writes it as a list of rows.  In explicit mode each
+    and _write_json writes it as a list of rows.  In explicit mode each
     broadcast is built once and the worst-case rate R is read off the
     table.  In generated mode no broadcast is built: R is the family's
     declared rate, and the metadata marks it with "R_source": "declared".
@@ -250,80 +240,24 @@ def _shape_problem(m: object, total: int) -> str | None:
     return None
 
 
-def _read_matrices(
-    total: int, matrices: list, name: Callable[[int], str], scan_bools: bool
-) -> tuple[np.ndarray, list[int]]:
-    """The rows of a document's matrices as one integer array, and its row cuts.
-
-    Each of matrices, as decoded from JSON, must be a non-empty list of
-    rows of total integers.  The rows of all of them become one array;
-    ends[i] is the row that ends matrices[i].  numpy reads a true or false
-    among integers as 1 or 0, so scan_bools asks for a scan of the
-    entries' types; without it no entry may be a bool.  Anything else
-    raises ValueError naming the first matrix at fault, name(i) being the
-    name of matrices[i].  The range [0, q) is checked by the caller.
-    """
-
-    def shape_error(i: int, problem: str) -> ValueError:
-        return ValueError(f"{name(i)} must be a non-empty list of rows of {total} entries each; {problem}")
-
-    rows: list = []
-    ends: list[int] = []
-    for i, m in enumerate(matrices):
-        if type(m) is not list or not m:
-            raise shape_error(i, _shape_problem(m, total))
-        rows += m
-        ends.append(len(rows))
-
-    def fail(problem: str, bad_row: Callable[[list], bool]) -> NoReturn:
-        i = next((i for i, row in enumerate(rows) if bad_row(row)), 0)
-        raise ValueError(f"{name(bisect.bisect_right(ends, i))} has {problem}")
-
-    try:
-        arr = np.array(rows)
-    except ValueError:  # rows, or entries that are lists, of uneven lengths
-        arr = None
-    # An int array of shape (rows, total) can only come from rows that are
-    # lists of total integers, so the rows' shapes are checked only when
-    # the array is not one.
-    if arr is None or arr.dtype.kind != "i" or arr.shape != (len(rows), total):
-        for i, m in enumerate(matrices):
-            problem = _shape_problem(m, total)
-            if problem:
-                raise shape_error(i, problem)
-        fail(
-            "an entry that is not an integer within int64",
-            lambda row: not all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in row),
-        )
-    if scan_bools and bool in set(map(type, itertools.chain.from_iterable(rows))):
-        fail("a JSON true or false as an entry", lambda row: bool in set(map(type, row)))
-    return arr.astype(np.int64, copy=False), ends
+def _matrices(doc: dict) -> list:
+    """A document's matrices, its K caches then each listed broadcast; a head's row counts."""
+    entries = doc["delivery"]["entries"] if doc["delivery"]["mode"] == "explicit" else []
+    return doc["cache"] + [e["rows"] for e in entries]
 
 
-def document_to_scheme(
-    doc: dict, rows: np.ndarray | None = None, scan_bools: bool = True
-) -> tuple[LinearScheme, np.ndarray]:
-    """Rebuild a scheme from a document, checked against its family member.
+def _matrix_name(doc: dict, i: int) -> str:
+    """The name of _matrices(doc)[i]."""
+    K = len(doc["cache"])
+    if i < K:
+        return f"cache of user {i + 1}"
+    return f"broadcast for demand {list(doc['delivery']['entries'][i - K]['demand'])}"
 
-    The label and params must pass constructions.family_of, and q, N,
-    K, B and the key names must be that member's.  Shares come from the
-    member.  Cache matrices always come from the document (so hand
-    edits are what gets verified), and so does the broadcast table
-    in explicit mode, which must list every demand once; in generated
-    mode the member's broadcast rule is used.  Every cache and explicit
-    broadcast must be a non-empty list of rows of the layout's width,
-    with integer entries in [0, q): an out-of-range entry is refused, not
-    reduced.  Anything else raises ValueError.
 
-    The matrices come from one of two sources.  With rows None, doc is a
-    decoded document and its matrices are read from its lists as one
-    array (see _read_matrices); load_scheme passes scan_bools=False when
-    the document text holds neither `true` nor `false`, since then no
-    entry can be a JSON boolean.  Otherwise doc is a document's head, as
-    a sidecar holds it: each matrix is replaced by its row count, and
-    rows holds those rows in order.  Only the step from lists to an array
-    is skipped; every other check runs on both.  Returns the scheme and
-    the array of all its matrices' rows, caches first.
+def _outline(doc: dict) -> tuple[object, dict, int, int]:
+    """The label, params, N and K of a document or head, once its version, their types and its K caches pass.
+
+    These checks read no matrix and build no member, so they run before any list is converted.
     """
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != FORMAT_VERSION:
@@ -338,39 +272,93 @@ def document_to_scheme(
         and params.get("K") == K
     ):
         raise ValueError(f"params {params!r} name no {label} member with N={N!r}, K={K!r}")
-    # The document's own size bounds the member first: it must hold K caches,
-    # and a row of at least N entries before family_of lists members and of
-    # N * B before build() allocates N * B columns (theorem3's B is C(K - 1, t)).
-    documented = doc["cache"]
-    if type(documented) is not list or len(documented) != K:
+    if type(doc["cache"]) is not list or len(doc["cache"]) != K:
         raise ValueError(f"cache must be a list of {K} matrices, one per user")
-    # The width of each cache's first row, None for a cache that has none.
-    if rows is not None:
-        widths = [rows.shape[1]] * K
-    else:
-        widths = [len(m[0]) if type(m) is list and m and type(m[0]) is list else None for m in documented]
-    if widths and widths[0] is not None and widths[0] < N:
-        raise ValueError(f"cache of user 1 has rows of {widths[0]} entries, fewer than N={N} files")
+    return label, params, N, K
+
+
+def _read_matrices(doc: dict, scan_bools: bool) -> tuple[dict, np.ndarray]:
+    """A decoded document's head, as _head gives it, and the rows of _matrices(doc) as one int64 array.
+
+    Each matrix must be a non-empty list of rows of integers within
+    int64, each row as wide as most rows are: the layout's width is
+    checked by document_to_scheme.  scan_bools asks for a scan of the
+    entries' types for bools; without it no entry may be one.  Anything
+    else raises ValueError naming the first matrix at fault.
+    """
+    _outline(doc)
+    matrices = _matrices(doc)
+    rows: list = []
+    for m in matrices:
+        if type(m) is list:
+            rows += m
+
+    def fail(problem: str, bad_row: Callable[[list], bool]) -> None:
+        """Raise ValueError naming the first matrix with a bad_row, if one has."""
+        for i, m in enumerate(matrices):
+            if any(map(bad_row, m)):
+                raise ValueError(f"{_matrix_name(doc, i)} has {problem}")
+
+    try:
+        arr = np.array(rows)
+    except ValueError:  # rows, or entries that are lists, of uneven lengths
+        arr = None
+    # A 2-D int array can only come from rows that are lists of as many
+    # integers, so the shapes are checked only when the array is not one
+    # or a matrix is not a non-empty list.
+    if arr is None or arr.dtype.kind != "i" or arr.ndim != 2 or not all(type(m) is list and m for m in matrices):
+        widths = collections.Counter(len(row) for row in rows if type(row) is list)
+        total = max(widths, key=widths.__getitem__, default=0)
+        for i, m in enumerate(matrices):
+            if problem := _shape_problem(m, total):
+                raise ValueError(
+                    f"{_matrix_name(doc, i)} must be a non-empty list of rows of {total} entries each; {problem}"
+                )
+        fail(
+            "an entry that is not an integer within int64",
+            lambda row: not all(type(x) is int and -(1 << 63) <= x < 1 << 63 for x in row),
+        )
+        arr = np.zeros((len(rows), 0), np.int64)  # only rows without entries, or no rows, pass
+    if scan_bools and bool in set(map(type, itertools.chain.from_iterable(rows))):
+        fail("a JSON true or false as an entry", lambda row: bool in set(map(type, row)))
+    return _head(doc), arr.astype(np.int64, copy=False)
+
+
+def document_to_scheme(head: dict, rows: np.ndarray) -> LinearScheme:
+    """Rebuild a scheme from a document's head and rows, checked against its family member.
+
+    The label and params must pass constructions.family_of, and q, N, K,
+    B and the key names must be that member's.  Shares come from the
+    member.  Cache matrices always come from the document (so hand edits
+    are what gets verified), and so does the broadcast table in explicit
+    mode, which must list every demand once; in generated mode the
+    member's broadcast rule is used.  The head's row counts must cut rows
+    into non-empty matrices of the layout's width, with entries in [0, q):
+    an out-of-range entry is refused, not reduced.  Anything else raises
+    ValueError.
+    """
+    label, params, N, K = _outline(head)
+    # The rows' width bounds the member first: at least N before family_of
+    # lists members, and N * B before build() allocates N * B columns
+    # (theorem3's B is C(K - 1, t)).  A document without rows has K = 0,
+    # which family_of refuses.
+    width = rows.shape[1]
+    if len(rows) and width < N:
+        raise ValueError(f"cache of user 1 has rows of {width} entries, fewer than N={N} files")
     family = family_of(label, {"N": N, "K": K, **params})  # its message in build_scheme's key order
-    # Any cache's first row will do here: a malformed cache of user 1 is
-    # reported, with the layout's width, once the member is built.
     files = N * family.units(**params)
-    widest = max((w for w in widths if w is not None), default=0)
-    if widest < files:
+    if width < files:
         raise ValueError(
-            f"the caches' first rows hold at most {widest} entries, "
+            f"the caches' first rows hold at most {width} entries, "
             f"fewer than the N*B={files} file columns of {label} {params}"
         )
     member = build_scheme(label, **params)
     for key, want in (("q", member.q), ("B", member.B), ("key_names", list(member.layout.key_names))):
-        if type(doc[key]) is not type(want) or doc[key] != want:
-            raise ValueError(f"{key} is {doc[key]!r}, but {label} {params} has {want!r}")
-    # The K caches, then in explicit mode one broadcast per listed demand.
-    demands: list[tuple] = []
-    mode = doc["delivery"]["mode"]
+        if type(head[key]) is not type(want) or head[key] != want:
+            raise ValueError(f"{key} is {head[key]!r}, but {label} {params} has {want!r}")
+    mode = head["delivery"]["mode"]
     if mode == "explicit":
-        entries = doc["delivery"]["entries"]
-        demands = [tuple(e["demand"]) for e in entries]
+        demands = [tuple(e["demand"]) for e in head["delivery"]["entries"]]
         # A JSON true would hash equal to 1, so entries must be ints, not bools.
         if (
             not set(map(type, itertools.chain.from_iterable(demands))) <= {int}
@@ -378,25 +366,20 @@ def document_to_scheme(
             or set(demands) != set(itertools.product(range(1, N + 1), repeat=K))
         ):
             raise ValueError(f"explicit delivery table must list each of the {N}**{K} demands once")
-        documented = documented + [e["rows"] for e in entries]
     elif mode != "generated":
         raise ValueError(f"unknown delivery mode {mode!r}")
-
-    def name(i: int) -> str:
-        return f"cache of user {i + 1}" if i < K else f"broadcast for demand {list(demands[i - K])}"
-
+    counts = _matrices(head)
+    if not all(type(n) is int and n > 0 for n in counts) or sum(counts) != len(rows):
+        raise ValueError(f"the matrices' row counts do not cut {len(rows)} rows")
+    ends = list(itertools.accumulate(counts))
     q, total = member.q, member.layout.total
-    if rows is None:
-        rows, ends = _read_matrices(total, documented, name, scan_bools)
-    else:
-        if not all(type(n) is int and n > 0 for n in documented) or sum(documented) != len(rows):
-            raise ValueError(f"the matrices' row counts do not cut {len(rows)} rows")
-        ends = list(itertools.accumulate(documented))
-        if rows.shape[1] != total:
-            raise ValueError(f"rows have {rows.shape[1]} entries, not the layout's {total}")
+    if width != total:
+        raise ValueError(
+            f"cache of user 1 must be a non-empty list of rows of {total} entries each; row 1 has {width} entries"
+        )
     if rows.min() < 0 or rows.max() >= q:
         i = int(np.argmax(((rows < 0) | (rows >= q)).any(axis=1)))
-        raise ValueError(f"{name(bisect.bisect_right(ends, i))} has an entry outside [0, {q})")
+        raise ValueError(f"{_matrix_name(head, bisect.bisect_right(ends, i))} has an entry outside [0, {q})")
     matrices = [FieldMatrix._trusted(q, rows[a:b]) for a, b in zip([0, *ends], ends)]
     delivery = member.delivery
     if mode == "explicit":
@@ -405,7 +388,7 @@ def document_to_scheme(
         def delivery(d: DemandVector) -> FieldMatrix:
             return table[d.entries]
 
-    return replace(member, cache=tuple(matrices[:K]), delivery=delivery), rows
+    return replace(member, cache=tuple(matrices[:K]), delivery=delivery)
 
 
 def write_scheme(s: LinearScheme, path: Path) -> dict:
@@ -422,8 +405,7 @@ def write_scheme(s: LinearScheme, path: Path) -> dict:
     _write_json(doc, path, digest.update)
     # A sidecar is kept only beside a regular file, which a load can read twice.
     if stat.S_ISREG(path.stat().st_mode):
-        matrices = doc["cache"] + [e["rows"] for e in doc["delivery"].get("entries", ())]
-        _write_sidecar(path, digest.hexdigest(), _head(doc), matrices)
+        _write_sidecar(path, digest.hexdigest(), _head(doc), _matrices(doc))
     return doc
 
 
@@ -434,10 +416,9 @@ def _sidecar_path(path: Path) -> Path:
 def _head(doc: dict) -> dict:
     """A document with each matrix replaced by its row count."""
     head = {**doc, "cache": [len(m) for m in doc["cache"]]}
-    delivery = doc["delivery"]
-    if delivery["mode"] == "explicit":
-        entries = [{**e, "rows": len(e["rows"])} for e in delivery["entries"]]
-        head["delivery"] = {**delivery, "entries": entries}
+    if doc["delivery"]["mode"] == "explicit":
+        entries = [{**e, "rows": len(e["rows"])} for e in doc["delivery"]["entries"]]
+        head["delivery"] = {**doc["delivery"], "entries": entries}
     return head
 
 
@@ -514,7 +495,7 @@ def load_scheme(path: Path) -> LinearScheme:
             cached = _read_sidecar(path, digest.hexdigest(), st.st_mode & 0o777)
             if cached is not None:
                 try:
-                    return document_to_scheme(*cached)[0]
+                    return document_to_scheme(*cached)
                 # A sidecar whose head or rows fail a check is replaced below.
                 except (ValueError, KeyError, TypeError):
                     pass
@@ -530,9 +511,11 @@ def load_scheme(path: Path) -> LinearScheme:
     # JSON writes a boolean only as one of these literals.
     scan_bools = "true" in text or "false" in text
     del text  # freed before the lists become an array, to lower peak memory
-    scheme, rows = document_to_scheme(doc, None, scan_bools)
+    head, rows = _read_matrices(doc, scan_bools)
+    del doc  # and the lists before the member is built
+    scheme = document_to_scheme(head, rows)
     if regular:
-        _write_sidecar(path, key, _head(doc), [rows])
+        _write_sidecar(path, key, head, [rows])
     return scheme
 
 

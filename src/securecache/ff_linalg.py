@@ -129,10 +129,6 @@ class FieldMatrix:
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
         return cls(q, np.zeros((rows, cols), dtype=np.int64))
 
-    def row_lists(self) -> list[list[int]]:
-        """Entries as plain nested lists (JSON-friendly)."""
-        return self.data.tolist()
-
     def apply(self, vec: NDArray) -> NDArray:
         """Matrix-vector product mod q; vec has length cols."""
         v = np.asarray(vec, dtype=np.int64)

@@ -71,7 +71,7 @@ def test_criterion_2_unit_rate_family():
             unit([(lay.key_column("S_1_2"), 1)]),
             unit([(lay.key_column("S_2_2"), 1)]),
         }
-        assert {tuple(r) for r in s.cache[0].row_lists()} == expected_z1
+        assert {tuple(r) for r in s.cache[0].data.tolist()} == expected_z1
 
 
 def test_criterion_3_tradeoff_family():

@@ -22,7 +22,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from securecache import cli
-from securecache.cli import _json_text, load_scheme, main, scheme_to_document, write_scheme
+from securecache.cli import load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import FAMILIES, build_scheme
 from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, randomness_of
 
@@ -139,6 +139,17 @@ def _widen_every_row(doc):
             row.append(0)
 
 
+def _no_users(doc):
+    # K = 0 and no explicit table: the document holds no matrix and no row.
+    doc.update(K=0, cache=[], delivery={"mode": "generated"})
+    doc["params"].update(K=0)
+
+
+def _empty_every_row(doc):
+    for m in doc["cache"] + [e["rows"] for e in doc["delivery"]["entries"]]:
+        m[:] = [[] for _ in m]
+
+
 def _first_broadcast(doc):
     # Explicit tables list demands in order, so this is demand [1, 1, 1].
     return doc["delivery"]["entries"][0]
@@ -174,6 +185,8 @@ MALFORMED = {
     "flat cache": lambda doc: doc["cache"].__setitem__(0, doc["cache"][0][0]),
     "cache entry equal to q": lambda doc: _set_entry(doc, doc["q"]),
     "cache entry -1": lambda doc: _set_entry(doc, -1),
+    "no users": _no_users,
+    "every row empty": _empty_every_row,
 }
 
 # What the message names for some cases; the layout of theorem3 (3, 3, 1) is 12 wide.
@@ -188,6 +201,8 @@ MALFORMED_MESSAGES = {
     "cache entry 1.5": "cache of user 1 has an entry that is not an integer within int64",
     "cache entry 1 as true": "cache of user 1 has a JSON true or false as an entry",
     "broadcast entry 0 as false": "broadcast for demand [1, 1, 1] has a JSON true or false as an entry",
+    "no users": "theorem3 has no member {'N': 3, 'K': 0, 't': 1}; its members at this N, K: []",
+    "every row empty": "cache of user 1 has rows of 0 entries, fewer than N=3 files",
     "t is 2": "theorem3 has no member {'N': 3, 'K': 3, 't': 2}; its members at this N, K: [{'N': 3, 'K': 3, 't': 1}]",
 }
 
@@ -433,6 +448,22 @@ def test_a_sidecar_load_equals_a_parse(tmp_path, capsys, monkeypatch, label, N, 
     assert _verify_run(path, capsys) == parsed_run
 
 
+@pytest.mark.parametrize(("label", "N", "K", "t"), [("theorem3", 3, 3, 1), ("otp", 2, 9, None)])
+def test_a_miss_and_a_hit_hand_the_checker_one_form(tmp_path, monkeypatch, label, N, K, t):
+    path = _construct(tmp_path, label, N, K, t)
+    _sidecar(path).unlink()
+    checked, read = [], []
+    check, read_matrices = cli.document_to_scheme, cli._read_matrices
+    monkeypatch.setattr(cli, "document_to_scheme", lambda *a: checked.append(a) or check(*a))
+    monkeypatch.setattr(cli, "_read_matrices", lambda *a: read.append(1) or read_matrices(*a))
+    parsed = load_scheme(path)  # a miss, which writes the sidecar
+    _assert_same_scheme(load_scheme(path), parsed)  # a hit
+    assert read == [1]
+    (miss_head, miss_rows), (hit_head, hit_rows) = checked
+    assert miss_head == hit_head
+    assert np.array_equal(miss_rows, hit_rows)
+
+
 def test_a_stale_sidecar_is_never_used(tmp_path, capsys):
     # The zeroed row keeps the document's size and its modification time:
     # only its bytes tell the two apart.
@@ -442,7 +473,7 @@ def test_a_stale_sidecar_is_never_used(tmp_path, capsys):
     doc = json.loads(before)
     entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [1, 1, 1])
     entry["rows"][0] = [0] * len(entry["rows"][0])
-    path.write_text(_json_text(doc))
+    cli._write_json(doc, path)
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert path.stat().st_size == len(before) and path.stat().st_mtime_ns == stat.st_mtime_ns
     rc, captured, report = _verify_run(path, capsys)
@@ -481,7 +512,7 @@ def test_another_users_sidecar_is_not_trusted(tmp_path, capsys, monkeypatch):
     doc = json.loads(path.read_bytes())
     entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [1, 1, 1])
     entry["rows"][0] = [0] * len(entry["rows"][0])
-    path.write_text(_json_text(doc))
+    cli._write_json(doc, path)
     new_key = hashlib.sha256(path.read_bytes()).hexdigest()
     _sidecar(path).write_bytes(good.replace(old_key.encode(), new_key.encode()))
     monkeypatch.setattr(cli.os, "geteuid", lambda: os.getuid() + 1)
@@ -951,6 +982,14 @@ def _stdlib_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def _written(value) -> bytes:
+    """The bytes _write_json writes for value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "value.json"
+        cli._write_json(value, path)
+        return path.read_bytes()
+
+
 _STRINGS = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t", "\x00\x7f", "é€", "\U0001d11e", "\ud800"])
 _LEAVES = (
     st.integers(min_value=-(2**70), max_value=2**70)
@@ -972,15 +1011,15 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None, database=None)
 @given(value=_JSON_VALUES, x=st.floats(allow_nan=True))
 def test_json_text_is_the_stdlib_indented_dump(value, x):
-    assert _json_text(value) == _stdlib_text(value)
+    assert _written(value) == _stdlib_text(value).encode()
     with pytest.raises(TypeError):
-        _json_text({"value": value, "x": [0, x]})
+        _written({"value": value, "x": [0, x]})
 
 
 @pytest.mark.parametrize("value", [{1: 0}, {"a": {None: 0}}, (1, 2), b"x"])
 def test_json_text_refuses_non_str_keys_and_other_types(value):
     with pytest.raises(TypeError):
-        _json_text(value)
+        _written(value)
 
 
 @pytest.mark.parametrize(

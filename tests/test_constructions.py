@@ -32,7 +32,7 @@ from securecache.tradeoff import achievable_points, prior_work_points
 
 
 def _row_set(m: FieldMatrix) -> frozenset:
-    return frozenset(tuple(row) for row in m.row_lists())
+    return frozenset(tuple(row) for row in m.data.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +77,26 @@ def test_assign_coefficients_group_sums():
 def test_otp_matrices():
     s = build_scheme("otp", 2, 2)
     assert s.q == 2
-    assert s.cache[0].row_lists() == [[0, 0, 1, 0]]
-    assert s.cache[1].row_lists() == [[0, 0, 0, 1]]
+    assert s.cache[0].data.tolist() == [[0, 0, 1, 0]]
+    assert s.cache[1].data.tolist() == [[0, 0, 0, 1]]
     X = s.delivery_matrix(DemandVector((2, 1)))
-    assert X.row_lists() == [[0, 1, 1, 0], [1, 0, 0, 1]]
+    assert X.data.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1]]
 
 
 def test_two_file_cache_matrices():
     s = build_scheme("theorem1", 2, 3)
     assert s.q == 3
-    assert s.cache[0].row_lists() == [[0, 0, 1, 0]]
-    assert s.cache[1].row_lists() == [[0, 0, 0, 1]]
-    assert s.cache[2].row_lists() == [[2, 2, 1, 1]]
+    assert s.cache[0].data.tolist() == [[0, 0, 1, 0]]
+    assert s.cache[1].data.tolist() == [[0, 0, 0, 1]]
+    assert s.cache[2].data.tolist() == [[2, 2, 1, 1]]
 
 
 def test_two_file_broadcast_rows():
     s = build_scheme("theorem1", 2, 3)
     X = s.delivery_matrix(DemandVector((1, 1, 2)))
-    assert X.row_lists() == [[2, 0, 2, 0], [2, 0, 0, 2]]
+    assert X.data.tolist() == [[2, 0, 2, 0], [2, 0, 0, 2]]
     X2 = s.delivery_matrix(DemandVector((2, 1, 2)))
-    assert X2.row_lists() == [[0, 2, 2, 0], [1, 0, 0, 2]]
+    assert X2.data.tolist() == [[0, 2, 2, 0], [1, 0, 0, 2]]
 
 
 UNIFORM_MEMBERS = {
@@ -117,7 +117,7 @@ def test_uniform_delivery_sends_file_directly(name):
         X = s.delivery_matrix(DemandVector((n,) * K))
         assert X == s.layout.file_selector(s.q, n)
     if label == "theorem1":
-        assert s.delivery_matrix(DemandVector((2,) * K)).row_lists() == [[0, 1, 0, 0, 0]]
+        assert s.delivery_matrix(DemandVector((2,) * K)).data.tolist() == [[0, 1, 0, 0, 0]]
     R = FAMILIES[label].mrl(**s.params)[1]
     for d in demands_iter(N, K):
         if not d.uniform:
@@ -193,7 +193,7 @@ def test_share_system_3_1():
     assert sys.q == 3
     assert sys.labels == ((1,), (2,), (3,))
     assert sys.units == 2 and sys.key_units == 1
-    assert sys.generator.row_lists() == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+    assert sys.generator.data.tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
 
 
 def test_share_system_4_2():
@@ -270,7 +270,7 @@ def test_tradeoff_scheme_3_3_1_layout():
 
     # User 1 caches its share of every file plus one cross key.
     expect_1 = [share(1, 0), share(2, 0), share(3, 0), key("S_{1,3}")]
-    assert s.cache[0].row_lists() == [list(r % 3) for r in expect_1]
+    assert s.cache[0].data.tolist() == [list(r % 3) for r in expect_1]
     # User 3 caches everything blinded by its designated cross key.
     expect_3 = [
         share(1, 2) + key("S_{1,3}"),
@@ -278,7 +278,7 @@ def test_tradeoff_scheme_3_3_1_layout():
         share(3, 2) + key("S_{1,3}"),
         key("S_{2,3}") - key("S_{1,3}"),
     ]
-    assert s.cache[2].row_lists() == [list(r % 3) for r in expect_3]
+    assert s.cache[2].data.tolist() == [list(r % 3) for r in expect_3]
 
     X = s.delivery_matrix(DemandVector((1, 2, 3)))
     expect_X = [
@@ -286,7 +286,7 @@ def test_tradeoff_scheme_3_3_1_layout():
         key("S_{1,3}", 2) + share(1, 2) + share(3, 0),
         key("S_{2,3}", 2) + share(2, 2) + share(3, 1),
     ]
-    assert X.row_lists() == [list(r % 3) for r in expect_X]
+    assert X.data.tolist() == [list(r % 3) for r in expect_X]
 
 
 def test_tradeoff_scheme_counts():

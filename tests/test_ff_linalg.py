@@ -60,7 +60,7 @@ def test_observed_stack_ranks_for_two_file_scheme():
     s = build_scheme("theorem1", 2, 3)
     d = DemandVector((1, 1, 2))
     G = observed_matrix(s, d, 1)
-    assert G.row_lists() == [[0, 0, 1, 0], [2, 0, 2, 0], [2, 0, 0, 2]]
+    assert G.data.tolist() == [[0, 0, 1, 0], [2, 0, 2, 0], [2, 0, 0, 2]]
     assert rank(G) == 3
     assert rank(zero_columns(G, s.layout.file_columns(1))) == 2
     assert rank(zero_columns(G, s.layout.file_columns(2))) == 3
@@ -160,7 +160,7 @@ def test_field_matrix_validation_and_immutability():
     with pytest.raises(ValueError):
         FieldMatrix(2, [1, 0])
     m = FieldMatrix(3, [[4, -1]])
-    assert m.row_lists() == [[1, 2]]
+    assert m.data.tolist() == [[1, 2]]
     with pytest.raises(ValueError):
         m.data[0, 0] = 2
     with pytest.raises(AttributeError):

@@ -46,7 +46,7 @@ def test_layout_validation():
 def test_file_selector_rows():
     layout = VariableLayout(2, 2, ("S",))
     sel = layout.file_selector(3, 2)
-    assert sel.row_lists() == [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+    assert sel.data.tolist() == [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
 
 
 def test_demand_vector():
