@@ -100,12 +100,13 @@ def _write_json(obj: object, path: Path, feed: Callable[[bytes], object] | None 
     Every JSON file the CLI writes has this text.  json's indenting
     encoder runs in pure Python, one small string per list entry; here a
     list of plain ints, such as a matrix row, is written with one join.
-    Only dicts with str keys, lists, 2-D integer numpy arrays (written as
-    their rows' lists), str, int, bool and None are written; any other
-    type, float included, raises TypeError.  The text goes out in blocks
-    of about _BLOCK bytes, each also passed to feed: a block is written
-    once the matrices' text since the last one reaches _BLOCK, so a
-    document's whole text is never held.
+    Only dicts with str keys, lists, iterators (written as the lists of
+    what they yield), 2-D integer numpy arrays (written as their rows'
+    lists), str, int, bool and None are written; any other type, float
+    included, raises TypeError.  The text goes out in blocks of about
+    _BLOCK bytes, each also passed to feed: a block is written once the
+    text of the matrices and list entries since the last one reaches
+    _BLOCK, so neither a document's whole text nor a report's is held.
     """
     out: list[str] = []
     size = 0
@@ -130,7 +131,8 @@ def _write_json(obj: object, path: Path, feed: Callable[[bytes], object] | None 
 def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None]) -> None:
     """Append o's JSON text to out; nl is the newline and indent of the line o starts on.
 
-    spill gets the length of each matrix's text once it is appended.
+    spill gets the length of each matrix's and each list entry's text
+    once it is appended.
     """
     inner = nl + "  "
     if type(o) is np.ndarray and o.ndim == 2 and o.dtype.kind == "i":
@@ -141,17 +143,9 @@ def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None
             spill(len(text))
             return
         o = o.tolist()
-    if type(o) is list and o:
-        # Bools are excluded here: they would look up as 0 and 1.
-        if set(map(type, o)) == {int}:
-            out.append(_ints_text(o, nl))
-            return
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            sep = "," + inner
-            _json_chunks(x, inner, out, spill)
-        out += (nl, "]")
+    # Bools are excluded here: they would look up as 0 and 1.
+    if type(o) is list and o and set(map(type, o)) == {int}:
+        out.append(_ints_text(o, nl))
     elif type(o) is dict and o:
         key_types = set(map(type, o))
         if key_types != {str}:
@@ -162,8 +156,6 @@ def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None
             sep = "," + inner
             _json_chunks(o[k], inner, out, spill)
         out += (nl, "}")
-    elif type(o) is list:
-        out.append("[]")
     elif type(o) is dict:
         out.append("{}")
     elif type(o) is str:
@@ -174,6 +166,17 @@ def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None
         out.append("true" if o else "false")
     elif type(o) is int:
         out.append(int.__repr__(o))
+    elif type(o) is list or isinstance(o, Iterator):
+        # An iterator is written as the list of what it yields, made entry by entry.
+        sep = "[" + inner
+        for x in o:
+            parts = [sep]
+            sep = "," + inner
+            _json_chunks(x, inner, parts, spill)
+            text = "".join(parts)
+            out.append(text)
+            spill(len(text))
+        out.append("[]" if sep[0] == "[" else nl + "]")
     else:
         raise TypeError(f"cannot write {type(o).__name__} {o!r:.40} as JSON")
 
@@ -558,12 +561,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_all(s, policy=args.demands, count=args.count, seed=args.seed)
     if args.report:
         with _writing(args.report) as path:
-            _write_json(report.as_dict(), path)
+            _write_json(report.as_dict(stream=True), path)
     failures = report.failures()
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict} {s.label}: {report.demand_count} demands, "
-        f"{len(report.records)} (demand, user) checks, {len(failures)} failures"
+        f"{len(report.table)} (demand, user) checks, {len(failures)} failures"
     )
     for r in failures[:20]:
         stage = "correctness" if not r.correct else "security"

@@ -26,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -108,14 +108,14 @@ class VariableRef:
 def stacked_matrix(
     s: LinearScheme,
     refs: Sequence[VariableRef],
-    resolved: Mapping[VariableRef, FieldMatrix] | None = None,
+    resolved: Sequence[FieldMatrix] | None = None,
 ) -> FieldMatrix:
     """Row stack of the resolved variables; empty collections are legal.
 
-    When given, resolved holds the matrix of every variable in refs,
+    When given, resolved holds the matrices of refs, in their order,
     so none is resolved again.
     """
-    mats = [ref.resolve(s) if resolved is None else resolved[ref] for ref in refs]
+    mats = [ref.resolve(s) for ref in refs] if resolved is None else resolved
     if not mats:
         return FieldMatrix.zeros(s.q, 0, s.layout.total)
     return stack(mats)
@@ -309,9 +309,10 @@ def check_rank_agreement(
     The universe is all files, all caches, and a bounded demand set of
     deliveries; every collection up to subset_size_cap variables
     (including the empty one) is checked.  Collections are walked in
-    blocks of RANK_BLOCK: each collection's matrix is stacked once, the
-    block's matrices are padded with zero rows and ranked together by
-    one batched elimination.  The block's essential columns are found
+    blocks of RANK_BLOCK: each collection's matrix is stacked once from
+    the universe's matrices, taken by position, and the block's are
+    scattered into one zero-padded stack and ranked together by one
+    batched elimination.  The block's essential columns are found
     once, its collections grouped by essential width, and each group's
     entropies enumerated by one _Enumerator call on the group's stack,
     trimmed to its longest member, then compared with their ranks,
@@ -328,18 +329,21 @@ def check_rank_agreement(
         + [VariableRef.of_cache(k) for k in range(1, s.K + 1)]
         + [VariableRef.of_delivery(d) for d in _bounded_deliveries(s, max_deliveries)]
     )
-    resolved = {ref: ref.resolve(s) for ref in universe}
+    resolved = [ref.resolve(s) for ref in universe]
     enums: dict[int, _Enumerator] = {}
-    combos = itertools.chain.from_iterable(
-        itertools.combinations(universe, size) for size in range(subset_size_cap + 1)
-    )
+    # Each collection as its refs and, position by position, their matrices.
+    combos = zip(*(
+        itertools.chain.from_iterable(itertools.combinations(seq, size) for size in range(subset_size_cap + 1))
+        for seq in (universe, resolved)
+    ))
     while block := list(itertools.islice(combos, RANK_BLOCK)):
-        mats = [stacked_matrix(s, combo, resolved).data for combo in block]
-        padded = np.zeros((len(mats), max(len(G) for G in mats), n), dtype=np.int64)
-        for G, rows in zip(mats, padded):
-            rows[: len(G)] = G
-        kept, widths = _essential_columns(padded)
+        mats = [stacked_matrix(s, refs, parts).data for refs, parts in block]
         rows = np.array([len(G) for G in mats])
+        padded = np.zeros((len(mats), rows.max(), n), dtype=np.int64)
+        # One scatter: row r of collection c's stack goes to padded[c, r].
+        at = np.repeat(np.arange(len(mats)), rows)
+        padded[at, np.arange(len(at)) - np.repeat(np.cumsum(rows) - rows, rows)] = np.concatenate(mats)
+        kept, widths = _essential_columns(padded)
         rank_of = ranks(q, padded)
         for width in set(widths.tolist()):
             group = np.flatnonzero(widths == width)

@@ -4,14 +4,13 @@ Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, row-space membership, column masking,
 ranks of row blocks relative to cached reduced row echelon bases (one
 elimination in a column order gives one residual operator, whose
-first columns serve every prefix of the order, and one product serves
-several operators side by side), and the ranks of a whole stack of
-small matrices by one batched elimination.  All arithmetic is exact
-integer arithmetic; there are no tolerances anywhere.  A single matrix
-is eliminated on Python integers, which cannot overflow.  Its RREF
-comes from sparse_rref, which keeps each row as a map of its nonzero
-entries, so that its cost follows those entries and not the shape: an
-echelon pass reduces each incoming row at its leading column only,
+first columns serve every prefix of the order), and the ranks of a
+whole stack of small matrices by one batched elimination.  All
+arithmetic is exact integer arithmetic; there are no tolerances
+anywhere.  A single matrix is eliminated on Python integers, which
+cannot overflow.  Its RREF comes from sparse_rref, which keeps each
+row as a map of its nonzero entries, so that its cost follows those
+entries and not the shape: an echelon pass reduces each incoming row at its leading column only,
 then a back-substitution pass clears the other pivot columns, last
 pivot first; its pivot maps are read directly, never made dense.  Its
 rank comes from a dense pivot count that stops at full row rank.
@@ -374,30 +373,22 @@ def row_basis(m: FieldMatrix, order: Sequence[int] | None = None) -> RowBasis:
     return RowBasis(m.q, leads, op)
 
 
-def residual_ranks(q: int, op: NDArray, views: Sequence[tuple[int, int]], x: FieldMatrix) -> list[int]:
-    """How much the rows of x add to the row space of each of several bases.
+def residual_rank(basis: RowBasis, x: FieldMatrix, e: int | None = None) -> int:
+    """rank([Z; x]) - rank(Z) on the prefix of length e of the basis's order, all of it when e is None.
 
-    op holds residual operators over GF(q) side by side, and each view
-    (lo, hi) is the operator in columns lo:hi, a basis's or a prefix's.
-    With Z the matrix a basis was built from, a view's entry is
-    rank([Z; x]) - rank(Z) on its columns: x minus its lead entries
-    times the basis rows, which is x @ op on the free columns and zero
-    on the leads, spans with the basis what x did and is independent of
-    the basis, which is the identity on the leads.  The one int64
-    product x @ op is exact: each entry sums x.cols products of residues
-    below q**2, and x passed FieldMatrix's guard q**2 * x.cols < 2**63.
-    A view without free columns adds nothing.
+    With Z the matrix the basis was built from: x minus its lead
+    entries times the basis rows, which is x @ op on the prefix's free
+    columns and zero on its leads, spans with the basis what x did and
+    is independent of the basis, which is the identity on the leads.
+    The int64 product is exact: each entry sums x.cols products of
+    residues below q**2, and x passed FieldMatrix's guard
+    q**2 * x.cols < 2**63.  A prefix without free columns adds nothing.
     """
+    q, op = basis.q, basis.op
     if x.q != q or x.cols != op.shape[0]:
         raise ValueError(f"{x!r} does not match a basis over GF({q}) with {op.shape[0]} columns")
-    res = x.data @ op % q
-    return [rank(FieldMatrix._trusted(q, res[:, lo:hi])) if lo < hi else 0 for lo, hi in views]
-
-
-def residual_rank(basis: RowBasis, x: FieldMatrix, e: int | None = None) -> int:
-    """rank([Z; x]) - rank(Z) on the prefix of length e of the basis's order, all of it when e is None."""
-    w = basis.op.shape[1] if e is None else e - basis.dim(e)
-    return residual_ranks(basis.q, basis.op[:, :w], [(0, w)], x)[0]
+    w = op.shape[1] if e is None else e - basis.dim(e)
+    return rank(FieldMatrix._trusted(q, x.data @ op[:, :w] % q)) if w else 0
 
 
 def in_rowspace(

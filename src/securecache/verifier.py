@@ -25,8 +25,16 @@ file, and only a file and the keys) are prefixes of N column orders,
 one per file; the RREF of Z in one order, kept as one residual
 operator, holds every prefix's in its first columns.  Each cache is
 thus eliminated at most N times per scheme, and each check eliminates
-only the residual of the broadcast rows: one product of X with two
-operators side by side, whose column slices are its three views.
+only the residual of the broadcast rows against two operators side by
+side, whose column slices are its three views.  verify_all takes
+demands VERIFY_BLOCK at a time, builds each broadcast once, and forms
+the residuals of all of a block's checks with the same (user,
+requested file) by one product of their stacked broadcasts.
+
+A VerificationReport holds one int32 table, a row per check: the
+demand's index in lexicographic order, the user and the three ranks.
+Its verdicts, demand count and failures are read off the table, and a
+CheckRecord is built only for a caller that asks for records.
 
 The unit-cache and unit-rate identities (check_lemma1_lemma2,
 check_lemma3_lemma4) rank stacks holding a file selector W_a, which is
@@ -51,14 +59,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .ff_linalg import (
-    FieldMatrix, RowBasis, rank, residual_rank, residual_ranks, row_basis, sparse_rref, stack
-)
+from .ff_linalg import FieldMatrix, RowBasis, rank, residual_rank, row_basis, sparse_rref, stack
 from .scheme_model import (
     DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
 )
@@ -66,6 +72,12 @@ from .scheme_model import (
 
 # Seeded re-draws of each user's class representatives in check_lemma3_lemma4.
 LEMMA_SAMPLES = 10
+
+# Demands verify_all holds and ranks together: their broadcasts, a group's
+# residuals and their table rows.  On otp (2, 12) the peak is 33 bytes a
+# check under tracemalloc (67 with 256 a block), and blocks of 32 to 256
+# verify the theorem3 sweep members equally fast.
+VERIFY_BLOCK = 64
 
 
 class PreconditionError(ValueError):
@@ -108,38 +120,54 @@ class CheckRecord:
         return self.correct and self.secure
 
     def as_dict(self) -> dict:
-        return {
-            "demand": list(self.demand),
-            "user": self.user,
-            "correct": self.correct,
-            "rank_full": self.rank_full,
-            "rank_masked_requested": self.rank_masked_requested,
-            "file_units": self.file_units,
-            "secure": self.secure,
-            "rank_masked_others": self.rank_masked_others,
-        }
+        return {**vars(self), "demand": list(self.demand), "correct": self.correct, "secure": self.secure}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """Every check of verify_all, one row each of a read-only int32 table.
+
+    A row is (demand index, user, rank_full, rank_masked_requested,
+    rank_masked_others): K rows per demand in user order, demands by
+    increasing index.  file_units is the scheme's B.
+    """
+
     label: str
     N: int
     K: int
     policy: str
-    records: tuple[CheckRecord, ...]
+    file_units: int
+    table: NDArray
+
+    def _failing(self) -> NDArray:
+        full, requested, others = self.table[:, 2:].T
+        return (full != requested + self.file_units) | (full != others)
+
+    def _records(self, rows: NDArray) -> Iterator[CheckRecord]:
+        last, demand = -1, ()
+        for i, k, full, requested, others in rows.tolist():
+            if i != last:
+                last, demand = i, demand_from_index(self.N, self.K, i).entries
+            yield CheckRecord(demand, k, full, requested, others, self.file_units)
+
+    @property
+    def records(self) -> tuple[CheckRecord, ...]:
+        return tuple(self._records(self.table))
 
     @property
     def passed(self) -> bool:
-        return all(r.ok for r in self.records)
+        return not self._failing().any()
 
     @property
     def demand_count(self) -> int:
-        return len({r.demand for r in self.records})
+        return len(self.table) // self.K
 
     def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.ok]
+        return list(self._records(self.table[self._failing()]))
 
-    def as_dict(self) -> dict:
+    def as_dict(self, stream: bool = False) -> dict:
+        """The report as JSON data; with stream, "records" is an iterator making each dict as it is read."""
+        records = (r.as_dict() for r in self._records(self.table))
         return {
             "label": self.label,
             "N": self.N,
@@ -148,7 +176,7 @@ class VerificationReport:
             "demands_checked": self.demand_count,
             "passed": self.passed,
             "failures": [r.as_dict() for r in self.failures()],
-            "records": [r.as_dict() for r in self.records],
+            "records": records if stream else list(records),
         }
 
 
@@ -192,19 +220,41 @@ class _RankKernel:
             b = self._bases[k, a] = row_basis(self.s.cache[k - 1], self._orders[a])
         return b
 
-    def record(self, d: DemandVector, k: int, X: FieldMatrix) -> CheckRecord:
-        """Both rank identities for user k under demand d with broadcast X."""
-        a = d[k]
-        check = self._checks.get((k, a))
-        if check is None:
-            own, after = self.basis(k, a), self.basis(k, a % self.s.N + 1)
-            dims = (own.dim(), after.dim(self.without), own.dim(self.only))
-            n, w = own.op.shape[1], self.without - dims[1]
-            views = [(0, n), (n, n + w), (0, self.only - dims[2])]
-            check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
-        dims, op, views = check
-        full, without, only = residual_ranks(self.s.q, op, views, X)
-        return CheckRecord(d.entries, k, dims[0] + full, dims[1] + without, dims[2] + only, self.s.B)
+    def rows(self, block: list[tuple[int, DemandVector]]) -> list[tuple[int, ...]]:
+        """Table rows of a block of (index, demand) pairs, K per demand in user order.
+
+        One product reduces the stacked broadcasts of the checks with the
+        same (user, requested file); each check ranks its residual rows in
+        its three views, and a view without free columns adds nothing.
+        The int64 product is exact: each entry sums layout.total products
+        of residues below q**2, and the scheme holds q**2 * total < 2**63.
+        """
+        s, q = self.s, self.s.q
+        X = [s.delivery_matrix(d).data for _, d in block]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for j, (_, d) in enumerate(block):
+            for k, a in enumerate(d.entries, 1):
+                groups.setdefault((k, a), []).append(j)
+        rows: list[tuple[int, ...]] = [()] * (len(block) * s.K)
+        for (k, a), js in groups.items():
+            check = self._checks.get((k, a))
+            if check is None:
+                own, after = self.basis(k, a), self.basis(k, a % s.N + 1)
+                dims = (own.dim(), after.dim(self.without), own.dim(self.only))
+                n, w = own.op.shape[1], self.without - dims[1]
+                views = [(0, n), (n, n + w), (0, self.only - dims[2])]
+                check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
+            dims, op, views = check
+            res = np.concatenate([X[j] for j in js]) @ op
+            res %= q
+            end = 0
+            for j in js:
+                start, end = end, end + len(X[j])
+                full, without, only = [
+                    rank(FieldMatrix._trusted(q, res[start:end, lo:hi])) if lo < hi else 0 for lo, hi in views
+                ]
+                rows[j * s.K + k - 1] = (block[j][0], k, dims[0] + full, dims[1] + without, dims[2] + only)
+        return rows
 
 
 def _sampled_indices(N: int, K: int, count: int, seed: int) -> list[int]:
@@ -240,13 +290,14 @@ def verify_all(
             with policy="all".
 
     Returns:
-        A report with one record per (demand, user) pair, in
+        A report with one table row per (demand, user) pair, in
         lexicographic demand order.
     """
     if policy == "all":
         if count is not None or seed is not None:
             raise ValueError("count and seed apply only to policy='sample'")
-        demands = demands_iter(s.N, s.K)
+        demands = enumerate(demands_iter(s.N, s.K))
+        total = s.N**s.K
         policy_desc = "all"
     elif policy == "sample":
         if count is None or seed is None:
@@ -255,19 +306,21 @@ def verify_all(
             raise ValueError(f"sample count must be at least 1, got {count}")
         if count > DEMAND_CAP:
             raise ValueError(f"sample count {count} exceeds cap {DEMAND_CAP}")
-        demands = (demand_from_index(s.N, s.K, i) for i in _sampled_indices(s.N, s.K, count, seed))
+        indices = _sampled_indices(s.N, s.K, count, seed)
+        demands = ((i, demand_from_index(s.N, s.K, i)) for i in indices)
+        total = len(indices)
         policy_desc = f"sample(count={count}, seed={seed})"
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
     kernel = _RankKernel(s)
-    records: list[CheckRecord] = []
-    for d in demands:
-        X = s.delivery_matrix(d)
-        records.extend(kernel.record(d, k, X) for k in range(1, s.K + 1))
-    return VerificationReport(
-        label=s.label, N=s.N, K=s.K, policy=policy_desc, records=tuple(records)
-    )
+    table = np.empty((total * s.K, 5), dtype=np.int32)
+    end = 0
+    while block := list(itertools.islice(demands, VERIFY_BLOCK)):
+        start, end = end, end + len(block) * s.K
+        table[start:end] = kernel.rows(block)
+    table.flags.writeable = False
+    return VerificationReport(s.label, s.N, s.K, policy_desc, s.B, table)
 
 
 def _columns_without(s: LinearScheme, n: int) -> list[int]:
@@ -285,22 +338,28 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
     reduction these read: under every non-uniform demand d, each cache
     Z_k adds no rank to the broadcast without file d_k's columns; and
     all caches stacked, without any one file's columns, have the rank
-    sum of the single caches.  Every demand is checked, so schemes with
-    more than DEMAND_CAP demands are refused; a scheme whose cache size
-    is not 1 raises PreconditionError.
+    sum of the single caches.  A cache adds no rank exactly when its
+    residual against the broadcast's basis is zero, so for each
+    requested file a, one product of the stacked caches of the users
+    requesting a with the basis of the broadcast without file a decides
+    them all.  Every demand is checked, so schemes with more than
+    DEMAND_CAP demands are refused; a scheme whose cache size is not 1
+    raises PreconditionError.
     """
     demands = demands_iter(s.N, s.K)
     if memory_of(s) != 1:
         raise PreconditionError(f"identities require cache size 1, scheme has M={memory_of(s)}")
     without = {n: _columns_without(s, n) for n in range(1, s.N + 1)}
+    caches = stack(s.cache)
     for d in demands:
         if d.uniform:
             continue
         X = s.delivery_matrix(d)
-        bases = {a: row_basis(X, without[a]) for a in set(d)}
-        if any(residual_rank(bases[d[k]], Z) for k, Z in enumerate(s.cache, 1)):
-            return False
-    caches = stack(s.cache)
+        # Each cache has B rows: the file each cache row's user requests.
+        wants = np.repeat(d.entries, s.B)
+        for a in set(d):
+            if (caches.data[wants == a] @ row_basis(X, without[a]).op % s.q).any():
+                return False
     cache_rank_sum = sum(rank(Z) for Z in s.cache)
     return all(row_basis(caches, cols).dim() == cache_rank_sum for cols in without.values())
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from securecache.constructions import build_scheme
-from securecache import ff_linalg, verifier
+from securecache import cli, ff_linalg, verifier
+from securecache.cli import main, write_scheme
 from securecache.entropy_oracle import VariableRef, brute_entropy
 from securecache.ff_linalg import FieldMatrix, in_rowspace, rank, stack, zero_columns
 from securecache.scheme_model import (
@@ -491,7 +492,7 @@ def test_views_without_free_columns_make_no_rank_call(monkeypatch):
         calls.append(m)
         return real(m)
 
-    # The kernel ranks through ff_linalg.residual_ranks; count under both names.
+    # Count under both names: the kernel ranks through verifier.rank.
     monkeypatch.setattr(ff_linalg, "rank", counting)
     monkeypatch.setattr(verifier, "rank", counting)
     report = verify_all(s)
@@ -570,3 +571,195 @@ def test_decode_validates_user():
             observed_matrix(s, d, k)
         with pytest.raises(IndexError, match=f"user {k} out of range"):
             decode(s, d, k, [0], [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The block kernel against the per-check loop it replaced
+# ---------------------------------------------------------------------------
+
+
+class _PerCheckKernel(verifier._RankKernel):
+    """The per-check verifier loop: one residual product and one record per check."""
+
+    def record(self, d, k, X):
+        a = d[k]
+        check = self._checks.get((k, a))
+        if check is None:
+            own, after = self.basis(k, a), self.basis(k, a % self.s.N + 1)
+            dims = (own.dim(), after.dim(self.without), own.dim(self.only))
+            n, w = own.op.shape[1], self.without - dims[1]
+            views = [(0, n), (n, n + w), (0, self.only - dims[2])]
+            check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
+        dims, op, views = check
+        full, without, only = _residual_ranks(self.s.q, op, views, X)
+        return verifier.CheckRecord(d.entries, k, dims[0] + full, dims[1] + without, dims[2] + only, self.s.B)
+
+
+def _residual_ranks(q, op, views, x):
+    if x.q != q or x.cols != op.shape[0]:
+        raise ValueError(f"{x!r} does not match a basis over GF({q}) with {op.shape[0]} columns")
+    res = x.data @ op % q
+    return [rank(FieldMatrix._trusted(q, res[:, lo:hi])) if lo < hi else 0 for lo, hi in views]
+
+
+def _per_check_report(s, policy="all", count=None, seed=None):
+    """verify_all's records and report text, from the per-check loop."""
+    if policy == "all":
+        demands, policy_desc = demands_iter(s.N, s.K), "all"
+    else:
+        indices = verifier._sampled_indices(s.N, s.K, count, seed)
+        demands = (verifier.demand_from_index(s.N, s.K, i) for i in indices)
+        policy_desc = f"sample(count={count}, seed={seed})"
+    kernel = _PerCheckKernel(s)
+    records = []
+    for d in demands:
+        X = s.delivery_matrix(d)
+        records.extend(kernel.record(d, k, X) for k in range(1, s.K + 1))
+    failures = [r for r in records if not r.ok]
+    doc = {
+        "label": s.label,
+        "N": s.N,
+        "K": s.K,
+        "policy": policy_desc,
+        "demands_checked": len({r.demand for r in records}),
+        "passed": not failures,
+        "failures": [r.as_dict() for r in failures],
+        "records": [r.as_dict() for r in records],
+    }
+    return tuple(records), failures, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _written_report(report, path):
+    cli._write_json(report.as_dict(stream=True), path)
+    return path.read_bytes()
+
+
+def _assert_matches_per_check(s, tmp_path, policy="all", count=None, seed=None):
+    records, failures, text = _per_check_report(s, policy, count, seed)
+    kwargs = {} if policy == "all" else {"count": count, "seed": seed}
+    report = verify_all(s, policy, **kwargs)
+    assert report.records == records
+    assert report.failures() == failures
+    assert report.passed == (not failures)
+    assert report.demand_count == len(records) // s.K
+    assert report.as_dict() == json.loads(text)
+    assert _written_report(report, tmp_path / "report.json") == text.encode()
+    return report
+
+
+SWEEP_MEMBERS = [
+    (N, K, t) for N in range(2, 5) for K in range(3, 6) for t in range(1, K - 1) if N**K * K <= 1024
+]
+
+
+@pytest.mark.parametrize("params", SWEEP_MEMBERS, ids=str)
+def test_block_kernel_matches_the_per_check_loop_on_the_sweep_members(tmp_path, capsys, params):
+    s = build_scheme("theorem3", *params)
+    records, _, text = _per_check_report(s)
+    _assert_matches_per_check(s, tmp_path)
+    path = tmp_path / "t3.json"
+    write_scheme(s, path)
+    assert main(["verify", "--scheme", str(path), "--report", str(tmp_path / "cli.json")]) == 0
+    assert (tmp_path / "cli.json").read_bytes() == text.encode()
+    assert capsys.readouterr().out == (
+        f"PASS theorem3: {s.N**s.K} demands, {len(records)} (demand, user) checks, 0 failures\n"
+    )
+
+
+def test_block_kernel_matches_the_per_check_loop_over_several_blocks(tmp_path):
+    # 729 and 243 demands: blocks of VERIFY_BLOCK demands, the last one short.
+    for s in (build_scheme("otp", 3, 6), build_scheme("theorem2", 3, 5)):
+        assert s.N**s.K > verifier.VERIFY_BLOCK and (s.N**s.K) % verifier.VERIFY_BLOCK
+        _assert_matches_per_check(s, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_kernel_matches_the_per_check_loop_on_samples(tmp_path, seed):
+    for s, count in (
+        (build_scheme("theorem3", 4, 6, 2), 40),
+        (build_scheme("theorem3", 2, 7, 2), 9),
+        (build_scheme("otp", 2, 12), 2 * verifier.VERIFY_BLOCK + 5),
+    ):
+        _assert_matches_per_check(s, tmp_path, "sample", count, seed)
+
+
+def test_block_kernel_matches_the_per_check_loop_on_mutants_and_tampered_schemes(tmp_path):
+    rng = random.Random(3)
+    t3 = build_scheme("theorem3", 2, 3, 1)
+    schemes = [
+        _leaky_pad_scheme(),
+        _tampered(t3, 1, 0, 0),
+        _tampered(build_scheme("theorem2", 3, 3), 2, 0, 1),
+        *(_mutant(base, rng) for base in (t3, build_scheme("otp", 2, 3), build_scheme("theorem2", 3, 2)) for _ in range(8)),
+    ]
+    failing = 0
+    for s in schemes:
+        failing += not _assert_matches_per_check(s, tmp_path).passed
+    assert failing >= 3
+
+
+def test_tampered_document_reports_its_failures_as_the_per_check_loop(tmp_path, capsys):
+    s = build_scheme("theorem3", 2, 4, 1)
+    path = tmp_path / "t3.json"
+    write_scheme(s, path)
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["delivery"]["entries"] if e["demand"] == [1, 2, 1, 2])
+    entry["rows"][0] = [0] * len(entry["rows"][0])
+    path.write_text(json.dumps(doc))
+    _, failures, text = _per_check_report(cli.load_scheme(path))
+    assert failures
+    assert main(["verify", "--scheme", str(path), "--report", str(tmp_path / "r.json")]) == 1
+    assert (tmp_path / "r.json").read_bytes() == text.encode()
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary == f"FAIL theorem3: 16 demands, 64 (demand, user) checks, {len(failures)} failures"
+
+
+def test_verify_all_holds_at_most_40_bytes_per_record(monkeypatch):
+    # The peak of everything verify_all allocates, its table and one
+    # block's broadcasts and residuals, over otp (2, 12)'s 49,152 checks.
+    # rank's lists live only within each call, so a row count stands in
+    # for it to keep the traced run short.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    s = build_scheme("otp", 2, 12)
+    monkeypatch.setattr(ff_linalg, "rank", lambda m: m.rows)
+    monkeypatch.setattr(verifier, "rank", lambda m: m.rows)
+    tracemalloc.start()
+    try:
+        report = verify_all(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    checks = s.N**s.K * s.K
+    assert report.demand_count == s.N**s.K
+    assert peak <= 40 * checks, f"{peak / checks:.1f} bytes per record"
+
+
+def test_a_passing_verify_builds_no_check_record(tmp_path, monkeypatch, capsys):
+    built = []
+    real = verifier.CheckRecord
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verifier, "CheckRecord", counting)
+    path = tmp_path / "t3.json"
+    write_scheme(build_scheme("theorem3", 3, 4, 2), path)
+    assert main(["verify", "--scheme", str(path)]) == 0
+    assert capsys.readouterr().out == "PASS theorem3: 81 demands, 324 (demand, user) checks, 0 failures\n"
+    assert built == []
+    # A failing one builds its failures' records only.
+    report = verify_all(_leaky_pad_scheme())
+    failures = report.failures()
+    assert 0 < len(built) == len(failures) < len(report.table)
+
+
+def test_records_carry_plain_ints(tmp_path):
+    report = verify_all(_tampered(build_scheme("theorem3", 2, 3, 1), 1, 0, 0))
+    failures = report.failures()
+    assert failures
+    for rec in (*report.records, *failures):
+        fields = (*rec.demand, rec.user, rec.rank_full, rec.rank_masked_requested, rec.rank_masked_others, rec.file_units)
+        assert {type(x) for x in fields} == {int}
+        assert type(rec.demand) is tuple
+    cli._write_json({"failures": [r.as_dict() for r in failures]}, tmp_path / "f.json")
