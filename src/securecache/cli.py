@@ -109,30 +109,34 @@ def _write_json(obj: object, path: Path, feed: Callable[[bytes], object] | None 
     _BLOCK, so neither a document's whole text nor a report's is held.
     """
     out: list[str] = []
-    size = 0
+    counted = size = 0
     with path.open("wb") as f:
 
-        def spill(n: int) -> None:
-            nonlocal size
-            size += n
+        def write() -> None:
+            block = "".join(out).encode("ascii")
+            out.clear()
+            f.write(block)
+            if feed is not None:
+                feed(block)
+
+        def spill() -> None:
+            # Each piece of out is counted once, when the first spill after it comes.
+            nonlocal counted, size
+            size += sum(map(len, out[counted:]))
+            counted = len(out)
             if size >= _BLOCK:
-                block = "".join(out).encode("ascii")
-                out.clear()
-                size = 0
-                f.write(block)
-                if feed is not None:
-                    feed(block)
+                write()
+                counted = size = 0
 
         _json_chunks(obj, "\n", out, spill)
         out.append("\n")
-        spill(_BLOCK)  # writes the rest
+        write()
 
 
-def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None]) -> None:
+def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[], None]) -> None:
     """Append o's JSON text to out; nl is the newline and indent of the line o starts on.
 
-    spill gets the length of each matrix's and each list entry's text
-    once it is appended.
+    spill is called after each matrix's and each list entry's text.
     """
     inner = nl + "  "
     if type(o) is np.ndarray and o.ndim == 2 and o.dtype.kind == "i":
@@ -140,7 +144,7 @@ def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None
             # A document's matrix, in one piece: its rows are lists only while it is written.
             text = "[" + inner + ("," + inner).join([_ints_text(r, inner) for r in o.tolist()]) + nl + "]"
             out.append(text)
-            spill(len(text))
+            spill()
             return
         o = o.tolist()
     # Bools are excluded here: they would look up as 0 and 1.
@@ -170,12 +174,10 @@ def _json_chunks(o: object, nl: str, out: list[str], spill: Callable[[int], None
         # An iterator is written as the list of what it yields, made entry by entry.
         sep = "[" + inner
         for x in o:
-            parts = [sep]
+            out.append(sep)
             sep = "," + inner
-            _json_chunks(x, inner, parts, spill)
-            text = "".join(parts)
-            out.append(text)
-            spill(len(text))
+            _json_chunks(x, inner, out, spill)
+            spill()
         out.append("[]" if sep[0] == "[" else nl + "]")
     else:
         raise TypeError(f"cannot write {type(o).__name__} {o!r:.40} as JSON")
@@ -561,7 +563,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_all(s, policy=args.demands, count=args.count, seed=args.seed)
     if args.report:
         with _writing(args.report) as path:
-            _write_json(report.as_dict(stream=True), path)
+            _write_json(report.as_dict(), path)
     failures = report.failures()
     verdict = "PASS" if report.passed else "FAIL"
     print(

@@ -4,13 +4,14 @@ Dense matrices with entries reduced mod q, Gaussian elimination with
 first-nonzero pivoting, rank, row-space membership, column masking,
 ranks of row blocks relative to cached reduced row echelon bases (one
 elimination in a column order gives one residual operator, whose
-first columns serve every prefix of the order), and the ranks of a
-whole stack of small matrices by one batched elimination.  All
-arithmetic is exact integer arithmetic; there are no tolerances
-anywhere.  A single matrix is eliminated on Python integers, which
-cannot overflow.  Its RREF comes from sparse_rref, which keeps each
-row as a map of its nonzero entries, so that its cost follows those
-entries and not the shape: an echelon pass reduces each incoming row at its leading column only,
+first columns serve every prefix of the order, and one product serves
+several operators side by side), and the ranks of a whole stack of
+small matrices by one batched elimination.  All arithmetic is exact
+integer arithmetic; there are no tolerances anywhere.  A single matrix
+is eliminated on Python integers, which cannot overflow.  Its RREF
+comes from sparse_rref, which keeps each row as a map of its nonzero
+entries, so that its cost follows those entries and not the shape: an
+echelon pass reduces each incoming row at its leading column only,
 then a back-substitution pass clears the other pivot columns, last
 pivot first; its pivot maps are read directly, never made dense.  Its
 rank comes from a dense pivot count that stops at full row rank.

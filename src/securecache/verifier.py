@@ -32,9 +32,9 @@ the residuals of all of a block's checks with the same (user,
 requested file) by one product of their stacked broadcasts.
 
 A VerificationReport holds one int32 table, a row per check: the
-demand's index in lexicographic order, the user and the three ranks.
-Its verdicts, demand count and failures are read off the table, and a
-CheckRecord is built only for a caller that asks for records.
+demand's position among the checked demands, the user and the three
+ranks.  Its verdicts, demand count and failures are read off the table,
+and a CheckRecord is built only when one is read.
 
 The unit-cache and unit-rate identities (check_lemma1_lemma2,
 check_lemma3_lemma4) rank stacks holding a file selector W_a, which is
@@ -120,16 +120,27 @@ class CheckRecord:
         return self.correct and self.secure
 
     def as_dict(self) -> dict:
-        return {**vars(self), "demand": list(self.demand), "correct": self.correct, "secure": self.secure}
+        return {
+            "demand": list(self.demand),
+            "user": self.user,
+            "correct": self.correct,
+            "rank_full": self.rank_full,
+            "rank_masked_requested": self.rank_masked_requested,
+            "file_units": self.file_units,
+            "secure": self.secure,
+            "rank_masked_others": self.rank_masked_others,
+        }
 
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Every check of verify_all, one row each of a read-only int32 table.
 
-    A row is (demand index, user, rank_full, rank_masked_requested,
-    rank_masked_others): K rows per demand in user order, demands by
-    increasing index.  file_units is the scheme's B.
+    A row is (position, user, rank_full, rank_masked_requested,
+    rank_masked_others): K rows per demand in user order.  position
+    counts the checked demands from 0; indices holds each one's index
+    in lexicographic order, or is None when all demands are checked and
+    the position is the index.  file_units is the scheme's B.
     """
 
     label: str
@@ -138,6 +149,7 @@ class VerificationReport:
     policy: str
     file_units: int
     table: NDArray
+    indices: tuple[int, ...] | None = None
 
     def _failing(self) -> NDArray:
         full, requested, others = self.table[:, 2:].T
@@ -145,14 +157,15 @@ class VerificationReport:
 
     def _records(self, rows: NDArray) -> Iterator[CheckRecord]:
         last, demand = -1, ()
-        for i, k, full, requested, others in rows.tolist():
-            if i != last:
-                last, demand = i, demand_from_index(self.N, self.K, i).entries
+        for p, k, full, requested, others in rows.tolist():
+            if p != last:
+                i = p if self.indices is None else self.indices[p]
+                last, demand = p, demand_from_index(self.N, self.K, i).entries
             yield CheckRecord(demand, k, full, requested, others, self.file_units)
 
     @property
-    def records(self) -> tuple[CheckRecord, ...]:
-        return tuple(self._records(self.table))
+    def records(self) -> _Records:
+        return _Records(self)
 
     @property
     def passed(self) -> bool:
@@ -165,9 +178,8 @@ class VerificationReport:
     def failures(self) -> list[CheckRecord]:
         return list(self._records(self.table[self._failing()]))
 
-    def as_dict(self, stream: bool = False) -> dict:
-        """The report as JSON data; with stream, "records" is an iterator making each dict as it is read."""
-        records = (r.as_dict() for r in self._records(self.table))
+    def as_dict(self) -> dict:
+        """The report as JSON data; "records" is an iterator making each dict as it is read."""
         return {
             "label": self.label,
             "N": self.N,
@@ -176,8 +188,31 @@ class VerificationReport:
             "demands_checked": self.demand_count,
             "passed": self.passed,
             "failures": [r.as_dict() for r in self.failures()],
-            "records": records if stream else list(records),
+            "records": (r.as_dict() for r in self.records),
         }
+
+
+class _Records(Sequence[CheckRecord]):
+    """A report's records in table order, each built when read; len reads the table.
+
+    It equals the tuple of its records.
+    """
+
+    def __init__(self, report: VerificationReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.table)
+
+    def __getitem__(self, i: int | slice) -> CheckRecord | tuple[CheckRecord, ...]:
+        rows = self._report.table[i]
+        return tuple(self._report._records(rows)) if isinstance(i, slice) else next(self._report._records(rows[None]))
+
+    def __iter__(self) -> Iterator[CheckRecord]:
+        return self._report._records(self._report.table)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _Records) else other)
 
 
 def observed_matrix(s: LinearScheme, d: DemandVector, k: int) -> FieldMatrix:
@@ -220,8 +255,19 @@ class _RankKernel:
             b = self._bases[k, a] = row_basis(self.s.cache[k - 1], self._orders[a])
         return b
 
+    def _check(self, k: int, a: int) -> tuple[tuple[int, int, int], NDArray, list[tuple[int, int]]]:
+        """Bases' dims, operator and views of user k's checks for file a, made once."""
+        check = self._checks.get((k, a))
+        if check is None:
+            own, after = self.basis(k, a), self.basis(k, a % self.s.N + 1)
+            dims = (own.dim(), after.dim(self.without), own.dim(self.only))
+            n, w = own.op.shape[1], self.without - dims[1]
+            views = [(0, n), (n, n + w), (0, self.only - dims[2])]
+            check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
+        return check
+
     def rows(self, block: list[tuple[int, DemandVector]]) -> list[tuple[int, ...]]:
-        """Table rows of a block of (index, demand) pairs, K per demand in user order.
+        """Table rows of a block of (position, demand) pairs, K per demand in user order.
 
         One product reduces the stacked broadcasts of the checks with the
         same (user, requested file); each check ranks its residual rows in
@@ -237,14 +283,7 @@ class _RankKernel:
                 groups.setdefault((k, a), []).append(j)
         rows: list[tuple[int, ...]] = [()] * (len(block) * s.K)
         for (k, a), js in groups.items():
-            check = self._checks.get((k, a))
-            if check is None:
-                own, after = self.basis(k, a), self.basis(k, a % s.N + 1)
-                dims = (own.dim(), after.dim(self.without), own.dim(self.only))
-                n, w = own.op.shape[1], self.without - dims[1]
-                views = [(0, n), (n, n + w), (0, self.only - dims[2])]
-                check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
-            dims, op, views = check
+            dims, op, views = self._check(k, a)
             res = np.concatenate([X[j] for j in js]) @ op
             res %= q
             end = 0
@@ -296,8 +335,8 @@ def verify_all(
     if policy == "all":
         if count is not None or seed is not None:
             raise ValueError("count and seed apply only to policy='sample'")
-        demands = enumerate(demands_iter(s.N, s.K))
-        total = s.N**s.K
+        indices, total = None, s.N**s.K
+        demands = demands_iter(s.N, s.K)
         policy_desc = "all"
     elif policy == "sample":
         if count is None or seed is None:
@@ -306,21 +345,22 @@ def verify_all(
             raise ValueError(f"sample count must be at least 1, got {count}")
         if count > DEMAND_CAP:
             raise ValueError(f"sample count {count} exceeds cap {DEMAND_CAP}")
-        indices = _sampled_indices(s.N, s.K, count, seed)
-        demands = ((i, demand_from_index(s.N, s.K, i)) for i in indices)
+        indices = tuple(_sampled_indices(s.N, s.K, count, seed))
+        demands = (demand_from_index(s.N, s.K, i) for i in indices)
         total = len(indices)
         policy_desc = f"sample(count={count}, seed={seed})"
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
     kernel = _RankKernel(s)
+    # Positions are below DEMAND_CAP: int32 holds them, where an index may not fit.
     table = np.empty((total * s.K, 5), dtype=np.int32)
-    end = 0
-    while block := list(itertools.islice(demands, VERIFY_BLOCK)):
+    positioned, end = enumerate(demands), 0
+    while block := list(itertools.islice(positioned, VERIFY_BLOCK)):
         start, end = end, end + len(block) * s.K
         table[start:end] = kernel.rows(block)
     table.flags.writeable = False
-    return VerificationReport(s.label, s.N, s.K, policy_desc, s.B, table)
+    return VerificationReport(s.label, s.N, s.K, policy_desc, s.B, table, indices)
 
 
 def _columns_without(s: LinearScheme, n: int) -> list[int]:

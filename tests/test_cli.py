@@ -713,6 +713,17 @@ def test_verify_refuses_a_sample_count_past_the_cap(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_verify_samples_a_member_past_int32_demand_indices(tmp_path, capsys):
+    path = _construct(tmp_path, "otp", 2, 40)
+    capsys.readouterr()
+    rc = main(["verify", "--scheme", str(path), "--demands", "sample", "--count", "10", "--seed", "0",
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert capsys.readouterr().out == "PASS otp: 10 demands, 400 (demand, user) checks, 0 failures\n"
+    records = json.loads((tmp_path / "r.json").read_text())["records"]
+    assert records[-1]["demand"] == [2] * 40
+
+
 # The documents the refusals below read, by file name.
 REFUSAL_DOCUMENTS = {
     "t3.json": ("theorem3", 2, 3, 1),

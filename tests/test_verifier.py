@@ -166,10 +166,10 @@ def test_verify_all_refuses_count_or_seed_without_sample():
             verify_all(s, **kwargs)
 
 
-def test_report_json_serializable():
+def test_report_json_serializable(tmp_path):
     report = verify_all(build_scheme("theorem1", 2, 2))
-    blob = json.dumps(report.as_dict())
-    back = json.loads(blob)
+    cli._write_json(report.as_dict(), tmp_path / "r.json")
+    back = json.loads((tmp_path / "r.json").read_text())
     assert back["passed"] is True
     assert back["demands_checked"] == 4
     assert len(back["records"]) == 8
@@ -582,15 +582,7 @@ class _PerCheckKernel(verifier._RankKernel):
     """The per-check verifier loop: one residual product and one record per check."""
 
     def record(self, d, k, X):
-        a = d[k]
-        check = self._checks.get((k, a))
-        if check is None:
-            own, after = self.basis(k, a), self.basis(k, a % self.s.N + 1)
-            dims = (own.dim(), after.dim(self.without), own.dim(self.only))
-            n, w = own.op.shape[1], self.without - dims[1]
-            views = [(0, n), (n, n + w), (0, self.only - dims[2])]
-            check = self._checks[k, a] = (dims, np.hstack([own.op, after.op[:, :w]]), views)
-        dims, op, views = check
+        dims, op, views = self._check(k, d[k])
         full, without, only = _residual_ranks(self.s.q, op, views, X)
         return verifier.CheckRecord(d.entries, k, dims[0] + full, dims[1] + without, dims[2] + only, self.s.B)
 
@@ -630,7 +622,7 @@ def _per_check_report(s, policy="all", count=None, seed=None):
 
 
 def _written_report(report, path):
-    cli._write_json(report.as_dict(stream=True), path)
+    cli._write_json(report.as_dict(), path)
     return path.read_bytes()
 
 
@@ -642,7 +634,7 @@ def _assert_matches_per_check(s, tmp_path, policy="all", count=None, seed=None):
     assert report.failures() == failures
     assert report.passed == (not failures)
     assert report.demand_count == len(records) // s.K
-    assert report.as_dict() == json.loads(text)
+    assert {**report.as_dict(), "records": list(report.as_dict()["records"])} == json.loads(text)
     assert _written_report(report, tmp_path / "report.json") == text.encode()
     return report
 
@@ -681,6 +673,14 @@ def test_block_kernel_matches_the_per_check_loop_on_samples(tmp_path, seed):
         (build_scheme("otp", 2, 12), 2 * verifier.VERIFY_BLOCK + 5),
     ):
         _assert_matches_per_check(s, tmp_path, "sample", count, seed)
+
+
+def test_block_kernel_matches_the_per_check_loop_on_a_sample_past_int32_indices(tmp_path):
+    # otp (2, 40) has 2**40 demands; the last uniform one is always sampled.
+    s = build_scheme("otp", 2, 40)
+    report = _assert_matches_per_check(s, tmp_path, "sample", 10, 0)
+    assert report.records[-1].demand == (2,) * 40
+    assert report.table.dtype == np.int32
 
 
 def test_block_kernel_matches_the_per_check_loop_on_mutants_and_tampered_schemes(tmp_path):
@@ -748,6 +748,8 @@ def test_a_passing_verify_builds_no_check_record(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--scheme", str(path)]) == 0
     assert capsys.readouterr().out == "PASS theorem3: 81 demands, 324 (demand, user) checks, 0 failures\n"
     assert built == []
+    report = verify_all(build_scheme("theorem3", 3, 4, 2))
+    assert len(report.records) == 324 and built == []
     # A failing one builds its failures' records only.
     report = verify_all(_leaky_pad_scheme())
     failures = report.failures()
