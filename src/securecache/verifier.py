@@ -74,7 +74,7 @@ from .scheme_model import (
 LEMMA_SAMPLES = 10
 
 # Demands verify_all holds and ranks together: their broadcasts, a group's
-# residuals and their table rows.  On otp (2, 12) the peak is 33 bytes a
+# residuals and their table rows.  On otp (2, 12) the peak is 35 bytes a
 # check under tracemalloc (67 with 256 a block), and blocks of 32 to 256
 # verify the theorem3 sweep members equally fast.
 VERIFY_BLOCK = 64
@@ -193,9 +193,9 @@ class VerificationReport:
 
 
 class _Records(Sequence[CheckRecord]):
-    """A report's records in table order, each built when read; len reads the table.
+    """A report's records in table order, each built only when read.
 
-    It equals the tuple of its records.
+    len reads the table, and the sequence equals the tuple of its records.
     """
 
     def __init__(self, report: VerificationReport) -> None:
@@ -206,7 +206,8 @@ class _Records(Sequence[CheckRecord]):
 
     def __getitem__(self, i: int | slice) -> CheckRecord | tuple[CheckRecord, ...]:
         rows = self._report.table[i]
-        return tuple(self._report._records(rows)) if isinstance(i, slice) else next(self._report._records(rows[None]))
+        records = self._report._records(rows if isinstance(i, slice) else rows[None])
+        return tuple(records) if isinstance(i, slice) else next(records)
 
     def __iter__(self) -> Iterator[CheckRecord]:
         return self._report._records(self._report.table)
