@@ -606,7 +606,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         elif check == "sharing":
             if "t" not in s.params:
                 raise ValueError("scheme carries no share system")
-            good = check_secret_sharing(s.K, s.params["t"])
+            # The check proves the rule's shares; the document must hold the rule's caches.
+            good = check_secret_sharing(s.K, s.params["t"]) and s.cache == build_scheme(s.label, **s.params).cache
             print(f"share threshold: {'PASS' if good else 'FAIL'}")
             ok = ok and good
     return 0 if ok else 1

@@ -23,10 +23,9 @@ keeps the rank-based verifier honest.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,10 +35,10 @@ from .ff_linalg import FieldMatrix, ranks, stack
 from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands_iter
 
 
-# Collections (or share subsets) ranked together by one batched
-# elimination.  Larger blocks save no more time and cost memory: on the
-# oracle-agree pass, 1024 added about 2-3 MB of peak RSS and 4096 about
-# 11-12 MB, while 256 ran as fast as 64 or 1024.
+# Collections ranked together by one batched elimination.  Larger
+# blocks save no more time and cost memory: on the oracle-agree pass,
+# 1024 added about 2-3 MB of peak RSS and 4096 about 11-12 MB, while
+# 256 ran as fast as 64 or 1024.
 RANK_BLOCK = 256
 
 # The most input vectors brute_entropy and check_rank_agreement enumerate,
@@ -47,11 +46,6 @@ RANK_BLOCK = 256
 # one code per input, so a larger cap could exhaust memory instead of
 # refusing.
 MAX_ENUM = 10**7
-
-# check_secret_sharing ranks all subsets of up to this many shares, else this many seeded draws.
-SHARING_EXHAUSTIVE_LIMIT = 30
-SHARING_SAMPLES = 1000
-
 
 class EnumerationCapError(ValueError):
     """The input space is too large to enumerate; carries the size."""
@@ -355,30 +349,28 @@ def check_rank_agreement(
 
 
 def check_secret_sharing(K: int, t: int) -> bool:
-    """Threshold properties of the share expansion for (K, t).
+    """Threshold properties of the share expansion for (K, t), read off its generator.
 
-    Every set of comb(K-1, t-1) shares must reveal nothing about the
-    file (rank unchanged by masking the file columns), and all shares
-    together must recover every file unit (the file columns add all B
-    units to the rank of the key columns).  Subsets are checked
-    exhaustively up to SHARING_EXHAUSTIVE_LIMIT shares, by
-    SHARING_SAMPLES seeded draws beyond that.  They are drawn lazily and ranked RANK_BLOCK at a time
-    by batched elimination, each next to its restriction to the key
-    columns, which has the rank of its file-masked copy.
+    Every set of m = comb(K-1, t-1) shares must reveal nothing about the
+    file (rank unchanged by masking the file columns), and all n shares
+    together must recover its B units.  Both hold exactly when the
+    generator has build_shares' form: file block [I_B; 0], and key rows
+    (1, x, ..., x**(m-1)) on nodes x, key column 1, distinct mod q.  Any
+    m key rows then form a Vandermonde matrix, whose determinant, the
+    product of the nodes' differences, is nonzero mod q: m shares have
+    rank m with or without their file columns, and the last m shares
+    give the keys, after which the first B give the file.  A generator
+    of any other form is refused.  O(n*m) comparisons, no rank routine.
     """
     sys = build_shares(K, t)
-    G = sys.generator
-    B, m = sys.units, sys.key_units
-    (r_all,), (r_keys,) = ranks(sys.q, G.data[None]), ranks(sys.q, G.data[None, :, B:])
-    if r_all - r_keys != B:
+    G, B, m = sys.generator.data, sys.units, sys.key_units
+    keys = G[:, B:]
+    if keys.shape[1] != m or not np.array_equal(G[:, :B], np.eye(len(G), B, dtype=np.int64)):
         return False
-    if sys.n_shares <= SHARING_EXHAUSTIVE_LIMIT:
-        subsets: Iterator[tuple[int, ...]] = itertools.combinations(range(sys.n_shares), m)
-    else:
-        rng = random.Random(0)
-        subsets = (tuple(sorted(rng.sample(range(sys.n_shares), m))) for _ in range(SHARING_SAMPLES))
-    while block := list(itertools.islice(subsets, RANK_BLOCK)):
-        subs = G.data[np.array(block)]
-        if not np.array_equal(ranks(sys.q, subs), ranks(sys.q, subs[:, :, B:])):
-            return False
-    return True
+    # Column j + 1 is column j times the nodes; with m = 1 there is no node column.
+    nodes = keys[:, 1:2]
+    return bool(
+        (keys[:, 0] == 1).all()
+        and np.array_equal(keys[:, 1:], keys[:, :-1] * nodes % sys.q)
+        and (m == 1 or len(set(nodes[:, 0].tolist())) == len(G))
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -66,13 +67,9 @@ class VariableLayout:
         except KeyError:
             raise KeyError(f"unknown key {name!r}") from None
 
-    @property
+    @cached_property
     def _key_index(self) -> dict[str, int]:
-        idx = self.__dict__.get("_key_index_cache")
-        if idx is None:
-            idx = {name: i for i, name in enumerate(self.key_names)}
-            object.__setattr__(self, "_key_index_cache", idx)
-        return idx
+        return {name: i for i, name in enumerate(self.key_names)}
 
     def file_selector(self, q: int, n: int) -> FieldMatrix:
         """B rows selecting the units of file n out of the input vector."""

@@ -193,10 +193,7 @@ class VerificationReport:
 
 
 class _Records(Sequence[CheckRecord]):
-    """A report's records in table order, each built only when read.
-
-    len reads the table, and the sequence equals the tuple of its records.
-    """
+    """A report's records in table order, each built only when read; len reads the table."""
 
     def __init__(self, report: VerificationReport) -> None:
         self._report = report
@@ -211,9 +208,6 @@ class _Records(Sequence[CheckRecord]):
 
     def __iter__(self) -> Iterator[CheckRecord]:
         return self._report._records(self._report.table)
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, _Records) else other)
 
 
 def observed_matrix(s: LinearScheme, d: DemandVector, k: int) -> FieldMatrix:
@@ -325,7 +319,9 @@ def verify_all(
             "sample" for a seeded sample that always includes the
             uniform demands.
         count: sample size, 1 to DEMAND_CAP; required for
-            policy="sample" and refused with policy="all".
+            policy="sample" and refused with policy="all".  The N
+            uniform demands are always added, so a count below N
+            checks N demands (and one of at least N**K checks all).
         seed: sample seed; required for policy="sample" and refused
             with policy="all".
 

@@ -876,6 +876,23 @@ def test_oracle_entropy_and_sharing(tmp_path, capsys):
     assert "share threshold: PASS" in out
 
 
+def test_oracle_sharing_fails_a_document_whose_caches_are_not_the_rule_s(tmp_path, capsys):
+    # The share generator is rebuilt from (K, t) and passes; the zeroed
+    # caches hold none of its shares, and verify fails 56 of 64 checks.
+    path = _construct(tmp_path, "theorem3", 2, 4, t=1)
+    doc = json.loads(path.read_text())
+    doc["cache"] = [[[0] * len(row) for row in matrix] for matrix in doc["cache"]]
+    zeroed = tmp_path / "zeroed.json"
+    zeroed.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["oracle", "--scheme", str(path), "--checks", "sharing"]) == 0
+    assert capsys.readouterr().out == "share threshold: PASS\n"
+    assert main(["oracle", "--scheme", str(zeroed), "--checks", "sharing"]) == 1
+    assert capsys.readouterr().out == "share threshold: FAIL\n"
+    assert main(["verify", "--scheme", str(zeroed)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL theorem3: 16 demands, 64 (demand, user) checks, 56 failures\n")
+
+
 def test_oracle_lemmas_unit_cache_and_unit_rate(tmp_path, capsys):
     path = _construct(tmp_path, "theorem2", 2, 2)
     rc = main(["oracle", "--scheme", str(path), "--checks", "lemmas"])

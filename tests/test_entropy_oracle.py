@@ -12,6 +12,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -643,10 +644,65 @@ def test_secret_sharing_exhaustive_cases():
     assert check_secret_sharing(5, 2)
 
 
-def test_secret_sharing_sampled_path():
-    # comb(7, 3) = 35 shares is past the exhaustive limit.
-    assert build_shares(7, 3).n_shares > entropy_oracle.SHARING_EXHAUSTIVE_LIMIT
+def test_secret_sharing_large_cases_are_exact_and_fast():
+    # Past any enumeration: 1,184,040 subsets at (8, 2), 30,260,340 at
+    # (9, 2) and 1.3e15 at (8, 3).
+    start = time.perf_counter()
+    assert all(check_secret_sharing(K, t) for K, t in [(8, 2), (9, 2), (8, 3)])
+    assert time.perf_counter() - start < 1
     assert check_secret_sharing(7, 3)
+
+
+def reference_secret_sharing(sys) -> bool:
+    """The threshold properties of share system sys, by ranking every C(n, m) share subset.
+
+    All shares must add the B file units to the rank of their key
+    columns, and every m shares must keep their rank when the file
+    columns are masked, which is the rank of their key columns.
+    """
+    G, B, q = sys.generator.data, sys.units, sys.q
+    (r_all,), (r_keys,) = ff_linalg.ranks(q, G[None]), ff_linalg.ranks(q, G[None, :, B:])
+    if r_all - r_keys != B:
+        return False
+    subsets = itertools.combinations(range(sys.n_shares), sys.key_units)
+    while block := list(itertools.islice(subsets, 256)):
+        subs = G[np.array(block)]
+        if not np.array_equal(ff_linalg.ranks(q, subs), ff_linalg.ranks(q, subs[:, :, B:])):
+            return False
+    return True
+
+
+def _share_mutants(sys):
+    """Share system sys broken each way the form check refuses.
+
+    Its last key column zeroed, its file column 0 zeroed, shares 0 and 1
+    on one node, and one key column too many: the next power of the
+    nodes 0, 1, 2, ...
+    """
+    B, m, q, G = sys.units, sys.key_units, sys.q, sys.generator.data
+    gens = [G.copy() for _ in range(3)]
+    gens[0][:, -1] = 0
+    gens[1][:, 0] = 0
+    gens[2][1, B:] = gens[2][0, B:]
+    # With one key unit there is no node column, so no two nodes to make equal.
+    gens = gens if m > 1 else gens[:2]
+    gens.append(np.column_stack([G, [pow(x, m, q) for x in range(sys.n_shares)]]))
+    return [dataclasses.replace(sys, generator=ff_linalg.FieldMatrix(q, g)) for g in gens]
+
+
+# Every (K, t) with at most 10**4 share subsets to rank.
+CHEAP_SHARE_SYSTEMS = [
+    (K, t) for K in range(2, 9) for t in range(1, K) if comb(comb(K, t), comb(K - 1, t - 1)) <= 10**4
+]
+
+
+@pytest.mark.parametrize("K, t", CHEAP_SHARE_SYSTEMS)
+def test_secret_sharing_agrees_with_enumeration(K, t, monkeypatch):
+    honest = build_shares(K, t)
+    assert check_secret_sharing(K, t) is reference_secret_sharing(honest) is True
+    for mutant in _share_mutants(honest):
+        monkeypatch.setattr(entropy_oracle, "build_shares", lambda K, t: mutant)
+        assert check_secret_sharing(K, t) is reference_secret_sharing(mutant) is False
 
 
 def test_secret_sharing_catches_a_leaking_share(monkeypatch):

@@ -141,7 +141,14 @@ def test_verify_all_sample_of_at_least_every_demand_checks_every_demand():
     sampled = verify_all(s, "sample", count=100, seed=1)
     assert sampled.policy == "sample(count=100, seed=1)"
     assert sampled.demand_count == 27
-    assert sampled.records == verify_all(s, "all").records
+    assert tuple(sampled.records) == tuple(verify_all(s, "all").records)
+
+
+def test_verify_all_sample_below_n_checks_the_n_uniform_demands():
+    s = build_scheme("otp", 3, 3)
+    report = verify_all(s, "sample", count=1, seed=0)
+    assert report.demand_count == s.N == 3
+    assert [r.demand for r in report.records[:: s.K]] == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
 
 
 def test_verify_all_sample_needs_count_and_seed():
@@ -630,7 +637,7 @@ def _assert_matches_per_check(s, tmp_path, policy="all", count=None, seed=None):
     records, failures, text = _per_check_report(s, policy, count, seed)
     kwargs = {} if policy == "all" else {"count": count, "seed": seed}
     report = verify_all(s, policy, **kwargs)
-    assert report.records == records
+    assert tuple(report.records) == records
     assert report.failures() == failures
     assert report.passed == (not failures)
     assert report.demand_count == len(records) // s.K
