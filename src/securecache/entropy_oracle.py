@@ -12,12 +12,17 @@ map with d distinct codes is uniform, of size a power of q, exactly
 when d is a power of q and the sorted codes fall into d runs of
 q**n / d equal codes.  For linear maps of uniform inputs the image must
 be uniform and its size a power of q, so every entropy is an exact
-integer count of units; the oracle raises rather than round.  A
-rank-agreement block's collections are grouped by essential width, and
-each group's codes are built together, a chunk of maps at a time (see
-_Enumerator).  No oracle value is computed with rank or elimination:
-agreement of these counts with matrix ranks is the cross-check that
-keeps the rank-based verifier honest.
+integer count of units; the oracle raises rather than round.  The
+rank-agreement check compares each distinct set of nonzero rows once:
+collections whose stacks hold the same nonzero rows differ only in row
+order, repeated rows and zero rows, which change neither the image
+tally (the images are in bijection) nor the rank, so only the first is
+ranked and enumerated (see check_rank_agreement).  A compared block's
+collections are grouped by essential width, and each group's codes are
+built together, a chunk of maps at a time (see _Enumerator).  No
+oracle value is computed with rank or elimination: agreement of these
+counts with matrix ranks is the cross-check that keeps the rank-based
+verifier honest.
 """
 
 from __future__ import annotations
@@ -295,6 +300,33 @@ def _bounded_deliveries(s: LinearScheme, max_deliveries: int) -> list[DemandVect
     return [demand_from_index(s.N, s.K, i) for i in idxs]
 
 
+def _block_agrees(q: int, mats: Sequence[NDArray], enums: dict[int, _Enumerator]) -> bool:
+    """Whether each matrix of a block of stacked collections has its rank as enumerated entropy.
+
+    The block's matrices are scattered into one zero-padded stack and
+    ranked together by one batched elimination.  The block's essential
+    columns are found once, its matrices grouped by essential width, and
+    each group's entropies enumerated by one _Enumerator call on the
+    group's stack, trimmed to its longest member, then compared with
+    their ranks, stopping at the first group with a mismatch.  enums
+    keeps one enumerator per width across blocks.
+    """
+    rows = np.array([len(G) for G in mats])
+    padded = np.zeros((len(mats), rows.max(), mats[0].shape[1]), dtype=np.int64)
+    # One scatter: row r of matrix c goes to padded[c, r].
+    at = np.repeat(np.arange(len(mats)), rows)
+    padded[at, np.arange(len(at)) - np.repeat(np.cumsum(rows) - rows, rows)] = np.concatenate(mats)
+    kept, widths = _essential_columns(padded)
+    rank_of = ranks(q, padded)
+    for width in set(widths.tolist()):
+        group = np.flatnonzero(widths == width)
+        enum = enums.get(width) or enums.setdefault(width, _Enumerator(q, width))
+        units = enum.entropy_units(kept[group, : rows[group].max(), :width])
+        if not np.array_equal(units, rank_of[group]):
+            return False
+    return True
+
+
 def check_rank_agreement(
     s: LinearScheme, subset_size_cap: int, max_enum: int = MAX_ENUM, max_deliveries: int = 32
 ) -> bool:
@@ -302,16 +334,20 @@ def check_rank_agreement(
 
     The universe is all files, all caches, and a bounded demand set of
     deliveries; every collection up to subset_size_cap variables
-    (including the empty one) is checked.  Collections are walked in
-    blocks of RANK_BLOCK: each collection's matrix is stacked once from
-    the universe's matrices, taken by position, and the block's are
-    scattered into one zero-padded stack and ranked together by one
-    batched elimination.  The block's essential columns are found
-    once, its collections grouped by essential width, and each group's
-    entropies enumerated by one _Enumerator call on the group's stack,
-    trimmed to its longest member, then compared with their ranks,
-    stopping at the first group with a mismatch.  Only the comparison
-    side ranks; the entropies are counts.
+    (including the empty one) is checked.  Each collection's matrix is
+    stacked once from the universe's matrices, taken by position, and
+    keyed by the set of its nonzero rows, each coded as the base-q
+    integer of its entries: below q**n <= max_enum <= MAX_ENUM, so the
+    codes are exact and equal exactly when the rows are.  Only the first
+    collection with each key is compared.  This is exact: two matrices G
+    and G' with the same set of nonzero rows differ only in row order,
+    repeated rows and zero rows.  Each row of either is zero or a row of
+    the other, so G x and G' x determine each other: the images are in
+    bijection, with equal tallies, and the row spaces are equal.  A later
+    collection's entropy and rank are therefore the first one's.  The
+    compared collections are gathered into blocks of RANK_BLOCK, and
+    _block_agrees ranks and enumerates each on its own rows.  Only the
+    comparison side ranks; the entropies are counts.
     """
     if subset_size_cap < 0:
         raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
@@ -325,6 +361,10 @@ def check_rank_agreement(
     )
     resolved = [ref.resolve(s) for ref in universe]
     enums: dict[int, _Enumerator] = {}
+    base = q**n
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    seen: set[bytes] = set()
+    fresh: list[NDArray] = []
     # Each collection as its refs and, position by position, their matrices.
     combos = zip(*(
         itertools.chain.from_iterable(itertools.combinations(seq, size) for size in range(subset_size_cap + 1))
@@ -332,20 +372,27 @@ def check_rank_agreement(
     ))
     while block := list(itertools.islice(combos, RANK_BLOCK)):
         mats = [stacked_matrix(s, refs, parts).data for refs, parts in block]
-        rows = np.array([len(G) for G in mats])
-        padded = np.zeros((len(mats), rows.max(), n), dtype=np.int64)
-        # One scatter: row r of collection c's stack goes to padded[c, r].
-        at = np.repeat(np.arange(len(mats)), rows)
-        padded[at, np.arange(len(at)) - np.repeat(np.cumsum(rows) - rows, rows)] = np.concatenate(mats)
-        kept, widths = _essential_columns(padded)
-        rank_of = ranks(q, padded)
-        for width in set(widths.tolist()):
-            group = np.flatnonzero(widths == width)
-            enum = enums.get(width) or enums.setdefault(width, _Enumerator(q, width))
-            units = enum.entropy_units(kept[group, : rows[group].max(), :width])
-            if not np.array_equal(units, rank_of[group]):
+        # Row codes plus base times the collection's place in the block,
+        # sorted: each collection's codes form one ascending run, and its
+        # key is the int32 bytes of the run's distinct nonzero codes.
+        rows = [len(G) for G in mats]
+        codes = np.sort(np.concatenate(mats) @ powers + np.repeat(np.arange(len(mats)) * base, rows))
+        distinct = np.ones(len(codes), dtype=bool)
+        distinct[1:] = codes[1:] != codes[:-1]
+        distinct &= codes % base != 0
+        codes = codes[distinct]
+        keys = (codes % base).astype(np.int32).tobytes()
+        ends = (4 * np.searchsorted(codes, base * np.arange(1, len(mats) + 1))).tolist()
+        for G, start, end in zip(mats, [0, *ends], ends):
+            key = keys[start:end]
+            if key not in seen:
+                seen.add(key)
+                fresh.append(G)
+        if len(fresh) >= RANK_BLOCK:
+            if not _block_agrees(q, fresh[:RANK_BLOCK], enums):
                 return False
-    return True
+            del fresh[:RANK_BLOCK]
+    return not fresh or _block_agrees(q, fresh, enums)
 
 
 def check_secret_sharing(K: int, t: int) -> bool:

@@ -105,13 +105,20 @@ class FieldMatrix:
 
         For data already checked, such as results computed here from
         validated matrices or the entries of a loaded document: the caller
-        guarantees a prime q and a fresh 2-D int64 array data with entries
-        in [0, q) and cols >= 1 columns, where q**2 * cols < 2**63.
+        guarantees a prime q and a 2-D int64 array data, fresh or already
+        read-only, with entries in [0, q) and cols >= 1 columns, where
+        q**2 * cols < 2**63.  This is the per-matrix cost of every stack
+        and residual view, so it does the least that keeps the contract:
+        the slots are set through their descriptors, past __setattr__,
+        and the writeable flag is written only while it is still set, so
+        a view of a frozen array (which numpy makes read-only) is wrapped
+        without the write.
         """
         m = object.__new__(cls)
-        data.flags.writeable = False
-        object.__setattr__(m, "q", q)
-        object.__setattr__(m, "data", data)
+        if data.flags.writeable:
+            data.flags.writeable = False
+        cls.q.__set__(m, q)
+        cls.data.__set__(m, data)
         return m
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -153,12 +160,12 @@ def stack(matrices: Iterable[FieldMatrix]) -> FieldMatrix:
     if not mats:
         raise ValueError("nothing to stack")
     q = mats[0].q
-    cols = mats[0].cols
+    cols = mats[0].data.shape[1]
     for m in mats[1:]:
         if m.q != q:
             raise ValueError(f"mixed moduli {q} and {m.q}")
-        if m.cols != cols:
-            raise ValueError(f"mixed widths {cols} and {m.cols}")
+        if m.data.shape[1] != cols:
+            raise ValueError(f"mixed widths {cols} and {m.data.shape[1]}")
     return FieldMatrix._trusted(q, np.concatenate([m.data for m in mats]))
 
 

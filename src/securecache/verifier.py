@@ -281,6 +281,8 @@ class _RankKernel:
             dims, op, views = self._check(k, a)
             res = np.concatenate([X[j] for j in js]) @ op
             res %= q
+            # Frozen once, so that its views are read-only and wrap without a flag write.
+            res.flags.writeable = False
             end = 0
             for j in js:
                 start, end = end, end + len(X[j])

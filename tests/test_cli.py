@@ -869,11 +869,41 @@ def test_each_refusal_is_one_error_line_and_exit_2(refusal_dir, capsys, case):
 
 def test_oracle_entropy_and_sharing(tmp_path, capsys):
     path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    capsys.readouterr()
     rc = main(["oracle", "--scheme", str(path), "--checks", "entropy,sharing"])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "entropy agreement: PASS" in out
-    assert "share threshold: PASS" in out
+    assert capsys.readouterr().out == (
+        "entropy agreement: PASS (collections of up to 2 of 2 files, 3 caches and 8 of 8 broadcasts)\n"
+        "share threshold: PASS\n"
+    )
+    # Past 8 demands the CLI's 8 evenly spread ones are compared.
+    path = _construct(tmp_path, "theorem3", 3, 3, t=1)
+    capsys.readouterr()
+    assert main(["oracle", "--scheme", str(path), "--checks", "entropy"]) == 0
+    assert capsys.readouterr().out == (
+        "entropy agreement: PASS (collections of up to 2 of 3 files, 3 caches and 8 of 27 broadcasts)\n"
+    )
+
+
+@pytest.mark.parametrize("checks", ["sharing", "entropy,sharing"])
+def test_oracle_sharing_builds_the_family_member_once(tmp_path, capsys, monkeypatch, checks):
+    # The member document_to_scheme checks the document against is the
+    # one the sharing line compares its caches with.
+    path = _construct(tmp_path, "theorem3", 2, 3, t=1)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    builds, parses = [], []
+    build, read_matrices = cli.build_scheme, cli._read_matrices
+    monkeypatch.setattr(cli, "build_scheme", lambda *a, **k: builds.append(a) or build(*a, **k))
+    monkeypatch.setattr(cli, "_read_matrices", lambda *a: parses.append(1) or read_matrices(*a))
+    # A sidecar hit, a parse of a copy without one, then a hit of the sidecar it wrote.
+    for doc, parsed in ((path, 0), (copy, 1), (copy, 0)):
+        builds.clear()
+        parses.clear()
+        assert main(["oracle", "--scheme", str(doc), "--checks", checks]) == 0
+        assert capsys.readouterr().out.endswith("share threshold: PASS\n")
+        assert (builds, len(parses)) == ([("theorem3",)], parsed)
+        assert builds == [("theorem3",)]
 
 
 def test_oracle_sharing_fails_a_document_whose_caches_are_not_the_rule_s(tmp_path, capsys):

@@ -38,7 +38,15 @@ from securecache.entropy_oracle import (
     stacked_matrix,
 )
 from securecache.ff_linalg import rank
-from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, worst_case_rate
+from securecache.scheme_model import (
+    DEMAND_CAP,
+    DemandVector,
+    LinearScheme,
+    VariableLayout,
+    demands_iter,
+    memory_of,
+    worst_case_rate,
+)
 from securecache.verifier import LEMMA_SAMPLES, check_lemma1_lemma2, check_lemma3_lemma4
 
 
@@ -393,11 +401,12 @@ def test_rank_agreement_refuses_negative_cap():
 
 
 def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
-    # Each scheme at cap 2 has 1 + 13 + 78 collections, one block; the
-    # comparison rank of collection 40 alone is raised by one.  On
-    # theorem1 (3) it has essential width 3 and 31 others share it, so
-    # it is enumerated in a stack; on theorem3 (2, 3, 1) its 3**8 inputs
-    # are past _Enumerator.BLOCK, so its codes are built block by block.
+    # Each scheme at cap 2 has 1 + 13 + 78 collections, of which 67 hold
+    # distinct row sets and are ranked, in one block; the comparison rank
+    # of the 41st of those alone is raised by one.  On theorem1 (3) it has
+    # essential width 3 and 23 others share it, so it is enumerated in a
+    # stack; on theorem3 (2, 3, 1) its 3**8 inputs are past
+    # _Enumerator.BLOCK, so its codes are built block by block.
     true_ranks = ff_linalg.ranks
     for s, small in ((build_scheme("theorem1", 2, 3), True), (build_scheme("theorem3", 2, 3, 1), False)):
         seen, widths = [], []
@@ -413,10 +422,78 @@ def test_rank_agreement_catches_one_rank_off_by_one(monkeypatch):
 
         monkeypatch.setattr(entropy_oracle, "ranks", skewed)
         assert not check_rank_agreement(s, subset_size_cap=2)
-        assert seen == [92]
+        assert seen == [67]
         q, width = s.q, widths[40]
         assert (q**width <= _Enumerator.BLOCK) == small
         assert widths.count(width) >= 2
+
+
+def _ranked_stacks(monkeypatch):
+    """The stacks check_rank_agreement hands to ranks, recorded as they pass."""
+    stacks_seen = []
+
+    def recorded(q, stacks):
+        stacks_seen.append(stacks)
+        return ff_linalg.ranks(q, stacks)
+
+    monkeypatch.setattr(entropy_oracle, "ranks", recorded)
+    return stacks_seen
+
+
+def _row_set_scheme(q, caches):
+    """Two one-unit files and one key over GF(q), the given caches, and one broadcast of the key."""
+    layout = VariableLayout(2, 1, ("k",))
+    key = ff_linalg.FieldMatrix(q, [[0, 0, 1]])
+    mats = tuple(ff_linalg.FieldMatrix(q, c) for c in caches)
+    return LinearScheme(q, layout, len(mats), mats, lambda d: key, "row sets")
+
+
+def test_rank_agreement_merges_row_order_repeats_and_zero_rows(monkeypatch):
+    # Caches 2-4 are cache 1's rows reordered, repeated and with a zero
+    # row, and cache 5 is one zero row, which has the empty collection's
+    # (empty) set of nonzero rows.  Of the 9 collections of size at most 1,
+    # the empty one, the two files, cache 1 and the broadcast are compared,
+    # each on its own rows.
+    r1, r2, zero = [1, 1, 0], [0, 1, 1], [0, 0, 0]
+    s = _row_set_scheme(3, [[r1, r2], [r2, r1], [r1, r2, r1], [zero, r1, r2], [zero]])
+    stacks = _ranked_stacks(monkeypatch)
+    assert check_rank_agreement(s, subset_size_cap=1, max_deliveries=1)
+    assert [m.tolist() for m in np.concatenate(stacks)] == [
+        [zero, zero], [[1, 0, 0], zero], [[0, 1, 0], zero], [r1, r2], [[0, 0, 1], zero]
+    ]
+
+
+def test_rank_agreement_keeps_a_row_and_its_multiple_apart(monkeypatch):
+    # Over GF(3), [1, 2, 0] and twice it span one row space but are
+    # different rows, so both caches are compared.
+    s = _row_set_scheme(3, [[[1, 2, 0]], [[2, 1, 0]]])
+    stacks = _ranked_stacks(monkeypatch)
+    assert check_rank_agreement(s, subset_size_cap=1, max_deliveries=1)
+    ranked = [m.tolist() for m in np.concatenate(stacks)]
+    assert len(ranked) == 6 and [[1, 2, 0]] in ranked and [[2, 1, 0]] in ranked
+
+
+@pytest.mark.parametrize(
+    ("label", "N", "K", "t", "cap", "max_deliveries", "compared"),
+    [
+        ("theorem1", 2, 3, None, 4, 32, 544),
+        ("theorem2", 2, 3, None, 4, 32, 553),
+        ("theorem2", 3, 3, None, 3, 32, 4525),
+        ("theorem3", 2, 3, 1, 2, 32, 67),
+        ("theorem3", 3, 3, 1, 1, 8, 13),
+    ],
+)
+def test_rank_agreement_compares_each_distinct_row_set_once(label, N, K, t, cap, max_deliveries, compared, monkeypatch):
+    # The oracle-agree benchmark cases: every collection is still stacked
+    # once, and only the first with each set of nonzero rows is ranked.
+    stacked = []
+    stack_one = entropy_oracle.stacked_matrix
+    monkeypatch.setattr(entropy_oracle, "stacked_matrix", lambda *a: stacked.append(1) or stack_one(*a))
+    stacks = _ranked_stacks(monkeypatch)
+    assert check_rank_agreement(build_scheme(label, N, K, t), subset_size_cap=cap, max_deliveries=max_deliveries)
+    universe = N + K + min(N**K, max_deliveries)
+    assert len(stacked) == sum(comb(universe, j) for j in range(cap + 1))
+    assert sum(map(len, stacks)) == compared
 
 
 def test_lemma1_lemma2_on_unit_cache_schemes():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from sympy import GF, isprime, prevprime
 from sympy.polys.matrices import DomainMatrix
 
+from securecache import cli, verifier
 from securecache.constructions import build_scheme
+from securecache.entropy_oracle import VariableRef, stacked_matrix
 from securecache.ff_linalg import (
     FieldMatrix,
     in_rowspace,
@@ -24,8 +26,8 @@ from securecache.ff_linalg import (
     stack,
     zero_columns,
 )
-from securecache.scheme_model import DemandVector
-from securecache.verifier import observed_matrix
+from securecache.scheme_model import DemandVector, demands_iter
+from securecache.verifier import observed_matrix, verify_all
 
 
 def _random_matrix(rng, q, rows, cols):
@@ -165,6 +167,47 @@ def test_field_matrix_validation_and_immutability():
         m.data[0, 0] = 2
     with pytest.raises(AttributeError):
         m.q = 5
+
+
+def _assert_frozen(m):
+    assert isinstance(m, FieldMatrix) and not m.data.flags.writeable
+    with pytest.raises(ValueError):
+        m.data[...] = 0
+    for name in ("q", "data"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+
+
+def test_trusted_wraps_are_read_only_and_refuse_assignment(tmp_path, monkeypatch):
+    # FieldMatrix._trusted writes the writeable flag only on arrays that
+    # still have it; every route through it must still hand out frozen
+    # matrices.  theorem3 (2, 3, 1) documents are explicit, so a loaded
+    # scheme's broadcasts are cut from the document's rows too.
+    s = build_scheme("theorem3", 2, 3, 1)
+    demands = list(demands_iter(s.N, s.K))
+    wrapped = [
+        stack([s.cache[0], s.cache[1]]),
+        stacked_matrix(s, [VariableRef.of_cache(1), VariableRef.of_delivery((1, 2, 1))]),
+        *s.cache,
+        *(s.delivery_matrix(d) for d in demands),
+    ]
+    path = tmp_path / "t3.json"
+    cli.write_scheme(s, path)
+    parses = []
+    read_matrices = cli._read_matrices
+    monkeypatch.setattr(cli, "_read_matrices", lambda *a: parses.append(1) or read_matrices(*a))
+    hit = cli.load_scheme(path)
+    cli._sidecar_path(path).unlink()
+    miss = cli.load_scheme(path)
+    assert parses == [1]
+    for loaded in (hit, miss):
+        wrapped += [*loaded.cache, *(loaded.delivery_matrix(d) for d in demands)]
+    views = []
+    monkeypatch.setattr(verifier, "rank", lambda m: views.append(m) or rank(m))
+    assert verify_all(s).passed
+    assert len(views) == 3 * len(demands) * s.K
+    for m in wrapped + views:
+        _assert_frozen(m)
 
 
 def test_modulus_that_could_overflow_is_refused():
