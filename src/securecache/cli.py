@@ -65,7 +65,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .constructions import FAMILIES, build_scheme, family_of
-from .entropy_oracle import MAX_ENUM, check_rank_agreement, check_secret_sharing
+from .entropy_oracle import check_rank_agreement, check_secret_sharing
 from .ff_linalg import FieldMatrix
 from .scheme_model import (
     DemandVector,
@@ -601,7 +601,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             # the test suite drives the same check harder.
             cap, demands = 2, s.N**s.K
             deliveries = min(demands, 8)
-            good = check_rank_agreement(s, subset_size_cap=cap, max_enum=args.max_enum, max_deliveries=deliveries)
+            good = check_rank_agreement(s, subset_size_cap=cap, max_deliveries=deliveries)
             print(
                 f"entropy agreement: {'PASS' if good else 'FAIL'} (collections of up to {cap} of {s.N} files, "
                 f"{s.K} caches and {deliveries} of {demands} broadcasts)"
@@ -689,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force entropy checks against the rank machinery")
     p.add_argument("--scheme", required=True, help="scheme JSON path")
     p.add_argument("--checks", required=True, help="comma list of entropy,lemmas,sharing")
-    p.add_argument("--max-enum", type=int, default=MAX_ENUM, dest="max_enum")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="end-to-end decode on random symbols")

@@ -46,20 +46,19 @@ from .scheme_model import DemandVector, LinearScheme, demand_from_index, demands
 # 256 ran as fast as 64 or 1024.
 RANK_BLOCK = 256
 
-# The most input vectors brute_entropy and check_rank_agreement enumerate,
-# and the ceiling on the max_enum a caller may set: each walked map holds
-# one code per input, so a larger cap could exhaust memory instead of
-# refusing.
+# The most input vectors brute_entropy and check_rank_agreement enumerate:
+# each walked map holds one code per input, so a larger cap could exhaust
+# memory instead of refusing.
 MAX_ENUM = 10**7
 
 class EnumerationCapError(ValueError):
     """The input space is too large to enumerate; carries the size."""
 
-    def __init__(self, q: int, n: int, required: int, max_enum: int) -> None:
+    def __init__(self, q: int, n: int, required: int) -> None:
         self.required = required
         super().__init__(
             f"brute-force enumeration needs {q}**{n} = {required} input vectors, "
-            f"over the cap of {max_enum}"
+            f"over the cap of {MAX_ENUM}"
         )
 
 
@@ -265,12 +264,10 @@ def _sorted_units(q: int, codes: NDArray) -> NDArray:
     return units
 
 
-def _check_cap(q: int, n: int, max_enum: int) -> None:
-    """Refuse a max_enum above MAX_ENUM, then q**n inputs above max_enum."""
-    if max_enum > MAX_ENUM:
-        raise ValueError(f"max_enum {max_enum} exceeds the ceiling of {MAX_ENUM}")
-    if q**n > max_enum:
-        raise EnumerationCapError(q, n, q**n, max_enum)
+def _check_cap(q: int, n: int) -> None:
+    """Refuse q**n inputs above MAX_ENUM."""
+    if q**n > MAX_ENUM:
+        raise EnumerationCapError(q, n, q**n)
 
 
 def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef]) -> int:
@@ -282,7 +279,7 @@ def brute_entropy(s: LinearScheme, refs: Sequence[VariableRef]) -> int:
     with size an exact power of q, raising OracleInvariantError if not.
     Returns that exact logarithm; rank is never consulted.
     """
-    _check_cap(s.q, s.layout.total, MAX_ENUM)
+    _check_cap(s.q, s.layout.total)
     G = stacked_matrix(s, refs)
     kept, (width,) = _essential_columns(G.data[None])
     return int(_Enumerator(s.q, width).entropy_units(kept[:, :, :width])[0])
@@ -327,9 +324,7 @@ def _block_agrees(q: int, mats: Sequence[NDArray], enums: dict[int, _Enumerator]
     return True
 
 
-def check_rank_agreement(
-    s: LinearScheme, subset_size_cap: int, max_enum: int = MAX_ENUM, max_deliveries: int = 32
-) -> bool:
+def check_rank_agreement(s: LinearScheme, subset_size_cap: int, max_deliveries: int = 32) -> bool:
     """Brute-force entropy equals rank for every small variable collection.
 
     The universe is all files, all caches, and a bounded demand set of
@@ -337,7 +332,7 @@ def check_rank_agreement(
     (including the empty one) is checked.  Each collection's matrix is
     stacked once from the universe's matrices, taken by position, and
     keyed by the set of its nonzero rows, each coded as the base-q
-    integer of its entries: below q**n <= max_enum <= MAX_ENUM, so the
+    integer of its entries: below q**n <= MAX_ENUM, so the
     codes are exact and equal exactly when the rows are.  Only the first
     collection with each key is compared.  This is exact: two matrices G
     and G' with the same set of nonzero rows differ only in row order,
@@ -353,7 +348,7 @@ def check_rank_agreement(
         raise ValueError(f"need subset_size_cap >= 0, got {subset_size_cap}")
     q = s.q
     n = s.layout.total
-    _check_cap(q, n, max_enum)
+    _check_cap(q, n)
     universe: list[VariableRef] = (
         [VariableRef.of_file(i) for i in range(1, s.N + 1)]
         + [VariableRef.of_cache(k) for k in range(1, s.K + 1)]

@@ -381,24 +381,6 @@ def row_basis(m: FieldMatrix, order: Sequence[int] | None = None) -> RowBasis:
     return RowBasis(m.q, leads, op)
 
 
-def residual_rank(basis: RowBasis, x: FieldMatrix, e: int | None = None) -> int:
-    """rank([Z; x]) - rank(Z) on the prefix of length e of the basis's order, all of it when e is None.
-
-    With Z the matrix the basis was built from: x minus its lead
-    entries times the basis rows, which is x @ op on the prefix's free
-    columns and zero on its leads, spans with the basis what x did and
-    is independent of the basis, which is the identity on the leads.
-    The int64 product is exact: each entry sums x.cols products of
-    residues below q**2, and x passed FieldMatrix's guard
-    q**2 * x.cols < 2**63.  A prefix without free columns adds nothing.
-    """
-    q, op = basis.q, basis.op
-    if x.q != q or x.cols != op.shape[0]:
-        raise ValueError(f"{x!r} does not match a basis over GF({q}) with {op.shape[0]} columns")
-    w = op.shape[1] if e is None else e - basis.dim(e)
-    return rank(FieldMatrix._trusted(q, x.data @ op[:, :w] % q)) if w else 0
-
-
 def in_rowspace(
     m: FieldMatrix, target: Sequence[int] | NDArray
 ) -> NDArray | None | list[NDArray | None]:

@@ -43,6 +43,8 @@ the identity on file a's columns and zero elsewhere, so
     rank([W_a; M]) = B + rank(M without file a's columns)
 
 turns each into ranks of masked stacks, computed on the same kernel.
+Both are exact; check_lemma3_lemma4 gives the unit-rate one's three
+conditions, and its refusal.
 
 decode and simulate exercise the same schemes on concrete symbol
 vectors, which keeps the rank checks honest.  decode reads each
@@ -57,6 +59,7 @@ in_rowspace's coefficients times the symbols.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -64,19 +67,17 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .ff_linalg import FieldMatrix, RowBasis, rank, residual_rank, row_basis, sparse_rref, stack
+from .ff_linalg import FieldMatrix, RowBasis, rank, ranks, row_basis, sparse_rref, stack
 from .scheme_model import (
     DEMAND_CAP, DemandVector, LinearScheme, demand_from_index, demands_iter, memory_of
 )
 
 
-# Seeded re-draws of each user's class representatives in check_lemma3_lemma4.
-LEMMA_SAMPLES = 10
-
 # Demands verify_all holds and ranks together: their broadcasts, a group's
 # residuals and their table rows.  On otp (2, 12) the peak is 35 bytes a
 # check under tracemalloc (67 with 256 a block), and blocks of 32 to 256
-# verify the theorem3 sweep members equally fast.
+# verify the theorem3 sweep members equally fast.  check_lemma3_lemma4
+# ranks its choices of residuals as many at a time.
 VERIFY_BLOCK = 64
 
 
@@ -404,56 +405,76 @@ def check_lemma1_lemma2(s: LinearScheme) -> bool:
 
 
 def check_lemma3_lemma4(s: LinearScheme) -> bool:
-    """Joint-entropy identities specific to unit broadcast rate.
+    """Joint-entropy identities specific to unit broadcast rate, checked exactly.
 
-    With every broadcast one unit, fixing a user's request to file a
-    makes the class of broadcasts with that request a deterministic
-    function of the file and the user's cache; and a foreign file,
-    one whole class, plus one representative from each other class
-    are mutually independent.  Representatives are the
-    lexicographically least demands, plus LEMMA_SAMPLES seeded re-draws.
-    By the file-selector reduction, each broadcast adds no rank to the
-    user's cache without the requested file's columns, and the
-    representatives add their full rank to the class, also without a
-    foreign file's columns.  Each class is eliminated once per user
-    and view; the representatives are reduced against those bases.
-    Every broadcast is built once, so schemes with more than DEMAND_CAP
-    demands are refused, and the unit-rate precondition is read off
-    them: a scheme without it raises PreconditionError.
+    For user u and file a, let C_a be the class of broadcasts with u's
+    request a.  First, C_a is a function of W_a and Z_u: by the
+    file-selector reduction, C_a adds no rank to Z_u without file a's
+    columns, a zero product with that view's residual operator.  Second,
+    C_a, one representative r_x of each other class and, if given, a
+    foreign file b (then without b's class) are independent:
+    dim(C_a without b) + added = dim(C_a) + the sum of rank(r_x), added
+    being the rank of the r_x's residuals against C_a without b.  As
+    dim(C_a without b) <= dim(C_a) and added <= the sum of the residuals'
+    ranks <= the sum of rank(r_x), this holds for every choice exactly
+    when (i) C_a keeps its rank without b's columns; (ii) every broadcast
+    of every other class keeps its rank in its residual; and (iii) every
+    choice of one distinct residual per other class has their ranks' sum
+    as rank (trivially so with one other class).  Each broadcast is
+    built and ranked once: more than DEMAND_CAP demands are refused, and
+    a scheme without unit rate raises PreconditionError.  More than
+    DEMAND_CAP choices in (iii) raise ValueError.
     """
-    X = {d: s.delivery_matrix(d) for d in demands_iter(s.N, s.K)}
-    if max(Xd.rows for Xd in X.values()) != s.B:
+    demands = list(demands_iter(s.N, s.K))
+    mats = [s.delivery_matrix(d).data for d in demands]
+    if max(map(len, mats)) != s.B:
         raise PreconditionError("identities require unit rate")
-    kernel = _RankKernel(s)
-    for d, Xd in X.items():
-        bases = (kernel.basis(u, d[u] % s.N + 1) for u in range(1, s.K + 1))
-        if any(residual_rank(b, Xd, kernel.without) for b in bases):
-            return False
-    files = range(1, s.N + 1)
-    rng = random.Random(0)
+    q, files, kernel = s.q, range(1, s.N + 1), _RankKernel(s)
+    # Each broadcast as B rows, zero-padded, which keeps its rank.
+    X = np.zeros((len(mats), s.B, s.layout.total), dtype=np.int64)
+    for Xd, m in zip(X, mats):
+        Xd[: len(m)] = m
+    own, entries = ranks(q, X), np.array([d.entries for d in demands])
     for u in range(1, s.K + 1):
-        classes = {a: [Xd for d, Xd in X.items() if d[u] == a] for a in files}
-        bases = {
-            (a, b): row_basis(stack(classes[a]), None if b is None else _columns_without(s, b))
-            for a in files
-            for b in (None, *files)
-            if b != a
-        }
-        choices = [[0] * s.N]
-        choices += [[rng.randrange(len(classes[a])) for a in files] for _ in range(LEMMA_SAMPLES)]
-        for choice in choices:
-            reps = {a: classes[a][i] for a, i in zip(files, choice)}
-            rep_rank = {a: rank(R) for a, R in reps.items()}
-            for a in files:
-                others = [x for x in files if x != a]
-                # b None: the class and the other classes' representatives;
-                # b a foreign file: W_b too, which drops file b's columns.
-                for b in (None, *others):
-                    rest = [x for x in others if x != b]
-                    basis = bases[a, b]
-                    added = residual_rank(basis, stack(reps[x] for x in rest)) if rest else 0
-                    if basis.dim() + added != bases[a, None].dim() + sum(rep_rank[x] for x in rest):
-                        return False
+        member = {a: entries[:, u - 1] == a for a in files}
+        for a in files:
+            basis = kernel.basis(u, a % s.N + 1)
+            if (X[member[a]] @ basis.op[:, : kernel.without - basis.dim(kernel.without)] % q).any():
+                return False
+            stacked = FieldMatrix._trusted(q, X[member[a]].reshape(-1, s.layout.total))
+            # One basis per foreign file b, its columns last: all of it is C_a's, its prefix C_a's without b.
+            bases = {b: row_basis(stacked, [*_columns_without(s, b), *s.layout.file_columns(b)]) for b in files if b != a}
+            if any(basis.dim(kernel.without) != basis.dim() for basis in bases.values()):
+                return False
+            ops = {None: next(iter(bases.values())).op}
+            ops |= {b: basis.op[:, : kernel.without - basis.dim(kernel.without)] for b, basis in bases.items()}
+            for b, op in ops.items():
+                rest = ~member[a] & ~member[b] if b else ~member[a]
+                res = X[rest] @ op % q
+                # Keyed by class first, the distinct residuals come grouped by class.
+                keyed = np.column_stack([entries[rest, u - 1], res.reshape(len(res), s.B * op.shape[1])])
+                distinct, back = np.unique(keyed, axis=0, return_inverse=True)
+                blocks = distinct[:, 1:].reshape(len(distinct), *res.shape[1:])
+                rank_of = ranks(q, blocks)
+                if (rank_of[back.ravel()] != own[rest]).any():
+                    return False
+                groups = np.split(np.arange(len(blocks)), np.flatnonzero(np.diff(distinct[:, 0])) + 1)
+                if len(groups) > 1 and not _independent(q, [(blocks[g], rank_of[g]) for g in groups]):
+                    return False
+    return True
+
+
+def _independent(q: int, blocks: list[tuple[NDArray, NDArray]]) -> bool:
+    """Whether each choice of one block per (blocks, ranks) pair has their ranks' sum as rank; past DEMAND_CAP, ValueError."""
+    sizes = [len(distinct) for distinct, _ in blocks]
+    if math.prod(sizes) > DEMAND_CAP:
+        raise ValueError(f"{math.prod(sizes)} choices of one distinct residual per class exceed cap {DEMAND_CAP}")
+    choices = itertools.product(*map(range, sizes))
+    while chunk := list(itertools.islice(choices, VERIFY_BLOCK)):
+        at = np.array(chunk).T
+        joint = np.concatenate([distinct[i] for (distinct, _), i in zip(blocks, at)], axis=1)
+        if (ranks(q, joint) != sum(rank_of[i] for (_, rank_of), i in zip(blocks, at))).any():
+            return False
     return True
 
 

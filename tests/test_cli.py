@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from securecache import cli
 from securecache.cli import load_scheme, main, scheme_to_document, write_scheme
 from securecache.constructions import FAMILIES, build_scheme
 from securecache.scheme_model import DEMAND_CAP, DemandVector, LinearScheme, demands_iter, memory_of, randomness_of
+from securecache.verifier import check_lemma3_lemma4
 
 
 def _construct(tmp_path, label, N, K, t=None, name="scheme.json"):
@@ -728,7 +730,7 @@ def test_verify_samples_a_member_past_int32_demand_indices(tmp_path, capsys):
 REFUSAL_DOCUMENTS = {
     "t3.json": ("theorem3", 2, 3, 1),
     "t331.json": ("theorem3", 3, 3, 1),
-    "t2.json": ("theorem2", 3, 3, None),
+    "t241.json": ("theorem3", 2, 4, 1),
     "otp.json": ("otp", 2, 2, None),
     "otp33.json": ("otp", 3, 3, None),
 }
@@ -794,13 +796,9 @@ REFUSALS = {
         "oracle --scheme {dir}/t331.json --checks lemmas",
         "lemma checks apply to unit cache size or unit rate schemes only",
     ),
-    "oracle entropy past --max-enum": (
-        "oracle --scheme {dir}/t2.json --checks entropy --max-enum 10",
-        "brute-force enumeration needs 2**7 = 128 input vectors, over the cap of 10",
-    ),
-    "oracle entropy past the --max-enum ceiling": (
-        "oracle --scheme {dir}/t2.json --checks entropy --max-enum 10000001",
-        "max_enum 10000001 exceeds the ceiling of 10000000",
+    "oracle entropy past the cap": (
+        "oracle --scheme {dir}/t241.json --checks entropy",
+        "brute-force enumeration needs 5**14 = 6103515625 input vectors, over the cap of 10000000",
     ),
     "simulate demand x": (
         "simulate --scheme {dir}/t3.json --demand x",
@@ -963,6 +961,39 @@ def test_oracle_lemmas_past_the_demand_cap(tmp_path, capsys):
         assert rc == 2
         assert f"{N}**{K} = {N**K} demands exceed cap" in captured.err
         assert captured.out == ""
+
+
+def test_oracle_lemmas_past_the_choice_cap(tmp_path, capsys):
+    # A theorem2 (4, 5) document whose caches hold every key and W_1 + W_n,
+    # so each class adds nothing to a cache.  Under user 1's request 1
+    # every broadcast is key 0; under each other request the 256 demands
+    # send distinct nonzero sums of keys 1 to 9.  Their residuals against
+    # class 1's basis are nonzero and distinct, so the third condition
+    # would walk 256**3 choices of one per class.
+    path = _construct(tmp_path, "theorem2", 4, 5)
+    doc = json.loads(path.read_text())
+    keys = len(doc["key_names"])
+    cache = np.zeros((keys + 3, 4 + keys), dtype=np.int64)
+    cache[np.arange(keys), 4 + np.arange(keys)] = 1
+    cache[keys:, 0] = 1
+    cache[keys + np.arange(3), 1 + np.arange(3)] = 1
+    doc["cache"] = [cache.tolist()] * 5
+    entries = []
+    for d in itertools.product(range(1, 5), repeat=5):
+        # 1 plus the demand's place among the 256 with user 1's request, in binary.
+        place = 1 + int("".join(str(x - 1) for x in d[1:]), 4)
+        bits = [1] + [0] * 9 if d[0] == 1 else [0] + [place >> i & 1 for i in range(9)]
+        entries.append({"demand": list(d), "rows": [[0] * 4 + bits + [0] * (keys - 10)]})
+    doc["delivery"] = {"mode": "explicit", "entries": entries}
+    edited = tmp_path / "choices.json"
+    edited.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="16777216 choices of one distinct residual per class exceed cap 1000000"):
+        check_lemma3_lemma4(load_scheme(edited))
+    capsys.readouterr()
+    assert main(["oracle", "--scheme", str(edited), "--checks", "lemmas"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 16777216 choices of one distinct residual per class exceed cap 1000000\n"
+    assert captured.out == ""
 
 
 def test_simulate(tmp_path, capsys):

@@ -3,7 +3,8 @@
 The lemma checks run on the verifier's rank kernel; they are tested here
 against a reference that enumerates each stacked collection with
 brute_entropy, so that it shares no rank routine with them.  Its
-members have at most 3**5 inputs.
+members have at most 2**12 inputs; the unit-rate gap scheme, past any
+enumeration, is checked against ranks from an XOR basis instead.
 """
 
 import ast
@@ -47,7 +48,7 @@ from securecache.scheme_model import (
     memory_of,
     worst_case_rate,
 )
-from securecache.verifier import LEMMA_SAMPLES, check_lemma1_lemma2, check_lemma3_lemma4
+from securecache.verifier import check_lemma1_lemma2, check_lemma3_lemma4
 
 
 def test_single_file_entropy_is_unit_count():
@@ -537,21 +538,38 @@ def test_lemma3_lemma4_builds_each_delivery_matrix_once(monkeypatch):
 
 
 def _entropies(s):
-    """brute_entropy on s as a function of a list of refs, enumerating each distinct list once."""
-    seen = {}
+    """Brute-force entropies on s, as a function of a list of collections; each distinct one is enumerated once.
 
-    def H(refs):
-        key = tuple(refs)
-        if key not in seen:
-            seen[key] = brute_entropy(s, key)
-        return seen[key]
+    Each variable is resolved once.  A call's new collections are stacked
+    into one zero-padded block, their essential columns moved first, and
+    each width's group enumerated by one _Enumerator call, as
+    brute_entropy does for one collection.
+    """
+    seen, resolved = {}, {}
+
+    def H(collections):
+        new = list(dict.fromkeys(tuple(refs) for refs in collections if tuple(refs) not in seen))
+        if new:
+            for ref in set(itertools.chain(*new)) - resolved.keys():
+                resolved[ref] = ref.resolve(s)
+            mats = [stacked_matrix(s, refs, [resolved[ref] for ref in refs]).data for refs in new]
+            padded = np.zeros((len(new), max(map(len, mats)), s.layout.total), dtype=np.int64)
+            for block, G in zip(padded, mats):
+                block[: len(G)] = G
+            kept, widths = _essential_columns(padded)
+            for width in set(widths.tolist()):
+                group = np.flatnonzero(widths == width)
+                units = _Enumerator(s.q, width).entropy_units(kept[group, :, :width])
+                seen.update(zip([new[i] for i in group], units.tolist()))
+        return [seen[tuple(refs)] for refs in collections]
 
     return H
 
 
 def _reference_lemma1_lemma2(s):
     """The unit-cache identities as entropies, each distinct collection enumerated once."""
-    H = _entropies(s)
+    entropies = _entropies(s)
+    H = lambda refs: entropies([refs])[0]
     if s.N**s.K > DEMAND_CAP:
         raise ValueError(f"{s.N}**{s.K} = {s.N**s.K} demands exceed cap {DEMAND_CAP}")
     if memory_of(s) != 1:
@@ -576,45 +594,87 @@ def _reference_lemma1_lemma2(s):
     return True
 
 
-def _reference_lemma3_lemma4(s):
-    """The unit-rate identities as entropies, each distinct collection enumerated once."""
-    H = _entropies(s)
+def _reference_lemma3_lemma4(s, H=None):
+    """The unit-rate identities as entropies, over every choice of one representative per class.
+
+    H maps a list of collections to their entropies; by default each
+    distinct collection is enumerated once (see _entropies).
+    """
+    H = H or _entropies(s)
     if worst_case_rate(s) != 1:
         raise ValueError("identities require unit rate")
-    all_demands = list(demands_iter(s.N, s.K))
-    rng = random.Random(0)
+    files = range(1, s.N + 1)
     for user in range(1, s.K + 1):
-        classes = {
-            a: [d for d in all_demands if d[user] == a] for a in range(1, s.N + 1)
-        }
-        class_refs = {
-            a: [VariableRef.of_delivery(d) for d in ds] for a, ds in classes.items()
-        }
-        class_entropy = {a: H(class_refs[a]) for a in classes}
-        for a in range(1, s.N + 1):
+        classes = {a: [VariableRef.of_delivery(d) for d in demands_iter(s.N, s.K) if d[user] == a] for a in files}
+        zv = VariableRef.of_cache(user)
+        for a in files:
             fv = VariableRef.of_file(a)
-            zv = VariableRef.of_cache(user)
-            if H([fv, zv]) != H([fv, zv] + class_refs[a]):
+            cache, joint = H([[fv, zv], [fv, zv, *classes[a]]])
+            if cache != joint:
                 return False
-        rep_choices = [{a: 0 for a in classes}]
-        for _ in range(LEMMA_SAMPLES):
-            rep_choices.append({a: rng.randrange(len(classes[a])) for a in classes})
-        for choice in rep_choices:
-            reps = {a: VariableRef.of_delivery(classes[a][choice[a]]) for a in classes}
-            rep_entropy = {a: H([reps[a]]) for a in classes}
-            for a in range(1, s.N + 1):
-                others = [x for x in range(1, s.N + 1) if x != a]
-                joint = H(class_refs[a] + [reps[x] for x in others])
-                if joint != class_entropy[a] + sum(rep_entropy[x] for x in others):
+        for a in files:
+            # b None: the class and one representative of each other class;
+            # b a foreign file: W_b too, and no representative of b's class.
+            for b in (None, *(x for x in files if x != a)):
+                head = [] if b is None else [VariableRef.of_file(b)]
+                choices = list(itertools.product(*(classes[x] for x in files if x not in (a, b))))
+                base = H([classes[a]])[0] + sum(H([[v] for v in head]))
+                joint = H([[*head, *classes[a], *reps] for reps in choices])
+                if joint != [base + sum(H([[v] for v in reps])) for reps in choices]:
                     return False
-                for b in others:
-                    rest = [x for x in others if x != b]
-                    fv = VariableRef.of_file(b)
-                    joint = H([fv] + class_refs[a] + [reps[x] for x in rest])
-                    split = H([fv]) + class_entropy[a] + sum(rep_entropy[x] for x in rest)
-                    if joint != split:
-                        return False
     return True
+
+
+def _gf2_ranks(s):
+    """H for a GF(2) scheme: the rank of each collection's rows, read as integers, by an XOR basis.
+
+    The basis keeps one element per top bit.  A row XORed with the
+    element at its top bit, while there is one, loses that bit and so
+    falls; it ends at zero exactly when it depends on the basis.  Each
+    variable's rows are made once.
+    """
+    assert s.q == 2
+    rows = {}
+
+    def rank_of(refs):
+        basis = {}
+        for ref in refs:
+            if ref not in rows:
+                rows[ref] = [int("".join(map(str, row)), 2) for row in ref.resolve(s).data.tolist()]
+            for x in rows[ref]:
+                while x and x.bit_length() in basis:
+                    x ^= basis[x.bit_length()]
+                if x:
+                    basis[x.bit_length()] = x
+        return len(basis)
+
+    return lambda collections: [rank_of(refs) for refs in collections]
+
+
+def _keyed_scheme(N, K, broadcasts=None):
+    """A unit-rate scheme over GF(2) with one key S_d per demand d.
+
+    Every cache holds every key and W_1 + W_n for each n >= 2, so a
+    cache and any file determine every input, and each broadcast adds
+    nothing to a cache without the requested file.  The broadcast for d
+    is its key S_d, or the sum of the columns broadcasts lists for d,
+    named "W1", ... or by key.
+    """
+    names = tuple("S_" + "".join(map(str, d.entries)) for d in demands_iter(N, K))
+    layout = VariableLayout(N, 1, names)
+    column = {f"W{n}": n - 1 for n in range(1, N + 1)} | {name: layout.key_column(name) for name in names}
+    cache = np.zeros((len(names) + N - 1, layout.total), dtype=np.int64)
+    cache[np.arange(len(names)), N + np.arange(len(names))] = 1
+    cache[len(names):, 0] = 1
+    cache[len(names) + np.arange(N - 1), 1 + np.arange(N - 1)] = 1
+
+    def delivery(d):
+        row = np.zeros((1, layout.total), dtype=np.int64)
+        for name in (broadcasts or {}).get(d.entries, ["S_" + "".join(map(str, d.entries))]):
+            row[0, column[name]] += 1
+        return ff_linalg.FieldMatrix(2, row)
+
+    return LinearScheme(2, layout, K, (ff_linalg.FieldMatrix(2, cache),) * K, delivery, "keyed")
 
 
 def _variant(s, caches=None, broadcasts=None):
@@ -628,8 +688,9 @@ def _variant(s, caches=None, broadcasts=None):
 
 
 # otp (2, 2) has columns W_1, W_2, S_1, S_2 and theorem2 (2, 2) has
-# W_1, W_2, S_1_1.  Each variant breaks exactly one of the five
-# identities and keeps the others.
+# W_1, W_2, S_1_1.  Each variant breaks exactly one of the identities and
+# keeps the others; the lemma4 variants break one each of the unit-rate
+# check's three independence conditions.
 _S1 = [0, 0, 1, 0]
 IDENTITY_BREAKERS = {
     # User 1's cache S_1 is not a function of W_1 and the broadcast
@@ -650,19 +711,31 @@ IDENTITY_BREAKERS = {
         build_scheme("theorem2", 2, 2), broadcasts={(1, 1): [[1, 1, 0]], (1, 2): [[0, 0, 1]]}
     )),
     # Every cache and broadcast is S_1_1: a class and another class's
-    # representative are the same variable.
+    # representative are the same variable, so a representative's
+    # residual against the class vanishes (condition ii).
     "lemma4_joint": (check_lemma3_lemma4, _variant(
         build_scheme("theorem2", 2, 2),
         caches=[[[0, 0, 1]]] * 2,
         broadcasts={d.entries: [[0, 0, 1]] for d in demands_iter(2, 2)},
     )),
     # Every user caches everything; when user 1 asks for W_1, the class
-    # of broadcasts contains W_2 itself.
+    # of broadcasts contains W_2 itself, so it loses rank without W_2's
+    # columns (condition i).
     "lemma4_foreign": (check_lemma3_lemma4, _variant(
         build_scheme("theorem2", 2, 2),
         caches=[np.eye(3, dtype=np.int64)] * 2,
         broadcasts={(1, 1): [[0, 0, 1]], (1, 2): [[0, 1, 0]], (2, 1): [[1, 0, 0]], (2, 2): [[1, 1, 1]]},
     )),
+    # Each class is one broadcast, S_1, S_2 and S_1 + S_2: any two are
+    # independent, but against any one class the other two leave equal
+    # residuals (condition iii).
+    "lemma4_transversal": (check_lemma3_lemma4, _keyed_scheme(3, 1, {(3,): ["S_1", "S_2"]})),
+    # Only (3, 3) does not send its own key: S_11 + S_22 makes the pairs
+    # (S_22, S_11 + S_22) and (S_11, S_22) dependent against the class
+    # holding the other one.  Each class's least and greatest broadcasts
+    # are independent of one another, so a check that took one residual
+    # per class, or keyed them by shape, would pass.
+    "lemma4_later_transversal": (check_lemma3_lemma4, _keyed_scheme(3, 2, {(3, 3): ["S_11", "S_22"]})),
 }
 
 
@@ -702,7 +775,7 @@ def test_lemma_checks_agree_with_the_reference():
         build_scheme("otp", 3, 2),
     ]:
         cases[check_lemma1_lemma2] += [s, *_mutants(s, 25, rng)]
-    for N, K in ((2, 2), (2, 3), (3, 2), (2, 4)):
+    for N, K in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)):
         s = build_scheme("theorem2", N, K)
         cases[check_lemma3_lemma4] += [s, *_mutants(s, 25, rng)]
     for check, s in IDENTITY_BREAKERS.values():
@@ -713,6 +786,21 @@ def test_lemma_checks_agree_with_the_reference():
         assert verdicts == [reference[check](s) for s in schemes]
         assert set(verdicts) == {True, False}
     assert time.perf_counter() - start < 10
+
+
+def test_unit_rate_gap_scheme_fails_every_mutant():
+    # _keyed_scheme(2, 6) passes.  Each mutant sends, for one demand d,
+    # the key of d with user 3's request flipped; that key is then in
+    # both of user 3's classes, and only the choice of that one broadcast
+    # among a class's 32 shows it, so a check of a few representatives
+    # per class passes many of them; every one breaks the identity.
+    s = _keyed_scheme(2, 6)
+    assert check_lemma3_lemma4(s) and _reference_lemma3_lemma4(s, _gf2_ranks(s))
+    for d in demands_iter(2, 6):
+        flipped = [*d.entries[:2], 3 - d[3], *d.entries[3:]]
+        mutant = _keyed_scheme(2, 6, {d.entries: ["S_" + "".join(map(str, flipped))]})
+        assert not check_lemma3_lemma4(mutant)
+        assert not _reference_lemma3_lemma4(mutant, _gf2_ranks(mutant))
 
 
 def test_secret_sharing_exhaustive_cases():
